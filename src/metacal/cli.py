@@ -1,8 +1,8 @@
 """Command-line surface: ingestion, preprocessing, calibration, scoring,
 evaluation, and reporting.
 
-Exit codes: 0 on success, 2 for validation errors (bad inputs, bad flags),
-1 for unexpected internal errors.  When --seed is not given, the
+Exit codes: 0 on success, 2 for validation errors (bad inputs, unreadable
+or undecodable files, bad flags), 1 for unexpected internal errors.  When --seed is not given, the
 METACAL_SEED environment variable is used as a fallback, then 0.
 """
 
@@ -383,7 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MetacalError as exc:
+    except (MetacalError, OSError, UnicodeDecodeError) as exc:
+        # Unreadable or unwritable paths and undecodable files are bad
+        # inputs, not internal errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

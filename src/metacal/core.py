@@ -300,12 +300,7 @@ class CalibratedModel:
                 raise MetacalError("gbt model must not carry weight fields")
             if not math.isfinite(self.base_score):
                 raise MetacalError("non-finite base_score")
-            max_feature = self.trees.max_feature_index()
-            if max_feature >= n:
-                raise MetacalError(
-                    f"tree references feature index {max_feature} but only "
-                    f"{n} metrics are retained"
-                )
+            self.trees.validate(n)
 
     @property
     def metric_names(self) -> tuple[str, ...]:

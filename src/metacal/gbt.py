@@ -14,8 +14,11 @@ keeps the arithmetic auditable.
 
 On top of the trainer sit k-fold cross-validation, a grid search over the
 ensemble size, and iterative pruning: repeatedly drop the feature with the
-least total-gain importance, track CV performance, and retrain on the
-best-scoring feature subset.
+least total-gain importance, track CV performance, and keep the model of
+the best-scoring feature subset.  Boosting has no randomness, so an n-tree
+model is exactly the first n trees of a longer run: the whole size grid is
+scored from one boosting run per fold, adding held-out predictions tree by
+tree (the staged-prediction idea of XGBoost's `iteration_range`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -89,18 +92,6 @@ class GbtConfig:
         if self.cv_folds < 2:
             raise MetacalError("cv_folds must be >= 2")
 
-    @classmethod
-    def qa_search(cls, **overrides) -> "GbtConfig":
-        """Narrower ensemble-size grid used for small QA-style datasets."""
-        base = dict(
-            n_estimators_low=100,
-            n_estimators_high=400,
-            n_estimators_step=25,
-            loss=GbtLoss.SQUARED_LOG_ERROR,
-        )
-        base.update(overrides)
-        return cls(**base)
-
     def n_estimators_grid(self) -> list[int]:
         return list(
             range(self.n_estimators_low, self.n_estimators_high + 1, self.n_estimators_step)
@@ -135,11 +126,27 @@ class TreeEnsemble:
     learning_rate: float
     feature_names: tuple[str, ...]
 
-    def max_feature_index(self) -> int:
-        best = -1
-        for tree in self.trees:
-            best = max(best, _max_feature(tree))
-        return best
+    def validate(self, n_features: int) -> None:
+        """Reject split features outside [0, n_features) and a non-finite
+        learning rate, threshold, gain or leaf value."""
+        if not math.isfinite(self.learning_rate):
+            raise MetacalError("non-finite learning_rate")
+        stack = list(self.trees)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                if not math.isfinite(node.value):
+                    raise MetacalError("non-finite leaf value")
+                continue
+            if not 0 <= node.feature < n_features:
+                raise MetacalError(
+                    f"tree references feature index {node.feature} but only "
+                    f"{n_features} metrics are retained"
+                )
+            if not (math.isfinite(node.threshold) and math.isfinite(node.gain)):
+                raise MetacalError("non-finite split threshold or gain")
+            stack.append(node.left)
+            stack.append(node.right)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -147,6 +154,16 @@ class TreeEnsemble:
         for tree in self.trees:
             out += self.learning_rate * _predict_tree(tree, x)
         return out
+
+    def staged_predict(self, features: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the predictions of the first 1, 2, ... trees, bit for bit
+        what `predict` returns for the truncated ensemble.  The yielded
+        array is updated in place by the next step."""
+        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        out = np.full(x.shape[0], self.base_score, dtype=np.float64)
+        for tree in self.trees:
+            out += self.learning_rate * _predict_tree(tree, x)
+            yield out
 
 
 @dataclass(frozen=True)
@@ -201,12 +218,6 @@ class RankingPairs:
 Target = Union[np.ndarray, RankingPairs]
 
 
-def _max_feature(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return -1
-    return max(node.feature, _max_feature(node.left), _max_feature(node.right))
-
-
 def _predict_tree(node: Node, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0], dtype=np.float64)
     stack = [(node, np.arange(x.shape[0]))]
@@ -258,39 +269,44 @@ def _best_split(
     x: np.ndarray, grad: np.ndarray, hess: np.ndarray, idx: np.ndarray,
     reg_lambda: float, gamma: float,
 ) -> tuple[float, int, float, np.ndarray, np.ndarray] | None:
-    g_total = float(grad[idx].sum())
-    h_total = float(hess[idx].sum())
+    """Best (gain, feature, threshold, left rows, right rows) over every
+    boundary between distinct values of every feature, or None when all
+    features are constant on `idx`.
+
+    All features are searched at once: one stable sort per column and one
+    running sum along each sorted column, the same additions in the same
+    order as a scan of one feature at a time.  Gains are laid out feature
+    by feature, boundaries in ascending order, so the first maximum is the
+    lowest feature and, within it, the lowest threshold."""
+    g = grad[idx]
+    h = hess[idx]
+    g_total = float(g.sum())
+    h_total = float(h.sum())
     parent = g_total * g_total / (h_total + reg_lambda) if h_total + reg_lambda > 0 else 0.0
-    best: tuple[float, int, float, np.ndarray, np.ndarray] | None = None
-    for feature in range(x.shape[1]):
-        col = x[idx, feature]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        boundaries = np.flatnonzero(xs[1:] > xs[:-1])
-        if boundaries.size == 0:
-            continue
-        gl = np.cumsum(grad[idx][order])[boundaries]
-        hl = np.cumsum(hess[idx][order])[boundaries]
-        gr = g_total - gl
-        hr = h_total - hl
-        dl = hl + reg_lambda
-        dr = hr + reg_lambda
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
-        gains[(dl <= 0) | (dr <= 0)] = -np.inf
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if best is not None and gain <= best[0]:
-            continue
-        b = boundaries[pos]
-        lo, hi = float(xs[b]), float(xs[b + 1])
-        threshold = 0.5 * (lo + hi)
-        if not lo < threshold <= hi:
-            threshold = hi
-        left = idx[order[: b + 1]]
-        right = idx[order[b + 1 :]]
-        best = (gain, feature, threshold, left, right)
-    return best
+    cols = x[idx].T
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    boundary = xs[:, 1:] > xs[:, :-1]
+    gl = np.cumsum(g[order], axis=1)[:, :-1][boundary]
+    if gl.size == 0:
+        return None
+    hl = np.cumsum(h[order], axis=1)[:, :-1][boundary]
+    gr = g_total - gl
+    hr = h_total - hl
+    dl = hl + reg_lambda
+    dr = hr + reg_lambda
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
+    gains[(dl <= 0) | (dr <= 0)] = -np.inf
+    best = int(np.argmax(gains))
+    feature, b = divmod(int(np.flatnonzero(boundary)[best]), boundary.shape[1])
+    lo, hi = float(xs[feature, b]), float(xs[feature, b + 1])
+    threshold = 0.5 * (lo + hi)
+    if not lo < threshold <= hi:
+        threshold = hi
+    left = idx[order[feature, : b + 1]]
+    right = idx[order[feature, b + 1 :]]
+    return float(gains[best]), feature, threshold, left, right
 
 
 def _build_tree(
@@ -437,6 +453,54 @@ def _subset_pairs(
     return features[rows], RankingPairs(chosen, rejected, groups)
 
 
+def _cv_curve(
+    features: np.ndarray,
+    target: Target,
+    objective: ObjectiveKind,
+    config: GbtConfig,
+    sizes: Sequence[int],
+) -> list[float]:
+    """Mean held-out objective at each ensemble size in `sizes`.
+
+    Each fold trains `max(sizes)` trees once and scores its held-out rows
+    after the first n trees for every n in `sizes`: boosting is
+    deterministic, so those are exactly the predictions of an n-tree model.
+    Pointwise folds shuffle example indices; pairwise folds shuffle pair
+    groups so no group straddles a fold.  A fold whose held-out objective is
+    degenerate (constant predictions) scores -1.
+    """
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    wanted = set(sizes)
+    n_trees = max(wanted)
+    rng = np.random.default_rng(config.seed)
+    fold_scores: list[dict[int, float]] = []
+    if isinstance(target, RankingPairs):
+        folds = _group_folds(target.groups, config.cv_folds, rng)
+        for hold in folds:
+            keep = np.setdiff1d(np.arange(target.n_pairs), hold)
+            train_x, train_pairs = _subset_pairs(x, target, keep)
+            model = gbt_train(train_x, train_pairs, config, n_trees)
+            n_held = hold.size
+            held_x = x[np.concatenate([target.chosen[hold], target.rejected[hold]])]
+            fold_scores.append({
+                n: pairwise_accuracy(list(zip(preds[:n_held], preds[n_held:])))
+                for n, preds in enumerate(model.staged_predict(held_x), start=1)
+                if n in wanted
+            })
+    else:
+        y = np.asarray(target, dtype=np.float64).ravel()
+        folds = _pointwise_folds(x.shape[0], config.cv_folds, rng)
+        for hold in folds:
+            keep = np.setdiff1d(np.arange(x.shape[0]), hold)
+            model = gbt_train(x[keep], y[keep], config, n_trees)
+            fold_scores.append({
+                n: score_or_worst(objective, preds, y[hold])
+                for n, preds in enumerate(model.staged_predict(x[hold]), start=1)
+                if n in wanted
+            })
+    return [float(np.mean([scores[n] for scores in fold_scores])) for n in sizes]
+
+
 def cross_validate(
     features: np.ndarray,
     target: Target,
@@ -444,33 +508,9 @@ def cross_validate(
     config: GbtConfig,
     n_estimators: int,
 ) -> float:
-    """Mean held-out objective over seeded k-fold splits.
-
-    Pointwise folds shuffle example indices; pairwise folds shuffle pair
-    groups so no group straddles a fold.  A fold whose held-out objective is
-    degenerate (constant predictions) scores -1.
-    """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    rng = np.random.default_rng(config.seed)
-    values = []
-    if isinstance(target, RankingPairs):
-        folds = _group_folds(target.groups, config.cv_folds, rng)
-        for hold in folds:
-            keep = np.setdiff1d(np.arange(target.n_pairs), hold)
-            train_x, train_pairs = _subset_pairs(x, target, keep)
-            model = gbt_train(train_x, train_pairs, config, n_estimators)
-            preds = model.predict(x)
-            held = list(zip(preds[target.chosen[hold]], preds[target.rejected[hold]]))
-            values.append(pairwise_accuracy(held))
-    else:
-        y = np.asarray(target, dtype=np.float64).ravel()
-        folds = _pointwise_folds(x.shape[0], config.cv_folds, rng)
-        for hold in folds:
-            keep = np.setdiff1d(np.arange(x.shape[0]), hold)
-            model = gbt_train(x[keep], y[keep], config, n_estimators)
-            preds = model.predict(x[hold])
-            values.append(score_or_worst(objective, preds, y[hold]))
-    return float(np.mean(values))
+    """Mean held-out objective of `n_estimators`-tree models over seeded
+    k-fold splits (see `_cv_curve`)."""
+    return _cv_curve(features, target, objective, config, [n_estimators])[0]
 
 
 def _search_n_estimators_scored(
@@ -479,10 +519,11 @@ def _search_n_estimators_scored(
     objective: ObjectiveKind,
     config: GbtConfig,
 ) -> tuple[int, float]:
+    grid = config.n_estimators_grid()
+    curve = _cv_curve(features, target, objective, config, grid)
     best_n: int | None = None
     best_value = -math.inf
-    for n in config.n_estimators_grid():
-        value = cross_validate(features, target, objective, config, n)
+    for n, value in zip(grid, curve):
         if value > best_value:  # strict: ties keep the smaller, cheaper model
             best_value = value
             best_n = n
@@ -500,16 +541,38 @@ def search_n_estimators(
     return _search_n_estimators_scored(features, target, objective, config)[0]
 
 
-def _importance_order_value(
+def _fit_searched(
     features: np.ndarray,
     target: Target,
+    objective: ObjectiveKind,
     config: GbtConfig,
-    n_estimators: int,
     names: Sequence[str],
-) -> np.ndarray:
-    model = gbt_train(features, target, config, n_estimators, feature_names=names)
-    importance = feature_importance(model)
-    return np.asarray([importance[name] for name in names])
+) -> tuple[TreeEnsemble, float]:
+    """Search the ensemble size by CV, then train that size on all data.
+    Returns the model and its CV objective."""
+    best_n, best_value = _search_n_estimators_scored(features, target, objective, config)
+    return gbt_train(features, target, config, best_n, feature_names=names), best_value
+
+
+def _calibrated_model(
+    ensemble: TreeEnsemble,
+    specs: Sequence[MetricSpec],
+    target: Target,
+    objective: ObjectiveKind,
+    config: GbtConfig,
+) -> CalibratedModel:
+    return CalibratedModel(
+        kind=ModelKind.GBT,
+        metric_specs=tuple(specs),
+        objective_used=(
+            ObjectiveKind.PAIRWISE_ACCURACY.value
+            if isinstance(target, RankingPairs)
+            else objective.value
+        ),
+        seed=config.seed,
+        trees=ensemble,
+        base_score=ensemble.base_score,
+    )
 
 
 def iterative_prune(
@@ -523,9 +586,9 @@ def iterative_prune(
     """Iterative feature pruning (k rounds):
 
     each round searches the ensemble size with CV on the surviving features,
-    records that CV objective, trains on all data to measure total-gain
-    importance, and removes the least-important feature.  The best-scoring
-    round's feature set is then retrained (with a fresh size search) into the
+    records that CV objective, trains that size on all data to measure
+    total-gain importance, and removes the least-important feature.  The
+    full-data model of the best-scoring round (the earliest on ties) is the
     returned model.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -539,46 +602,32 @@ def iterative_prune(
     active = list(range(n_features))
     performances: list[float] = []
     pruned: list[str] = []
-    for _ in range(k):
-        sub = x[:, active]
-        names = [specs[i].name for i in active]
-        best_n, best_value = _search_n_estimators_scored(sub, target, objective, config)
-        performances.append(best_value)
-        gains = _importance_order_value(sub, target, config, best_n, names)
+    best_iteration = 0
+    best: tuple[TreeEnsemble, tuple[MetricSpec, ...]] | None = None
+    for iteration in range(k):
+        round_specs = tuple(specs[i] for i in active)
+        names = [s.name for s in round_specs]
+        ensemble, value = _fit_searched(x[:, active], target, objective, config, names)
+        if best is None or value > performances[best_iteration]:
+            best_iteration, best = iteration, (ensemble, round_specs)
+        performances.append(value)
+        importance = feature_importance(ensemble)
+        gains = np.asarray([importance[name] for name in names])
         least = int(np.argmin(gains))  # ties: earliest (lowest column order)
         pruned.append(names[least])
         del active[least]
         if not active:
             break
 
-    best_iteration = int(np.argmax(performances))
-    dropped_before_best = set(pruned[:best_iteration])
-    retained = [i for i in range(n_features) if specs[i].name not in dropped_before_best]
-    retained_specs = tuple(specs[i] for i in retained)
-    retained_names = tuple(s.name for s in retained_specs)
-
-    final_x = x[:, retained]
-    final_n, _ = _search_n_estimators_scored(final_x, target, objective, config)
-    ensemble = gbt_train(final_x, target, config, final_n, feature_names=retained_names)
-    model = CalibratedModel(
-        kind=ModelKind.GBT,
-        metric_specs=retained_specs,
-        objective_used=(
-            ObjectiveKind.PAIRWISE_ACCURACY.value
-            if isinstance(target, RankingPairs)
-            else objective.value
-        ),
-        seed=config.seed,
-        trees=ensemble,
-        base_score=ensemble.base_score,
-    )
+    assert best is not None
+    ensemble, retained_specs = best
     trace = PruneTrace(
         performances=tuple(performances),
         pruned_features=tuple(pruned),
         best_iteration=best_iteration,
-        best_features=retained_names,
+        best_features=ensemble.feature_names,
     )
-    return model, trace
+    return _calibrated_model(ensemble, retained_specs, target, objective, config), trace
 
 
 def calibrate_gbt(
@@ -592,30 +641,15 @@ def calibrate_gbt(
     """Train a boosted-tree calibrated model on normalized metric features.
 
     Without pruning this is a CV grid search over the ensemble size followed
-    by a full-data train; with `prune_iterations` it runs `iterative_prune`.
+    by a full-data train of the chosen size; with `prune_iterations` it runs
+    `iterative_prune`.
     """
     if prune_iterations is not None:
-        model, trace = iterative_prune(
-            features, target, objective, config, prune_iterations, specs
-        )
-        return model, trace
+        return iterative_prune(features, target, objective, config, prune_iterations, specs)
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     specs = tuple(specs)
     if len(specs) != x.shape[1]:
         raise MetacalError(f"{len(specs)} specs for {x.shape[1]} feature columns")
     names = tuple(s.name for s in specs)
-    best_n, _ = _search_n_estimators_scored(x, target, objective, config)
-    ensemble = gbt_train(x, target, config, best_n, feature_names=names)
-    model = CalibratedModel(
-        kind=ModelKind.GBT,
-        metric_specs=specs,
-        objective_used=(
-            ObjectiveKind.PAIRWISE_ACCURACY.value
-            if isinstance(target, RankingPairs)
-            else objective.value
-        ),
-        seed=config.seed,
-        trees=ensemble,
-        base_score=ensemble.base_score,
-    )
-    return model, None
+    ensemble, _ = _fit_searched(x, target, objective, config, names)
+    return _calibrated_model(ensemble, specs, target, objective, config), None

@@ -3,6 +3,9 @@
 Everything here is written for clarity, not speed, and deliberately avoids
 the code paths used by the package: pair counting by explicit double loops,
 dense linear algebra by plain solves, n-gram metrics by direct enumeration.
+The boosted-tree references are the direct forms of the package's faster
+searches: a split scan one feature at a time, and cross-validation that
+trains a separate model for every ensemble size.
 """
 
 from __future__ import annotations
@@ -164,3 +167,71 @@ def lcs_recursive(a: tuple, b: tuple, memo=None) -> int:
         result = max(lcs_recursive(a[:-1], b, memo), lcs_recursive(a, b[:-1], memo))
     memo[key] = result
     return result
+
+
+def per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma):
+    """Exact greedy split search scanning one feature at a time.
+
+    Same contract as `metacal.gbt._best_split`: (gain, feature, threshold,
+    left rows, right rows), the first maximum within a feature, a strictly
+    better gain to move to a later feature, None when no feature varies.
+    """
+    g_total = float(grad[idx].sum())
+    h_total = float(hess[idx].sum())
+    parent = g_total * g_total / (h_total + reg_lambda) if h_total + reg_lambda > 0 else 0.0
+    best = None
+    for feature in range(x.shape[1]):
+        col = x[idx, feature]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        boundaries = np.flatnonzero(xs[1:] > xs[:-1])
+        if boundaries.size == 0:
+            continue
+        gl = np.cumsum(grad[idx][order])[boundaries]
+        hl = np.cumsum(hess[idx][order])[boundaries]
+        gr = g_total - gl
+        hr = h_total - hl
+        dl = hl + reg_lambda
+        dr = hr + reg_lambda
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
+        gains[(dl <= 0) | (dr <= 0)] = -np.inf
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if best is not None and gain <= best[0]:
+            continue
+        b = boundaries[pos]
+        lo, hi = float(xs[b]), float(xs[b + 1])
+        threshold = 0.5 * (lo + hi)
+        if not lo < threshold <= hi:
+            threshold = hi
+        best = (gain, feature, threshold, idx[order[: b + 1]], idx[order[b + 1 :]])
+    return best
+
+
+def retrain_cv_curve(features, target, objective, config, sizes):
+    """Mean held-out objective per ensemble size, training a fresh model of
+    each size on each fold and predicting with `TreeEnsemble.predict`."""
+    from metacal import gbt
+    from metacal.objectives import pairwise_accuracy, score_or_worst
+
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    curve = []
+    for n_estimators in sizes:
+        rng = np.random.default_rng(config.seed)
+        values = []
+        if isinstance(target, gbt.RankingPairs):
+            for hold in gbt._group_folds(target.groups, config.cv_folds, rng):
+                keep = np.setdiff1d(np.arange(target.n_pairs), hold)
+                train_x, train_pairs = gbt._subset_pairs(x, target, keep)
+                preds = gbt.gbt_train(train_x, train_pairs, config, n_estimators).predict(x)
+                held = list(zip(preds[target.chosen[hold]], preds[target.rejected[hold]]))
+                values.append(pairwise_accuracy(held))
+        else:
+            y = np.asarray(target, dtype=np.float64).ravel()
+            for hold in gbt._pointwise_folds(x.shape[0], config.cv_folds, rng):
+                keep = np.setdiff1d(np.arange(x.shape[0]), hold)
+                preds = gbt.gbt_train(x[keep], y[keep], config, n_estimators).predict(x[hold])
+                values.append(score_or_worst(objective, preds, y[hold]))
+        curve.append(float(np.mean(values)))
+    return curve

@@ -186,6 +186,22 @@ class TestEvaluate:
         assert report["overall_accuracy"] == 1.0  # separable by construction
 
 
+class TestUnreadableInputs:
+    def test_missing_model_path_is_validation_error(self, tmp_path, scores_path, capsys):
+        rc = main(["score", "--model", str(tmp_path / "nonexistent.json"),
+                   "--scores", scores_path, "--output", str(tmp_path / "meta.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_scores_is_validation_error(self, tmp_path, specs_path):
+        scores = tmp_path / "latin1.csv"
+        scores.write_bytes(b"dataset,system,segment,bleu\n\xff,s,1,0.5\n")
+        rc = main(["split", "--scores", str(scores), "--specs", specs_path,
+                   "--train-output", str(tmp_path / "tr.csv"),
+                   "--test-output", str(tmp_path / "te.csv")])
+        assert rc == 2
+
+
 class TestSplit:
     def test_csv_split_sizes_and_determinism(self, tmp_path, specs_path, scores_path):
         tr1, te1 = str(tmp_path / "tr1.csv"), str(tmp_path / "te1.csv")

@@ -19,7 +19,9 @@ from metacal.gbt import (
     iterative_prune,
     search_n_estimators,
 )
+from metacal.io import dumps_canonical, model_to_obj
 from metacal.objectives import EmptyInput, ObjectiveKind, pairwise_accuracy
+from oracles import per_feature_best_split, retrain_cv_curve
 
 
 def _single_round(**overrides):
@@ -241,15 +243,16 @@ class TestCrossValidate:
 
 
 class TestSearchNEstimators:
-    def test_grid_evaluation_count(self, monkeypatch):
-        calls = {"n": 0}
-        original = gbt_mod.cross_validate
+    def test_one_boosting_run_per_fold(self, monkeypatch):
+        # The whole size grid is read off one n_estimators_high-tree run per fold.
+        sizes = []
+        original = gbt_mod.gbt_train
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting(features, target, config, n_estimators, *args, **kwargs):
+            sizes.append(n_estimators)
+            return original(features, target, config, n_estimators, *args, **kwargs)
 
-        monkeypatch.setattr(gbt_mod, "cross_validate", counting)
+        monkeypatch.setattr(gbt_mod, "gbt_train", counting)
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 1, (30, 2))
         y = x[:, 0]
@@ -258,11 +261,10 @@ class TestSearchNEstimators:
             max_depth=2, cv_folds=2, seed=0,
         )
         search_n_estimators(x, y, ObjectiveKind.PEARSON, cfg)
-        assert calls["n"] == 10
+        assert sizes == [10, 10]
 
-    def test_default_and_qa_grid_sizes(self):
+    def test_default_grid_size(self):
         assert len(GbtConfig().n_estimators_grid()) == 10
-        assert len(GbtConfig.qa_search().n_estimators_grid()) == 13
 
     def test_tie_returns_smallest(self):
         # constant target: every fold degenerates to -1, so all grid values tie
@@ -342,6 +344,18 @@ class TestIterativePrune:
             hits += trace.pruned_features[0] == "noise"
         assert hits >= 9
 
+    def test_tied_rounds_keep_the_earliest(self):
+        # constant target: every round's CV is -1, so round 0 (all features) wins
+        rng = np.random.default_rng(16)
+        x = rng.uniform(0, 1, (30, 3))
+        cfg = _single_round(n_estimators_low=2, n_estimators_high=2, max_depth=2, cv_folds=3)
+        model, trace = iterative_prune(
+            x, np.full(30, 0.5), ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
+        )
+        assert trace.performances == (-1.0, -1.0, -1.0)
+        assert trace.best_iteration == 0
+        assert model.metric_names == ("a", "b", "c")
+
     def test_final_retrain_excludes_early_pruned_features(self):
         # tree never references indices outside the retained set
         rng = np.random.default_rng(15)
@@ -351,7 +365,7 @@ class TestIterativePrune:
         model, _ = iterative_prune(
             x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
         )
-        assert model.trees.max_feature_index() < len(model.metric_specs)
+        model.trees.validate(len(model.metric_specs))  # raises on an index out of range
 
 
 class TestCalibrateGbt:
@@ -368,3 +382,76 @@ class TestCalibrateGbt:
         assert model.kind is ModelKind.GBT
         assert trace is None
         assert model.trees is not None
+
+
+def _tied_problem(loss, seed, n=36):
+    """Integer-valued features (many ties) and a target for the given loss:
+    group-folded ranking pairs for the pairwise loss, tied values otherwise."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, (n, 3)).astype(float)
+    if loss is GbtLoss.PAIRWISE_RANK:
+        n_pairs = n // 2
+        return x, RankingPairs.stacked(n_pairs, [f"g{i // 2}" for i in range(n_pairs)])
+    if loss is GbtLoss.SQUARED_LOG_ERROR:
+        return x, rng.integers(0, 6, n) / 2.0
+    return x, x[:, 0] + rng.integers(0, 3, n)
+
+
+class TestOracleParity:
+    """The staged CV curve and the all-features split search give exactly
+    the bits of the retrain-per-size and per-feature references."""
+
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_split_search_matches_per_feature_scan(self, reg_lambda):
+        rng = np.random.default_rng(20)
+        for _ in range(150):
+            n = int(rng.integers(2, 30))
+            x = rng.integers(0, 3, (n, int(rng.integers(1, 5)))).astype(float)
+            grad = rng.integers(-3, 4, n) / 2.0
+            hess = rng.integers(0, 4, n) / 2.0  # zero hessians mask boundaries at lambda 0
+            idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+            got = gbt_mod._best_split(x, grad, hess, idx, reg_lambda, 0.0)
+            want = per_feature_best_split(x, grad, hess, idx, reg_lambda, 0.0)
+            if want is None:
+                assert got is None
+                continue
+            assert got[:3] == want[:3]
+            np.testing.assert_array_equal(got[3], want[3])
+            np.testing.assert_array_equal(got[4], want[4])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    @pytest.mark.parametrize("loss", list(GbtLoss))
+    def test_curve_and_model_match_references(self, monkeypatch, loss, reg_lambda, seed):
+        x, target = _tied_problem(loss, seed)
+        cfg = GbtConfig(
+            n_estimators_low=2, n_estimators_high=12, n_estimators_step=2, loss=loss,
+            max_depth=3, learning_rate=0.3, reg_lambda=reg_lambda, cv_folds=3, seed=seed,
+        )
+        specs = tuple(MetricSpec(name, 0, 3) for name in ("a", "b", "c"))
+        grid = cfg.n_estimators_grid()
+
+        def run():
+            model, _ = calibrate_gbt(x, target, ObjectiveKind.KENDALL, cfg, specs)
+            return dumps_canonical(model_to_obj(model))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gbt_mod, "_best_split", per_feature_best_split)
+            want_curve = retrain_cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid)
+            want_model = run()
+        assert gbt_mod._cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid) == want_curve
+        assert run() == want_model
+
+    @pytest.mark.parametrize("loss", [GbtLoss.SQUARED_ERROR, GbtLoss.PAIRWISE_RANK])
+    def test_prune_returns_full_data_model_of_best_round(self, loss):
+        x, target = _tied_problem(loss, 3, n=48)
+        cfg = GbtConfig(
+            n_estimators_low=2, n_estimators_high=8, n_estimators_step=3, loss=loss,
+            max_depth=2, cv_folds=3, seed=5,
+        )
+        specs = tuple(MetricSpec(name, 0, 3) for name in ("a", "b", "c"))
+        model, trace = iterative_prune(x, target, ObjectiveKind.KENDALL, cfg, 3, specs)
+        retained = [i for i, s in enumerate(specs) if s.name in trace.best_features]
+        best_n = search_n_estimators(x[:, retained], target, ObjectiveKind.KENDALL, cfg)
+        expected = gbt_train(x[:, retained], target, cfg, best_n, trace.best_features)
+        assert model.trees == expected

@@ -6,6 +6,7 @@ import pytest
 from metacal.core import (
     CalibratedModel,
     ExampleId,
+    MetacalError,
     MetricSpec,
     ModelKind,
     PreferencePair,
@@ -231,6 +232,44 @@ class TestModelPersistence:
         obj["trees"][0] = {"value": 0.1, "bogus": 2}
         with pytest.raises(MalformedModel):
             model_from_obj(obj)
+
+    @staticmethod
+    def _first_split(obj):
+        node = obj["trees"][0]
+        assert "feature" in node
+        return node
+
+    def _load_edited(self, tmp_path, edit):
+        obj = model_to_obj(_gbt_model(np.random.default_rng(4)))
+        edit(obj)
+        path = str(tmp_path / "m.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)  # writes NaN as a bare token, which json.load accepts
+        return load_model(path)
+
+    def test_negative_feature_index_rejected(self, tmp_path):
+        with pytest.raises(MetacalError, match="feature index -1"):
+            self._load_edited(tmp_path, lambda obj: self._first_split(obj).update(feature=-1))
+
+    def test_nan_learning_rate_rejected(self, tmp_path):
+        with pytest.raises(MetacalError, match="learning_rate"):
+            self._load_edited(tmp_path, lambda obj: obj.update(learning_rate=float("nan")))
+
+    def test_nan_threshold_rejected(self, tmp_path):
+        with pytest.raises(MetacalError, match="threshold"):
+            self._load_edited(
+                tmp_path, lambda obj: self._first_split(obj).update(threshold=float("nan"))
+            )
+
+    def test_infinite_leaf_value_rejected(self, tmp_path):
+        def edit(obj):
+            node = obj["trees"][0]
+            while "feature" in node:
+                node = node["left"]
+            node["value"] = float("inf")
+
+        with pytest.raises(MetacalError, match="leaf value"):
+            self._load_edited(tmp_path, edit)
 
 
 class TestScoreWithModel:
