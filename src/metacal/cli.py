@@ -9,7 +9,6 @@ METACAL_SEED environment variable is used as a fallback, then 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ import numpy as np
 
 from . import io
 from .core import (
-    ExampleId,
     MetacalError,
     MetricSpec,
     PreferenceTarget,
@@ -37,7 +35,7 @@ from .harness import (
 )
 from .objectives import ObjectiveKind
 from .preprocess import PreprocessConfig, normalize_matrix
-from .textmetrics import BUILTIN_METRICS, SegmentPair, builtin_specs, score_corpus
+from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
 
 _OBJECTIVES = {
     "kendall": ObjectiveKind.KENDALL,
@@ -83,43 +81,11 @@ def _default_seed(value: int | None) -> int:
     return 0
 
 
-def _load_corpus(path: str) -> tuple[list[ExampleId], list[SegmentPair], dict[ExampleId, float] | None]:
-    ids: list[ExampleId] = []
-    pairs: list[SegmentPair] = []
-    zs: dict[ExampleId, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise io.ParseError(1, "empty corpus file") from None
-        needed = [*io.ID_COLUMNS, "hypothesis", "reference"]
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise io.HeaderMismatch(f"corpus missing columns: {', '.join(missing)}")
-        col = {name: header.index(name) for name in header}
-        has_human = io.HUMAN_COLUMN in header
-        for line, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise io.ParseError(line, f"{len(record)} fields, header has {len(header)}")
-            eid = ExampleId(*(record[col[c]] for c in io.ID_COLUMNS))
-            ids.append(eid)
-            pairs.append(
-                SegmentPair(record[col["hypothesis"]], record[col["reference"]])
-            )
-            if has_human:
-                zs[eid] = io._parse_value(record[col[io.HUMAN_COLUMN]], line, io.HUMAN_COLUMN)
-    return ids, pairs, (zs if has_human else None)
-
-
 def _cmd_basemetrics(args: argparse.Namespace) -> int:
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     builtin_specs(names)
-    ids, pairs, zs = _load_corpus(args.input)
+    ids, pairs, target = io.load_corpus_csv(args.input)
     matrix = score_corpus(pairs, names, ids)
-    target = PreferenceTarget.from_pointwise(zs) if zs is not None else None
     io.save_scores_csv(matrix, args.output, target)
     print(f"scored {matrix.n_examples} examples with {len(names)} metrics -> {args.output}")
     return 0
@@ -165,7 +131,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             ),
             seed=seed,
             weighting=run.weighting,
-            sparsity_epsilon=args.sparsity_epsilon,
         )
         model = calibrate_gp(normalized, target, run.objective, config, specs=specs)
     else:
@@ -211,11 +176,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     model = io.load_model(args.model)
     matrix, _ = io.load_scores(args.scores, args.format, model.metric_specs)
     scores = io.score_with_model(model, matrix)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*io.ID_COLUMNS, "meta_score"])
-        for eid, value in zip(matrix.example_ids, scores):
-            writer.writerow([*eid, io.format_float(value)])
+    io.save_meta_scores(matrix.example_ids, scores, args.output)
     print(f"scored {matrix.n_examples} examples -> {args.output}")
     return 0
 
@@ -285,8 +246,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
         matrix, target, fraction=args.train_fraction, seed=seed
     )
     if args.format == "jsonl":
-        io.save_scores_jsonl(train_t, args.train_output, specs)
-        io.save_scores_jsonl(test_t, args.test_output, specs)
+        io.save_scores_jsonl(train_t, args.train_output, train_m)
+        io.save_scores_jsonl(test_t, args.test_output, test_m)
     else:
         io.save_scores_csv(train_m, args.train_output, train_t)
         io.save_scores_csv(test_m, args.test_output, test_t)
@@ -330,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=2.576)
     p.add_argument("--fit-lengthscale", action="store_true",
                    help="refit the GP lengthscale by marginal likelihood")
-    p.add_argument("--sparsity-epsilon", type=float, default=0.01)
     p.add_argument("--loss", choices=tuple(_LOSSES), default=None,
                    help="gbt loss (default: squarederror, or pairwise for jsonl data)")
     p.add_argument("--max-depth", type=int, default=6)
@@ -362,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="weights / feature-importance report for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--sparsity-epsilon", type=float, default=0.01)
+    p.add_argument("--sparsity-epsilon", type=float, default=0.01,
+                   help="linear weights below this magnitude are reported as dropped")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("split", help="seeded train/test split of a score file")

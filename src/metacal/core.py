@@ -35,16 +35,6 @@ class MissingTarget(MetacalError):
         self.example_id = example_id
 
 
-class ArityMismatch(MetacalError):
-    """A pairwise record's score vector length disagrees with the metric set."""
-
-    def __init__(self, group_id: str, expected: int, got: int) -> None:
-        super().__init__(
-            f"group {group_id!r}: expected {expected} scores per member, got {got}"
-        )
-        self.group_id = group_id
-
-
 class ExampleId(NamedTuple):
     """Identity of one scored example.
 
@@ -182,19 +172,12 @@ class TargetKind(Enum):
 
 @dataclass(frozen=True)
 class PreferencePair:
-    """One chosen/rejected judgment over full base-metric score vectors."""
+    """One chosen/rejected judgment.  Its members' base-metric scores are
+    the rows 2i (chosen) and 2i+1 (rejected) of the accompanying
+    `ScoreMatrix`, where i is the pair's position in the target."""
 
     group_id: str
-    chosen_scores: tuple[float, ...]
-    rejected_scores: tuple[float, ...]
     category: str = "-"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chosen_scores", tuple(float(v) for v in self.chosen_scores))
-        object.__setattr__(self, "rejected_scores", tuple(float(v) for v in self.rejected_scores))
-        for v in self.chosen_scores + self.rejected_scores:
-            if not math.isfinite(v):
-                raise MetacalError(f"group {self.group_id!r}: non-finite member score")
 
 
 @dataclass(frozen=True)
@@ -271,7 +254,6 @@ class CalibratedModel:
     weighting: Weighting | None = None
     weights: tuple[float, ...] | None = None
     trees: "TreeEnsemble | None" = None
-    base_score: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metric_specs", tuple(self.metric_specs))
@@ -280,8 +262,8 @@ class CalibratedModel:
         if self.kind is ModelKind.LINEAR:
             if self.weighting is None or self.weights is None:
                 raise MetacalError("linear model requires weighting and weights")
-            if self.trees is not None or self.base_score is not None:
-                raise MetacalError("linear model must not carry tree fields")
+            if self.trees is not None:
+                raise MetacalError("linear model must not carry trees")
             weights = tuple(float(w) for w in self.weights)
             object.__setattr__(self, "weights", weights)
             expected = expected_weight_count(n, self.weighting)
@@ -294,12 +276,10 @@ class CalibratedModel:
                 if not math.isfinite(w):
                     raise MetacalError("non-finite weight in calibrated model")
         else:
-            if self.trees is None or self.base_score is None:
-                raise MetacalError("gbt model requires trees and base_score")
+            if self.trees is None:
+                raise MetacalError("gbt model requires trees")
             if self.weighting is not None or self.weights is not None:
                 raise MetacalError("gbt model must not carry weight fields")
-            if not math.isfinite(self.base_score):
-                raise MetacalError("non-finite base_score")
             self.trees.validate(n)
 
     @property
@@ -310,9 +290,9 @@ class CalibratedModel:
 def validate_alignment(matrix: ScoreMatrix, target: PreferenceTarget) -> None:
     """Check that a score matrix and a preference target describe the same data.
 
-    Pointwise: every matrix row must have a z value.  Pairwise: member score
-    vectors must match the metric arity, and the matrix must hold exactly the
-    stacked pair members (chosen at row 2i, rejected at row 2i+1).
+    Pointwise: every matrix row must have a z value.  Pairwise: the matrix
+    must hold exactly the stacked pair members (chosen at row 2i, rejected
+    at row 2i+1).
     """
     if target.kind is TargetKind.POINTWISE:
         assert target.pointwise is not None
@@ -321,12 +301,6 @@ def validate_alignment(matrix: ScoreMatrix, target: PreferenceTarget) -> None:
                 raise MissingTarget(eid)
     else:
         assert target.pairwise is not None
-        n = matrix.n_metrics
-        for pair in target.pairwise:
-            if len(pair.chosen_scores) != n:
-                raise ArityMismatch(pair.group_id, n, len(pair.chosen_scores))
-            if len(pair.rejected_scores) != n:
-                raise ArityMismatch(pair.group_id, n, len(pair.rejected_scores))
         if matrix.n_examples != 2 * len(target.pairwise):
             raise MissingTarget(
                 f"{matrix.n_examples} matrix rows for {len(target.pairwise)} pairs"

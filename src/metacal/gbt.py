@@ -124,11 +124,12 @@ class TreeEnsemble:
     trees: tuple[Node, ...]
     base_score: float
     learning_rate: float
-    feature_names: tuple[str, ...]
 
     def validate(self, n_features: int) -> None:
         """Reject split features outside [0, n_features) and a non-finite
-        learning rate, threshold, gain or leaf value."""
+        base score, learning rate, threshold, gain or leaf value."""
+        if not math.isfinite(self.base_score):
+            raise MetacalError("non-finite base_score")
         if not math.isfinite(self.learning_rate):
             raise MetacalError("non-finite learning_rate")
         stack = list(self.trees)
@@ -339,7 +340,6 @@ def gbt_train(
     target: Target,
     config: GbtConfig,
     n_estimators: int,
-    feature_names: Sequence[str] | None = None,
 ) -> TreeEnsemble:
     """Boost `n_estimators` trees against the configured loss.
 
@@ -355,8 +355,6 @@ def gbt_train(
         raise EmptyInput("need at least 2 training examples")
     if n_estimators < 1:
         raise MetacalError("n_estimators must be >= 1")
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(x.shape[1]))
 
     if isinstance(target, RankingPairs):
         if config.loss is not GbtLoss.PAIRWISE_RANK:
@@ -392,24 +390,24 @@ def gbt_train(
         trees=tuple(trees),
         base_score=config.base_score,
         learning_rate=config.learning_rate,
-        feature_names=tuple(feature_names),
     )
 
 
-def feature_importance(model: TreeEnsemble) -> dict[str, float]:
-    """Total split gain accumulated per feature; never-split features get 0."""
-    totals = {name: 0.0 for name in model.feature_names}
+def feature_importance(model: TreeEnsemble, n_features: int) -> np.ndarray:
+    """Total split gain per feature index; never-split features get 0.
 
-    def walk(node: Node) -> None:
-        if isinstance(node, Leaf):
-            return
-        totals[model.feature_names[node.feature]] += node.gain
-        walk(node.left)
-        walk(node.right)
-
+    Gains are added tree by tree in pre-order (node, left, right), without
+    recursion, so arbitrarily deep loaded trees are safe."""
+    totals = [0.0] * n_features
     for tree in model.trees:
-        walk(tree)
-    return totals
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Split):
+                totals[node.feature] += node.gain
+                stack.append(node.right)
+                stack.append(node.left)
+    return np.asarray(totals)
 
 
 def _pointwise_folds(
@@ -546,12 +544,11 @@ def _fit_searched(
     target: Target,
     objective: ObjectiveKind,
     config: GbtConfig,
-    names: Sequence[str],
 ) -> tuple[TreeEnsemble, float]:
     """Search the ensemble size by CV, then train that size on all data.
     Returns the model and its CV objective."""
     best_n, best_value = _search_n_estimators_scored(features, target, objective, config)
-    return gbt_train(features, target, config, best_n, feature_names=names), best_value
+    return gbt_train(features, target, config, best_n), best_value
 
 
 def _calibrated_model(
@@ -571,7 +568,6 @@ def _calibrated_model(
         ),
         seed=config.seed,
         trees=ensemble,
-        base_score=ensemble.base_score,
     )
 
 
@@ -606,15 +602,13 @@ def iterative_prune(
     best: tuple[TreeEnsemble, tuple[MetricSpec, ...]] | None = None
     for iteration in range(k):
         round_specs = tuple(specs[i] for i in active)
-        names = [s.name for s in round_specs]
-        ensemble, value = _fit_searched(x[:, active], target, objective, config, names)
+        ensemble, value = _fit_searched(x[:, active], target, objective, config)
         if best is None or value > performances[best_iteration]:
             best_iteration, best = iteration, (ensemble, round_specs)
         performances.append(value)
-        importance = feature_importance(ensemble)
-        gains = np.asarray([importance[name] for name in names])
+        gains = feature_importance(ensemble, len(active))
         least = int(np.argmin(gains))  # ties: earliest (lowest column order)
-        pruned.append(names[least])
+        pruned.append(round_specs[least].name)
         del active[least]
         if not active:
             break
@@ -625,7 +619,7 @@ def iterative_prune(
         performances=tuple(performances),
         pruned_features=tuple(pruned),
         best_iteration=best_iteration,
-        best_features=ensemble.feature_names,
+        best_features=tuple(s.name for s in retained_specs),
     )
     return _calibrated_model(ensemble, retained_specs, target, objective, config), trace
 
@@ -650,6 +644,5 @@ def calibrate_gbt(
     specs = tuple(specs)
     if len(specs) != x.shape[1]:
         raise MetacalError(f"{len(specs)} specs for {x.shape[1]} feature columns")
-    names = tuple(s.name for s in specs)
-    ensemble, _ = _fit_searched(x, target, objective, config, names)
+    ensemble, _ = _fit_searched(x, target, objective, config)
     return _calibrated_model(ensemble, specs, target, objective, config), None

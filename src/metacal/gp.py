@@ -67,8 +67,7 @@ class GpConfig:
 
     The default budget (5 initial probes + 100 optimization steps) and the
     UCB exploration constant are the stock settings this calibrator ships
-    with; `sparsity_epsilon` is only a reporting threshold below which a
-    weight is presented as dropped.
+    with.
     """
 
     init_points: int = 5
@@ -79,7 +78,6 @@ class GpConfig:
     lengthscale_policy: LengthscalePolicy = LengthscalePolicy.FIXED_ONE
     seed: int = 0
     weighting: Weighting = Weighting.LINEAR
-    sparsity_epsilon: float = 0.01
 
     def __post_init__(self) -> None:
         if self.init_points < 1:
@@ -88,8 +86,6 @@ class GpConfig:
             raise MetacalError("n_iter must be >= 0")
         if self.kappa < 0:
             raise MetacalError("kappa must be >= 0")
-        if not 0.0 <= self.sparsity_epsilon < 1.0:
-            raise MetacalError("sparsity_epsilon must be in [0, 1)")
         if self.noise_jitter <= 0:
             raise MetacalError("noise_jitter must be positive")
         if not self.bounds[0] < self.bounds[1]:

@@ -1,9 +1,10 @@
 """File formats, model persistence, and model application.
 
-CSV carries tabular scores, JSONL carries pairwise preference records, and
-JSON carries metric specs, models, and reports.  Every numeric value in an
-output file is serialized with 17 significant digits, which round-trips
-float64 exactly and makes repeated runs byte-identical.
+CSV carries text corpora, tabular scores and meta-scores, JSONL carries
+pairwise preference records, and JSON carries metric specs, models, and
+reports.  Every numeric value in an output file is serialized with 17
+significant digits, which round-trips float64 exactly and makes repeated
+runs byte-identical.  Every output file is written whole or not at all.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Any, Sequence
+import os
+from contextlib import contextmanager
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -26,11 +30,13 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    validate_alignment,
 )
 from .gbt import Leaf, Node, Split, TreeEnsemble
 from .gp import expand_matrix, expanded_feature_names
 from .harness import EvalReport
 from .preprocess import normalize_values
+from .textmetrics import SegmentPair
 
 MODEL_SCHEMA_VERSION = 1
 ID_COLUMNS = ("dataset", "system", "segment")
@@ -133,8 +139,24 @@ def dumps_compact(obj: Any) -> str:
     return "".join(parts)
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Write `path` through a temp file in the same directory, moved into
+    place only once writing succeeds; on any failure the temp file is
+    removed, so no command leaves a partial artifact behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_json(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(dumps_canonical(obj))
 
 
@@ -169,7 +191,7 @@ def specs_from_obj(obj: Any) -> tuple[MetricSpec, ...]:
                     higher_is_better=bool(entry["higher_is_better"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MetacalError(f"bad metric spec entry {entry!r}: {exc}") from exc
     return tuple(specs)
 
@@ -198,6 +220,52 @@ def _parse_value(text: str, line: int, column: str) -> float:
     return value
 
 
+def _read_table(
+    path: str, columns: Sequence[str], parse: Callable[[int, tuple[str, ...]], Any]
+) -> tuple[list[ExampleId], list, PreferenceTarget | None]:
+    """Read a CSV table: the id columns, `columns`, and an optional human
+    column.  Other columns are ignored and may repeat; a column read here
+    may not.  Blank rows are skipped; a UTF-8 byte-order mark is dropped.
+
+    Returns the example ids, `parse(line, fields)` of each row, where
+    `fields` holds the row's `columns` in order, and a pointwise target
+    when the human column is present.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "empty file")
+        used = [*ID_COLUMNS, *columns]
+        missing = [c for c in used if c not in header]
+        if missing:
+            raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
+        has_human = HUMAN_COLUMN in header
+        if has_human:
+            used.append(HUMAN_COLUMN)
+        repeated = [c for c in used if header.count(c) > 1]
+        if repeated:
+            raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
+        pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
+        end = len(ID_COLUMNS) + len(columns)
+
+        ids: list[ExampleId] = []
+        rows: list = []
+        zs: dict[ExampleId, float] = {}
+        for line, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
+            fields = pick(record)
+            eid = ExampleId(fields[0], fields[1], fields[2])
+            ids.append(eid)
+            rows.append(parse(line, fields[3:end]))
+            if has_human:
+                zs[eid] = _parse_value(fields[end], line, HUMAN_COLUMN)
+    return ids, rows, (PreferenceTarget.from_pointwise(zs) if has_human else None)
+
+
 def load_scores_csv(
     path: str, specs: Sequence[MetricSpec]
 ) -> tuple[ScoreMatrix, PreferenceTarget | None]:
@@ -207,34 +275,23 @@ def load_scores_csv(
     subsets.  Returns a pointwise target when the human column is present.
     """
     names = [s.name for s in specs]
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file") from None
-        missing = [c for c in (*ID_COLUMNS, *names) if c not in header]
-        if missing:
-            raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
-        col = {name: header.index(name) for name in header}
-        has_human = HUMAN_COLUMN in header
+    ids, rows, target = _read_table(
+        path, names,
+        lambda line, fields: [_parse_value(v, line, m) for v, m in zip(fields, names)],
+    )
+    values = np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names))
+    return ScoreMatrix(tuple(names), tuple(ids), values), target
 
-        ids: list[ExampleId] = []
-        rows: list[list[float]] = []
-        zs: dict[ExampleId, float] = {}
-        for line, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
-            eid = ExampleId(*(record[col[c]] for c in ID_COLUMNS))
-            ids.append(eid)
-            rows.append([_parse_value(record[col[m]], line, m) for m in names])
-            if has_human:
-                zs[eid] = _parse_value(record[col[HUMAN_COLUMN]], line, HUMAN_COLUMN)
-    matrix = ScoreMatrix(tuple(names), tuple(ids), np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names)))
-    target = PreferenceTarget.from_pointwise(zs) if has_human else None
-    return matrix, target
+
+def load_corpus_csv(
+    path: str,
+) -> tuple[list[ExampleId], list[SegmentPair], PreferenceTarget | None]:
+    """Read a text corpus: id columns, hypothesis, reference, optional human.
+    Returns the ids, the segment pairs and a pointwise target when the human
+    column is present."""
+    return _read_table(
+        path, ("hypothesis", "reference"), lambda line, fields: SegmentPair(*fields)
+    )
 
 
 def save_scores_csv(
@@ -247,7 +304,7 @@ def save_scores_csv(
             raise MetacalError("CSV score files carry pointwise targets only")
         zs = target.pointwise
         header.append(HUMAN_COLUMN)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for eid, row in zip(matrix.example_ids, matrix.values):
@@ -257,6 +314,17 @@ def save_scores_csv(
                     raise MetacalError(f"no human score for {eid!r}")
                 record.append(format_float(zs[eid]))
             writer.writerow(record)
+
+
+def save_meta_scores(
+    example_ids: Sequence[ExampleId], scores: np.ndarray, path: str
+) -> None:
+    """Write one meta-score per example as CSV: id columns, meta_score."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*ID_COLUMNS, "meta_score"])
+        for eid, value in zip(example_ids, scores):
+            writer.writerow([*eid, format_float(value)])
 
 
 def load_scores_jsonl(
@@ -287,7 +355,6 @@ def load_scores_jsonl(
                 raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
             group = str(record.get("group", line - 1))
             category = str(record.get("category", "-"))
-            members = []
             for side in ("chosen", "rejected"):
                 scores = record[side]
                 if not isinstance(scores, dict):
@@ -297,36 +364,30 @@ def load_scores_jsonl(
                     raise HeaderMismatch(
                         f"line {line}: {side} record missing metrics: {', '.join(missing)}"
                     )
-                members.append([_parse_value(str(scores[m]), line, m) for m in names])
-            pair_index = len(pairs)
-            pairs.append(
-                PreferencePair(
-                    group_id=group,
-                    chosen_scores=tuple(members[0]),
-                    rejected_scores=tuple(members[1]),
-                    category=category,
-                )
-            )
-            ids.append(ExampleId("-", group, f"{pair_index}:chosen"))
-            ids.append(ExampleId("-", group, f"{pair_index}:rejected"))
-            rows.extend(members)
+                rows.append([_parse_value(str(scores[m]), line, m) for m in names])
+                ids.append(ExampleId("-", group, f"{len(pairs)}:{side}"))
+            pairs.append(PreferencePair(group_id=group, category=category))
     if not pairs:
         raise ParseError(1, "no pairwise records")
     matrix = ScoreMatrix(tuple(names), tuple(ids), np.asarray(rows, dtype=np.float64))
     return matrix, PreferenceTarget.from_pairs(pairs)
 
 
-def save_scores_jsonl(target: PreferenceTarget, path: str, specs: Sequence[MetricSpec]) -> None:
+def save_scores_jsonl(target: PreferenceTarget, path: str, matrix: ScoreMatrix) -> None:
+    """Write one pairwise record per pair; member scores come from the
+    stacked matrix rows (chosen at 2i, rejected at 2i+1)."""
     if target.kind is not TargetKind.PAIRWISE:
         raise MetacalError("JSONL score files carry pairwise targets only")
-    names = [s.name for s in specs]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in target.pairwise:
+    validate_alignment(matrix, target)
+    names = matrix.metric_names
+    rows = matrix.values.tolist()
+    with _replacing(path) as fh:
+        for i, pair in enumerate(target.pairwise):
             record = {
                 "group": pair.group_id,
                 "category": pair.category,
-                "chosen": dict(zip(names, pair.chosen_scores)),
-                "rejected": dict(zip(names, pair.rejected_scores)),
+                "chosen": dict(zip(names, rows[2 * i])),
+                "rejected": dict(zip(names, rows[2 * i + 1])),
             }
             fh.write(dumps_compact(record) + "\n")
 
@@ -388,7 +449,7 @@ def model_to_obj(model: CalibratedModel) -> dict:
         obj["weights"] = [float(w) for w in model.weights]
     else:
         obj["trees"] = [_node_to_obj(t) for t in model.trees.trees]
-        obj["base_score"] = float(model.base_score)
+        obj["base_score"] = float(model.trees.base_score)
         obj["learning_rate"] = float(model.trees.learning_rate)
     obj["objective_used"] = model.objective_used
     obj["seed"] = model.seed
@@ -416,36 +477,32 @@ def model_from_obj(obj: Any) -> CalibratedModel:
     if missing:
         raise MalformedModel(f"missing model keys: {sorted(missing)}")
     try:
-        specs = specs_from_obj(obj["metrics"])
+        common = dict(
+            metric_specs=specs_from_obj(obj["metrics"]),
+            objective_used=str(obj["objective_used"]),
+            seed=int(obj["seed"]),
+            version=int(version),
+        )
         if kind == "linear":
             return CalibratedModel(
                 kind=ModelKind.LINEAR,
-                metric_specs=specs,
-                objective_used=str(obj["objective_used"]),
-                seed=int(obj["seed"]),
-                version=int(version),
                 weighting=Weighting(obj["weighting"]),
                 weights=tuple(float(w) for w in obj["weights"]),
+                **common,
             )
         ensemble = TreeEnsemble(
             trees=tuple(_node_from_obj(t) for t in obj["trees"]),
             base_score=float(obj["base_score"]),
             learning_rate=float(obj["learning_rate"]),
-            feature_names=tuple(s.name for s in specs),
         )
-        return CalibratedModel(
-            kind=ModelKind.GBT,
-            metric_specs=specs,
-            objective_used=str(obj["objective_used"]),
-            seed=int(obj["seed"]),
-            version=int(version),
-            trees=ensemble,
-            base_score=float(obj["base_score"]),
-        )
+        return CalibratedModel(kind=ModelKind.GBT, trees=ensemble, **common)
     except MetacalError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinity, float() of a huge integer.
         raise MalformedModel(f"bad model payload: {exc}") from exc
+    except RecursionError:
+        raise MalformedModel("model nests too deeply") from None
 
 
 def save_model(model: CalibratedModel, path: str) -> None:
@@ -458,6 +515,8 @@ def load_model(path: str) -> CalibratedModel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedModel(f"invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise MalformedModel("model JSON nests too deeply") from None
     return model_from_obj(obj)
 
 
@@ -568,8 +627,8 @@ def report_model(model: CalibratedModel, epsilon: float = 0.01) -> tuple[str, di
             flag = "  [dropped]" if name in dropped else ""
             lines.append(f"  {name}: {format_float(weight)}{flag}")
     else:
-        importances = feature_importance(model.trees)
-        ranked = sorted(importances.items(), key=lambda kv: (-kv[1], kv[0]))
+        gains = feature_importance(model.trees, len(model.metric_specs)).tolist()
+        ranked = sorted(zip(model.metric_names, gains), key=lambda kv: (-kv[1], kv[0]))
         obj = {
             "kind": "gbt",
             "objective_used": model.objective_used,

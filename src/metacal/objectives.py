@@ -36,6 +36,10 @@ class EmptyInput(MetacalError):
     """An operation received no data."""
 
 
+class NonFiniteInput(MetacalError):
+    """An input holds NaN or an infinity, so no statistic is meaningful."""
+
+
 class ObjectiveKind(Enum):
     KENDALL = "kendall"
     SPEARMAN = "spearman"
@@ -50,6 +54,8 @@ def _paired_arrays(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, 
         raise LengthMismatch(f"paired lists differ in length: {x.size} vs {y.size}")
     if x.size < 2:
         raise LengthMismatch(f"need at least 2 paired values, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("paired lists must hold finite values")
     return x, y
 
 
@@ -168,6 +174,8 @@ def pairwise_accuracy(pairs: Iterable[tuple[float, float]]) -> float:
         raise EmptyInput("no preference pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise LengthMismatch(f"pairs must be (chosen, rejected) tuples, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("preference pair scores must be finite")
     chosen, rejected = arr[:, 0], arr[:, 1]
     wins = float(np.count_nonzero(chosen > rejected))
     ties = float(np.count_nonzero(chosen == rejected))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from metacal.cli import main
-from metacal.io import load_model, load_scores_csv, save_specs
+from metacal.core import CalibratedModel, ModelKind
+from metacal.gbt import Leaf, TreeEnsemble
+from metacal.io import load_model, load_scores_csv, save_model, save_specs
 from metacal.textmetrics import builtin_specs
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "metacal" / "data" / "desk_corpus.csv"
@@ -200,6 +202,42 @@ class TestUnreadableInputs:
                    "--train-output", str(tmp_path / "tr.csv"),
                    "--test-output", str(tmp_path / "te.csv")])
         assert rc == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingModel:
+    """A valid model whose two 1e308 leaves add up to inf meta-scores."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        path = str(tmp_path / "huge.json")
+        save_model(CalibratedModel(
+            kind=ModelKind.GBT, metric_specs=builtin_specs(METRICS),
+            objective_used="kendall", seed=0,
+            trees=TreeEnsemble((Leaf(1e308), Leaf(1e308)), base_score=0.5, learning_rate=1.0),
+        ), path)
+        return path
+
+    def test_evaluate_is_validation_error(self, tmp_path, scores_path, model_path):
+        rc = main(["evaluate", "--model", model_path, "--scores", scores_path,
+                   "--output", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_score_leaves_no_partial_output(self, tmp_path, scores_path, model_path):
+        before = set(tmp_path.iterdir())
+        rc = main(["score", "--model", model_path, "--scores", scores_path,
+                   "--output", str(tmp_path / "meta.csv")])
+        assert rc == 2
+        assert set(tmp_path.iterdir()) == before
+
+    def test_failed_score_keeps_previous_output(self, tmp_path, scores_path, model_path):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("previous\n")
+        rc = main(["score", "--model", model_path, "--scores", scores_path,
+                   "--output", str(meta)])
+        assert rc == 2
+        assert meta.read_text() == "previous\n"
 
 
 class TestSplit:

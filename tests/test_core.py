@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from metacal.core import (
-    ArityMismatch,
     CalibratedModel,
     ExampleId,
     InvalidSpec,
@@ -10,7 +9,6 @@ from metacal.core import (
     MetricSpec,
     MissingTarget,
     ModelKind,
-    PreferencePair,
     PreferenceTarget,
     ScoreMatrix,
     Weighting,
@@ -74,17 +72,6 @@ class TestValidateAlignment:
         with pytest.raises(MissingTarget):
             validate_alignment(matrix, target)
 
-    def test_pairwise_arity_mismatch(self):
-        # 5 metric names against 4 chosen scores
-        ids = [ExampleId("-", "g", "0:chosen"), ExampleId("-", "g", "0:rejected")]
-        matrix = ScoreMatrix(
-            tuple(f"m{j}" for j in range(5)), tuple(ids), np.zeros((2, 5))
-        )
-        pair = PreferencePair("g", (1.0,) * 4, (0.0,) * 5)
-        target = PreferenceTarget.from_pairs([pair])
-        with pytest.raises(ArityMismatch):
-            validate_alignment(matrix, target)
-
 
 class TestCalibratedModel:
     def test_weight_count_checked_per_scheme(self):
@@ -105,12 +92,12 @@ class TestCalibratedModel:
         specs = (MetricSpec("only", 0, 1),)
         bad = TreeEnsemble(
             trees=(Split(feature=3, threshold=0.5, gain=1.0, left=Leaf(0.0), right=Leaf(1.0)),),
-            base_score=0.5, learning_rate=0.1, feature_names=("only",),
+            base_score=0.5, learning_rate=0.1,
         )
         with pytest.raises(MetacalError, match="feature index"):
             CalibratedModel(
                 kind=ModelKind.GBT, metric_specs=specs, objective_used="kendall",
-                seed=0, trees=bad, base_score=0.5,
+                seed=0, trees=bad,
             )
 
 

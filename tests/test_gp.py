@@ -288,7 +288,7 @@ class TestCalibrateGp:
         )
         matrix = ScoreMatrix(("m0", "m1"), ids, np.clip(rows, 0, 1))
         pairs = [
-            PreferencePair(f"g{i}", tuple(chosen[i]), tuple(rejected[i]))
+            PreferencePair(f"g{i}")
             for i in range(n_pairs)
         ]
         target = PreferenceTarget.from_pairs(pairs)

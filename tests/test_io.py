@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacal.core import (
     CalibratedModel,
@@ -24,6 +25,7 @@ from metacal.io import (
     SchemaVersionUnsupported,
     dumps_canonical,
     format_float,
+    load_corpus_csv,
     load_model,
     load_scores_csv,
     load_scores_jsonl,
@@ -67,14 +69,13 @@ def _gbt_model(rng):
         n_estimators_low=5, n_estimators_high=5, n_estimators_step=1,
         max_depth=3, seed=0,
     )
-    ensemble = gbt_train(x, y, cfg, 5, feature_names=("alpha", "beta", "gamma"))
+    ensemble = gbt_train(x, y, cfg, 5)
     return CalibratedModel(
         kind=ModelKind.GBT,
         metric_specs=tuple(MetricSpec(n, 0.0, 1.0) for n in ("alpha", "beta", "gamma")),
         objective_used="kendall",
         seed=0,
         trees=ensemble,
-        base_score=ensemble.base_score,
     )
 
 
@@ -141,26 +142,73 @@ class TestScoresCsvRoundTrip:
         assert target is None
 
 
+class TestTableReader:
+    """Score CSV and corpus CSV share one reader; each test covers both."""
+
+    SCORES = "dataset,system,segment,alpha,beta,gamma,human\nd,s,1,0.5,0.6,0.7,0.9\n"
+    CORPUS = "dataset,system,segment,hypothesis,reference,human\nd,s,1,a cat,the cat,0.9\n"
+
+    def _write(self, tmp_path, name, text, prefix=b""):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode("utf-8"))
+        return str(path)
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        plain = load_scores_csv(self._write(tmp_path, "a.csv", self.SCORES), _specs())
+        marked = load_scores_csv(self._write(tmp_path, "b.csv", self.SCORES, bom), _specs())
+        assert marked[0].example_ids == plain[0].example_ids
+        np.testing.assert_array_equal(marked[0].values, plain[0].values)
+        assert marked[1] == plain[1]
+        plain = load_corpus_csv(self._write(tmp_path, "c.csv", self.CORPUS))
+        marked = load_corpus_csv(self._write(tmp_path, "d.csv", self.CORPUS, bom))
+        assert marked == plain
+        assert marked[0][0] == ExampleId("d", "s", "1")
+
+    def test_repeated_used_column_rejected(self, tmp_path):
+        for header, row, repeated in (
+            ("alpha,beta,gamma,beta", "0.5,0.6,0.7,0.1", "beta"),
+            ("alpha,beta,gamma,human,human", "0.5,0.6,0.7,0.1,0.2", "human"),
+        ):
+            text = f"dataset,system,segment,{header}\nd,s,1,{row}\n"
+            with pytest.raises(HeaderMismatch, match=f"repeated columns: {repeated}"):
+                load_scores_csv(self._write(tmp_path, "s.csv", text), _specs())
+        text = self.CORPUS.replace("reference,human", "reference,reference").replace(
+            "the cat,0.9", "the cat,a dog")
+        with pytest.raises(HeaderMismatch, match="repeated columns: reference"):
+            load_corpus_csv(self._write(tmp_path, "c.csv", text))
+
+    def test_repeated_ignored_column_allowed(self, tmp_path):
+        scores = self.SCORES.replace("segment,", "segment,note,note,").replace("d,s,1,", "d,s,1,x,y,")
+        matrix, _ = load_scores_csv(self._write(tmp_path, "s.csv", scores), _specs())
+        np.testing.assert_array_equal(matrix.values, [[0.5, 0.6, 0.7]])
+        corpus = self.CORPUS.replace("segment,", "segment,note,note,").replace("d,s,1,", "d,s,1,x,y,")
+        _, pairs, target = load_corpus_csv(self._write(tmp_path, "c.csv", corpus))
+        assert (pairs[0].hypothesis, pairs[0].reference) == ("a cat", "the cat")
+        assert target.pointwise == {ExampleId("d", "s", "1"): 0.9}
+
+
 class TestScoresJsonlRoundTrip:
     def test_pairs_survive(self, tmp_path):
         rng = np.random.default_rng(2)
+        chosen, rejected = rng.uniform(0, 100, (2, 6, 3))
         pairs = [
-            PreferencePair(
-                f"g{i}",
-                tuple(rng.uniform(0, 100, 3)),
-                tuple(rng.uniform(0, 100, 3)),
-                category=("chat" if i % 2 else "safety"),
-            )
+            PreferencePair(f"g{i}", category=("chat" if i % 2 else "safety"))
             for i in range(6)
         ]
         target = PreferenceTarget.from_pairs(pairs)
+        stacked = _random_matrix(rng, n=12)
+        stacked = ScoreMatrix(
+            stacked.metric_names, stacked.example_ids,
+            np.stack([chosen, rejected], axis=1).reshape(12, 3),
+        )
         path = str(tmp_path / "pairs.jsonl")
-        save_scores_jsonl(target, path, _specs())
+        save_scores_jsonl(target, path, stacked)
         matrix, back = load_scores_jsonl(path, _specs())
         assert back.pairwise == target.pairwise
         assert matrix.n_examples == 12
-        np.testing.assert_array_equal(matrix.values[0::2], [p.chosen_scores for p in pairs])
-        np.testing.assert_array_equal(matrix.values[1::2], [p.rejected_scores for p in pairs])
+        np.testing.assert_array_equal(matrix.values[0::2], chosen)
+        np.testing.assert_array_equal(matrix.values[1::2], rejected)
 
     def test_missing_metric_in_record(self, tmp_path):
         path = str(tmp_path / "pairs.jsonl")
@@ -251,6 +299,10 @@ class TestModelPersistence:
         with pytest.raises(MetacalError, match="feature index -1"):
             self._load_edited(tmp_path, lambda obj: self._first_split(obj).update(feature=-1))
 
+    def test_infinite_base_score_rejected(self, tmp_path):
+        with pytest.raises(MetacalError, match="base_score"):
+            self._load_edited(tmp_path, lambda obj: obj.update(base_score=float("inf")))
+
     def test_nan_learning_rate_rejected(self, tmp_path):
         with pytest.raises(MetacalError, match="learning_rate"):
             self._load_edited(tmp_path, lambda obj: obj.update(learning_rate=float("nan")))
@@ -270,6 +322,75 @@ class TestModelPersistence:
 
         with pytest.raises(MetacalError, match="leaf value"):
             self._load_edited(tmp_path, edit)
+
+    @pytest.mark.parametrize("field", ["seed", "feature"])
+    def test_infinite_integer_field_rejected(self, tmp_path, field):
+        def edit(obj):
+            (obj if field == "seed" else self._first_split(obj))[field] = float("inf")
+
+        with pytest.raises(MalformedModel):
+            self._load_edited(tmp_path, edit)
+
+    def test_deeply_nested_tree_file_rejected(self, tmp_path):
+        depth = 3000
+        split = '{"feature": 0, "threshold": 0.5, "gain": 1.0, "left": '
+        deep = split * depth + '{"value": 0.0}' + ', "right": {"value": 0.0}}' * depth
+        obj = model_to_obj(_gbt_model(np.random.default_rng(4)))
+        obj["trees"] = ["DEEP"]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(obj).replace('"DEEP"', deep))
+        with pytest.raises(MalformedModel):
+            load_model(str(path))
+
+    def test_deeply_nested_tree_object_rejected(self):
+        node = {"value": 0.0}
+        for _ in range(5000):
+            node = {"feature": 0, "threshold": 0.5, "gain": 1.0, "left": node,
+                    "right": {"value": 0.0}}
+        obj = model_to_obj(_gbt_model(np.random.default_rng(4)))
+        obj["trees"] = [node]
+        with pytest.raises(MalformedModel):
+            model_from_obj(obj)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _accepts_or_metacal_error(obj):
+    try:
+        model_from_obj(obj)
+    except MetacalError:
+        pass
+
+
+class TestModelFromObjFuzz:
+    """No JSON value, NaN and the infinities included, makes the loader
+    raise anything but MetacalError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON)
+    def test_arbitrary_value(self, value):
+        _accepts_or_metacal_error(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["linear", "gbt"]), data=st.data())
+    def test_one_field_replaced(self, kind, data):
+        model = _linear_model() if kind == "linear" else _gbt_model(np.random.default_rng(4))
+        obj = model_to_obj(model)
+        holders = [obj, obj["metrics"][0]]
+        if kind == "gbt":
+            node = obj["trees"][0]
+            holders.append(node)
+            while "feature" in node:
+                node = node["left"]
+            holders.append(node)
+        holder = data.draw(st.sampled_from(holders))
+        holder[data.draw(st.sampled_from(sorted(holder)))] = data.draw(_JSON)
+        _accepts_or_metacal_error(obj)
 
 
 class TestScoreWithModel:
@@ -317,7 +438,7 @@ class TestScoreWithModel:
             return node.value
 
         for i in range(30):
-            expected = model.base_score + model.trees.learning_rate * sum(
+            expected = model.trees.base_score + model.trees.learning_rate * sum(
                 walk(t, values[i]) for t in model.trees.trees
             )
             assert got[i] == pytest.approx(expected, abs=1e-12)
@@ -359,14 +480,11 @@ class TestSplit:
 
     def test_split_matrix_pairwise_keeps_members_together(self):
         rng = np.random.default_rng(10)
-        pairs = [
-            PreferencePair(f"g{i}", tuple(rng.uniform(0, 1, 2)), tuple(rng.uniform(0, 1, 2)))
-            for i in range(10)
-        ]
-        target = PreferenceTarget.from_pairs(pairs)
+        chosen, rejected = rng.uniform(0, 1, (2, 10, 2))
+        target = PreferenceTarget.from_pairs(PreferencePair(f"g{i}") for i in range(10))
         rows = np.empty((20, 2))
-        rows[0::2] = [p.chosen_scores for p in pairs]
-        rows[1::2] = [p.rejected_scores for p in pairs]
+        rows[0::2] = chosen
+        rows[1::2] = rejected
         ids = tuple(
             ExampleId("-", f"g{i}", f"{i}:{side}")
             for i in range(10)
@@ -377,7 +495,7 @@ class TestSplit:
         assert len(train_t.pairwise) == 3 and len(test_t.pairwise) == 7
         assert train_m.n_examples == 6 and test_m.n_examples == 14
         np.testing.assert_array_equal(
-            train_m.values[0::2], [p.chosen_scores for p in train_t.pairwise]
+            train_m.values[0::2], [chosen[int(p.group_id[1:])] for p in train_t.pairwise]
         )
 
 
@@ -397,11 +515,11 @@ class TestReportModel:
         x = np.column_stack([np.linspace(0, 1, 30), np.zeros(30)])
         y = x[:, 0]
         cfg = GbtConfig(n_estimators_low=3, n_estimators_high=3, n_estimators_step=1, max_depth=2)
-        ensemble = gbt_train(x, y, cfg, 3, feature_names=("live", "dead"))
+        ensemble = gbt_train(x, y, cfg, 3)
         model = CalibratedModel(
             kind=ModelKind.GBT,
             metric_specs=(MetricSpec("live", 0, 1), MetricSpec("dead", 0, 1)),
-            objective_used="kendall", seed=0, trees=ensemble, base_score=0.5,
+            objective_used="kendall", seed=0, trees=ensemble,
         )
         _, obj = report_model(model)
         assert obj["importances"]["dead"] == 0.0

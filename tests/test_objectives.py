@@ -6,6 +6,7 @@ from metacal.objectives import (
     DegenerateInput,
     EmptyInput,
     LengthMismatch,
+    NonFiniteInput,
     ObjectiveKind,
     correlation,
     kendall_tau,
@@ -114,6 +115,23 @@ class TestPearson:
         for _ in range(300):
             a, b = _random_paired(rng)
             assert pearson_r(a, b) == pytest.approx(naive_pearson(a, b), abs=1e-12)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho, pearson_r])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_correlations_reject(self, fn, bad):
+        with pytest.raises(NonFiniteInput):
+            fn([0.1, bad, 0.3, 0.4], [1, 2, 3, 4])
+        with pytest.raises(NonFiniteInput):
+            fn([1, 2, 3, 4], [0.1, bad, 0.3, 0.4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pairwise_accuracy_rejects(self, bad):
+        with pytest.raises(NonFiniteInput):
+            pairwise_accuracy([(bad, 0.1), (0.2, 0.1)])
+        with pytest.raises(NonFiniteInput):
+            pairwise_accuracy([(0.3, 0.1), (0.2, bad)])
 
 
 class TestPairwiseAccuracy:
