@@ -23,6 +23,8 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    pointwise_z,
+    unstack_pairs,
     validate_alignment,
 )
 from .gbt import GbtConfig, GbtLoss, RankingPairs, calibrate_gbt
@@ -156,9 +158,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 len(target.pairwise), [p.group_id for p in target.pairwise]
             )
         else:
-            gbt_target = np.asarray(
-                [target.pointwise[eid] for eid in normalized.example_ids]
-            )
+            gbt_target = pointwise_z(normalized, target)
         model, _ = calibrate_gbt(
             normalized.values,
             gbt_target,
@@ -208,16 +208,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.format == "jsonl":
         assert target is not None and target.pairwise is not None
-        pairs = [
-            (pair.category, float(metric_scores[2 * i]), float(metric_scores[2 * i + 1]))
-            for i, pair in enumerate(target.pairwise)
-        ]
-        report = grouped_pairwise_accuracy(pairs)
+        report = grouped_pairwise_accuracy(
+            [pair.category for pair in target.pairwise], *unstack_pairs(metric_scores)
+        )
     else:
         target = _require_target(target, args.scores)
         grouped = GroupedScores.from_examples(
-            (eid, float(s), target.pointwise[eid])
-            for eid, s in zip(matrix.example_ids, metric_scores)
+            zip(matrix.example_ids, metric_scores, pointwise_z(matrix, target))
         )
         report = build_report(grouped, tie_policy=args.tie_policy)
     obj = io.report_to_obj(report)

@@ -4,6 +4,15 @@ targets, and calibrated models.
 Everything here is immutable after construction and safe to share across
 workers.  Scores are validated finite at ingestion; missing values are a
 hard error, never imputed.
+
+A score matrix is aligned with human judgments in one of two ways, and
+only this module knows how:
+
+- pointwise: the target maps example ids to human scores z, and
+  `pointwise_z` returns z in matrix row order;
+- pairwise: the matrix stacks the pair members, pair i's chosen member at
+  row 2i and its rejected member at row 2i + 1, and `unstack_pairs` splits
+  any sequence in that row order into its (chosen, rejected) halves.
 """
 
 from __future__ import annotations
@@ -173,8 +182,8 @@ class TargetKind(Enum):
 @dataclass(frozen=True)
 class PreferencePair:
     """One chosen/rejected judgment.  Its members' base-metric scores are
-    the rows 2i (chosen) and 2i+1 (rejected) of the accompanying
-    `ScoreMatrix`, where i is the pair's position in the target."""
+    rows of the accompanying `ScoreMatrix`, stacked by the pair's position
+    in the target (see the module docstring)."""
 
     group_id: str
     category: str = "-"
@@ -287,21 +296,28 @@ class CalibratedModel:
         return tuple(spec.name for spec in self.metric_specs)
 
 
-def validate_alignment(matrix: ScoreMatrix, target: PreferenceTarget) -> None:
-    """Check that a score matrix and a preference target describe the same data.
+def pointwise_z(matrix: ScoreMatrix, target: PreferenceTarget) -> np.ndarray:
+    """The target's z for every matrix row, in row order."""
+    if target.pointwise is None:
+        raise MetacalError("target carries no pointwise z")
+    try:
+        return np.asarray([target.pointwise[eid] for eid in matrix.example_ids])
+    except KeyError as exc:
+        raise MissingTarget(exc.args[0]) from None
 
-    Pointwise: every matrix row must have a z value.  Pairwise: the matrix
-    must hold exactly the stacked pair members (chosen at row 2i, rejected
-    at row 2i+1).
-    """
+
+def unstack_pairs(stacked: Sequence) -> tuple[Sequence, Sequence]:
+    """Split a sequence in stacked row order into its (chosen, rejected)
+    halves, each in pair order."""
+    return stacked[0::2], stacked[1::2]
+
+
+def validate_alignment(matrix: ScoreMatrix, target: PreferenceTarget) -> None:
+    """Check that a score matrix and a preference target describe the same
+    data: a z for every row, or exactly the stacked pair members."""
     if target.kind is TargetKind.POINTWISE:
-        assert target.pointwise is not None
-        for eid in matrix.example_ids:
-            if eid not in target.pointwise:
-                raise MissingTarget(eid)
-    else:
-        assert target.pairwise is not None
-        if matrix.n_examples != 2 * len(target.pairwise):
-            raise MissingTarget(
-                f"{matrix.n_examples} matrix rows for {len(target.pairwise)} pairs"
-            )
+        pointwise_z(matrix, target)
+    elif matrix.n_examples != 2 * len(target.pairwise):
+        raise MissingTarget(
+            f"{matrix.n_examples} matrix rows for {len(target.pairwise)} pairs"
+        )

@@ -35,6 +35,7 @@ from .core import (
     MetacalError,
     MetricSpec,
     ModelKind,
+    unstack_pairs,
 )
 from .objectives import (
     EmptyInput,
@@ -211,9 +212,8 @@ class RankingPairs:
 
     @classmethod
     def stacked(cls, n_pairs: int, groups: Sequence[str]) -> "RankingPairs":
-        """Pairs over the stacked-member layout (chosen at 2i, rejected at 2i+1)."""
-        idx = np.arange(n_pairs)
-        return cls(2 * idx, 2 * idx + 1, tuple(groups))
+        """Pairs over the rows of a stacked pair matrix (see `metacal.core`)."""
+        return cls(*unstack_pairs(np.arange(2 * n_pairs)), tuple(groups))
 
 
 Target = Union[np.ndarray, RankingPairs]
@@ -444,9 +444,8 @@ def _subset_pairs(
 ) -> tuple[np.ndarray, RankingPairs]:
     """Restrict to the given pair indices, compacting member rows."""
     rows = np.unique(np.concatenate([pairs.chosen[keep], pairs.rejected[keep]]))
-    remap = {int(r): i for i, r in enumerate(rows)}
-    chosen = np.asarray([remap[int(r)] for r in pairs.chosen[keep]])
-    rejected = np.asarray([remap[int(r)] for r in pairs.rejected[keep]])
+    chosen = np.searchsorted(rows, pairs.chosen[keep])
+    rejected = np.searchsorted(rows, pairs.rejected[keep])
     groups = tuple(pairs.groups[int(i)] for i in keep)
     return features[rows], RankingPairs(chosen, rejected, groups)
 
@@ -481,7 +480,7 @@ def _cv_curve(
             n_held = hold.size
             held_x = x[np.concatenate([target.chosen[hold], target.rejected[hold]])]
             fold_scores.append({
-                n: pairwise_accuracy(list(zip(preds[:n_held], preds[n_held:])))
+                n: pairwise_accuracy(preds[:n_held], preds[n_held:])
                 for n, preds in enumerate(model.staged_predict(held_x), start=1)
                 if n in wanted
             })

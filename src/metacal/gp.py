@@ -29,6 +29,8 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    pointwise_z,
+    unstack_pairs,
     validate_alignment,
 )
 from .objectives import (
@@ -350,24 +352,6 @@ def expanded_feature_names(names: Sequence[str], weighting: Weighting) -> tuple[
     return base + pairs
 
 
-def _pointwise_arrays(
-    matrix: ScoreMatrix, target: PreferenceTarget, weighting: Weighting
-) -> tuple[np.ndarray, np.ndarray]:
-    assert target.pointwise is not None
-    features = expand_matrix(matrix.values, weighting)
-    z = np.asarray([target.pointwise[eid] for eid in matrix.example_ids])
-    return features, z
-
-
-def _pairwise_arrays(
-    matrix: ScoreMatrix, weighting: Weighting
-) -> tuple[np.ndarray, np.ndarray]:
-    # Stacked-member convention: row 2i is pair i's chosen, row 2i+1 its rejected.
-    chosen = expand_matrix(matrix.values[0::2], weighting)
-    rejected = expand_matrix(matrix.values[1::2], weighting)
-    return chosen, rejected
-
-
 def _injected_starts(dim: int) -> list[np.ndarray]:
     """Uniform-weight and one-hot vectors, so the calibrated result can never
     score below the uniform ensemble or any single metric on the tuning set."""
@@ -402,7 +386,8 @@ def calibrate_gp(
         raise MetacalError("specs must match matrix columns by name and order")
 
     if target.kind is TargetKind.POINTWISE:
-        features, z = _pointwise_arrays(matrix, target, config.weighting)
+        features = expand_matrix(matrix.values, config.weighting)
+        z = pointwise_z(matrix, target)
 
         def evaluate(w: np.ndarray) -> float:
             return score_or_worst(objective, features @ w, z)
@@ -410,10 +395,12 @@ def calibrate_gp(
         dim = features.shape[1]
         objective_used = objective.value
     else:
-        chosen, rejected = _pairwise_arrays(matrix, config.weighting)
+        # Split before the product: halves of the stacked product can differ
+        # in the last bit from each half's own product.
+        chosen, rejected = unstack_pairs(expand_matrix(matrix.values, config.weighting))
 
         def evaluate(w: np.ndarray) -> float:
-            return pairwise_accuracy(list(zip(chosen @ w, rejected @ w)))
+            return pairwise_accuracy(chosen @ w, rejected @ w)
 
         dim = chosen.shape[1]
         objective_used = ObjectiveKind.PAIRWISE_ACCURACY.value
@@ -468,14 +455,12 @@ def select_top_k(
         raise MetacalError(f"k must be in [1, {n}], got {k}")
     scores = np.empty(n)
     if target.kind is TargetKind.POINTWISE:
-        assert target.pointwise is not None
-        z = [target.pointwise[eid] for eid in matrix.example_ids]
+        z = pointwise_z(matrix, target)
         for j in range(n):
             scores[j] = score_or_worst(objective, matrix.values[:, j], z)
     else:
-        chosen = matrix.values[0::2]
-        rejected = matrix.values[1::2]
+        chosen, rejected = unstack_pairs(matrix.values)
         for j in range(n):
-            scores[j] = pairwise_accuracy(list(zip(chosen[:, j], rejected[:, j])))
+            scores[j] = pairwise_accuracy(chosen[:, j], rejected[:, j])
     ranked = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in ranked[:k]))

@@ -11,12 +11,12 @@ shared-task script, so reports label it explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import ExampleId, MetacalError
-from .objectives import DegenerateInput, EmptyInput, pairwise_accuracy, pearson_r
+from .objectives import DegenerateInput, EmptyInput, LengthMismatch, pairwise_accuracy, pearson_r
 
 TIE_POLICIES = ("strict", "half")
 
@@ -167,18 +167,23 @@ def build_report(grouped: GroupedScores, tie_policy: str = "strict") -> EvalRepo
 
 
 def grouped_pairwise_accuracy(
-    pairs: Iterable[tuple[str, float, float]]
+    categories: Sequence[str], chosen: Sequence[float], rejected: Sequence[float]
 ) -> EvalReport:
-    """Per-category pairwise accuracy over (category, chosen, rejected)
-    meta-scores; the overall figure is the unweighted category mean."""
-    by_category: dict[str, list[tuple[float, float]]] = {}
-    for category, chosen, rejected in pairs:
-        by_category.setdefault(category, []).append((chosen, rejected))
-    if not by_category:
+    """Per-category pairwise accuracy over aligned arrays, pair i being
+    (categories[i], chosen[i], rejected[i]) meta-scores; the overall figure
+    is the unweighted category mean."""
+    c = np.asarray(chosen, dtype=np.float64)
+    r = np.asarray(rejected, dtype=np.float64)
+    if not len(categories) == c.size == r.size:
+        raise LengthMismatch("categories, chosen and rejected scores differ in length")
+    rows: dict[str, list[int]] = {}
+    for i, category in enumerate(categories):
+        rows.setdefault(category, []).append(i)
+    if not rows:
         raise EmptyInput("no preference pairs")
     accuracies = {
-        category: pairwise_accuracy(members)
-        for category, members in sorted(by_category.items())
+        category: pairwise_accuracy(c[members], r[members])
+        for category, members in sorted(rows.items())
     }
     return EvalReport(
         category_accuracy=accuracies,

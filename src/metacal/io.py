@@ -30,6 +30,8 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    pointwise_z,
+    unstack_pairs,
     validate_alignment,
 )
 from .gbt import Leaf, Node, Split, TreeEnsemble
@@ -155,6 +157,17 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _parse_json(text: str, error: Callable[[str], MetacalError]) -> Any:
+    """`json.loads`, raising `error(reason)` for any text it cannot decode."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer too long to convert, or nesting deeper than the stack.
+        raise error(f"unreadable JSON: {exc}") from None
+
+
 def write_json(obj: Any, path: str) -> None:
     with _replacing(path) as fh:
         fh.write(dumps_canonical(obj))
@@ -183,12 +196,15 @@ def specs_from_obj(obj: Any) -> tuple[MetricSpec, ...]:
     specs = []
     for entry in obj:
         try:
+            higher_is_better = entry["higher_is_better"]
+            if not isinstance(higher_is_better, bool):
+                raise MetacalError(f"{entry!r}: higher_is_better must be true or false")
             specs.append(
                 MetricSpec(
                     name=str(entry["name"]),
                     min=float(entry["min"]),
                     max=float(entry["max"]),
-                    higher_is_better=bool(entry["higher_is_better"]),
+                    higher_is_better=higher_is_better,
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -198,7 +214,7 @@ def specs_from_obj(obj: Any) -> tuple[MetricSpec, ...]:
 
 def load_specs(path: str) -> tuple[MetricSpec, ...]:
     with open(path, encoding="utf-8") as fh:
-        return specs_from_obj(json.load(fh))
+        return specs_from_obj(_parse_json(fh.read(), MetacalError))
 
 
 def save_specs(specs: Sequence[MetricSpec], path: str) -> None:
@@ -233,36 +249,39 @@ def _read_table(
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "empty file")
-        used = [*ID_COLUMNS, *columns]
-        missing = [c for c in used if c not in header]
-        if missing:
-            raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
-        has_human = HUMAN_COLUMN in header
-        if has_human:
-            used.append(HUMAN_COLUMN)
-        repeated = [c for c in used if header.count(c) > 1]
-        if repeated:
-            raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
-        pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
-        end = len(ID_COLUMNS) + len(columns)
-
-        ids: list[ExampleId] = []
-        rows: list = []
-        zs: dict[ExampleId, float] = {}
-        for line, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
-            fields = pick(record)
-            eid = ExampleId(fields[0], fields[1], fields[2])
-            ids.append(eid)
-            rows.append(parse(line, fields[3:end]))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, "empty file")
+            used = [*ID_COLUMNS, *columns]
+            missing = [c for c in used if c not in header]
+            if missing:
+                raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
+            has_human = HUMAN_COLUMN in header
             if has_human:
-                zs[eid] = _parse_value(fields[end], line, HUMAN_COLUMN)
+                used.append(HUMAN_COLUMN)
+            repeated = [c for c in used if header.count(c) > 1]
+            if repeated:
+                raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
+            pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
+            end = len(ID_COLUMNS) + len(columns)
+
+            ids: list[ExampleId] = []
+            rows: list = []
+            zs: dict[ExampleId, float] = {}
+            for line, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
+                fields = pick(record)
+                eid = ExampleId(fields[0], fields[1], fields[2])
+                ids.append(eid)
+                rows.append(parse(line, fields[3:end]))
+                if has_human:
+                    zs[eid] = _parse_value(fields[end], line, HUMAN_COLUMN)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ParseError(reader.line_num, str(exc)) from exc
     return ids, rows, (PreferenceTarget.from_pointwise(zs) if has_human else None)
 
 
@@ -300,19 +319,15 @@ def save_scores_csv(
     header = [*ID_COLUMNS, *matrix.metric_names]
     zs = None
     if target is not None:
-        if target.kind is not TargetKind.POINTWISE:
-            raise MetacalError("CSV score files carry pointwise targets only")
-        zs = target.pointwise
+        zs = pointwise_z(matrix, target)
         header.append(HUMAN_COLUMN)
     with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for eid, row in zip(matrix.example_ids, matrix.values):
+        for i, (eid, row) in enumerate(zip(matrix.example_ids, matrix.values)):
             record = [*eid, *(format_float(v) for v in row)]
             if zs is not None:
-                if eid not in zs:
-                    raise MetacalError(f"no human score for {eid!r}")
-                record.append(format_float(zs[eid]))
+                record.append(format_float(zs[i]))
             writer.writerow(record)
 
 
@@ -347,10 +362,7 @@ def load_scores_jsonl(
             raw = raw.strip()
             if not raw:
                 continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line, f"invalid JSON: {exc.msg}") from exc
+            record = _parse_json(raw, lambda reason: ParseError(line, reason))
             if not isinstance(record, dict) or "chosen" not in record or "rejected" not in record:
                 raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
             group = str(record.get("group", line - 1))
@@ -375,19 +387,19 @@ def load_scores_jsonl(
 
 def save_scores_jsonl(target: PreferenceTarget, path: str, matrix: ScoreMatrix) -> None:
     """Write one pairwise record per pair; member scores come from the
-    stacked matrix rows (chosen at 2i, rejected at 2i+1)."""
+    stacked matrix rows."""
     if target.kind is not TargetKind.PAIRWISE:
         raise MetacalError("JSONL score files carry pairwise targets only")
     validate_alignment(matrix, target)
     names = matrix.metric_names
-    rows = matrix.values.tolist()
+    chosen, rejected = unstack_pairs(matrix.values.tolist())
     with _replacing(path) as fh:
-        for i, pair in enumerate(target.pairwise):
+        for pair, c, r in zip(target.pairwise, chosen, rejected):
             record = {
                 "group": pair.group_id,
                 "category": pair.category,
-                "chosen": dict(zip(names, rows[2 * i])),
-                "rejected": dict(zip(names, rows[2 * i + 1])),
+                "chosen": dict(zip(names, c)),
+                "rejected": dict(zip(names, r)),
             }
             fh.write(dumps_compact(record) + "\n")
 
@@ -419,6 +431,13 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
+def _json_int(value: Any, name: str) -> int:
+    """`value` if it is a JSON integer; true, false and 2.0 are not."""
+    if type(value) is not int:
+        raise MalformedModel(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _node_from_obj(obj: Any) -> Node:
     if not isinstance(obj, dict):
         raise MalformedModel(f"tree node must be an object, got {type(obj).__name__}")
@@ -430,7 +449,7 @@ def _node_from_obj(obj: Any) -> Node:
     if set(obj) != expected:
         raise MalformedModel(f"split with unexpected keys: {sorted(obj)}")
     return Split(
-        feature=int(obj["feature"]),
+        feature=_json_int(obj["feature"], "feature"),
         threshold=float(obj["threshold"]),
         gain=float(obj["gain"]),
         left=_node_from_obj(obj["left"]),
@@ -464,7 +483,7 @@ def model_from_obj(obj: Any) -> CalibratedModel:
     if not isinstance(obj, dict):
         raise MalformedModel("model file must hold a JSON object")
     version = obj.get("version")
-    if version != MODEL_SCHEMA_VERSION:
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:
         raise SchemaVersionUnsupported(f"unsupported model schema version {version!r}")
     kind = obj.get("kind")
     if kind not in ("linear", "gbt"):
@@ -480,8 +499,8 @@ def model_from_obj(obj: Any) -> CalibratedModel:
         common = dict(
             metric_specs=specs_from_obj(obj["metrics"]),
             objective_used=str(obj["objective_used"]),
-            seed=int(obj["seed"]),
-            version=int(version),
+            seed=_json_int(obj["seed"], "seed"),
+            version=version,
         )
         if kind == "linear":
             return CalibratedModel(
@@ -511,13 +530,7 @@ def save_model(model: CalibratedModel, path: str) -> None:
 
 def load_model(path: str) -> CalibratedModel:
     with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedModel(f"invalid JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise MalformedModel("model JSON nests too deeply") from None
-    return model_from_obj(obj)
+        return model_from_obj(_parse_json(fh.read(), MalformedModel))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +585,11 @@ def split_matrix(
         train_pairs, test_pairs = split_train_test(
             list(range(len(target.pairwise))), fraction, seed
         )
+        chosen, rejected = unstack_pairs(np.arange(matrix.n_examples))
 
         def subset(pair_ids: list[int]):
-            rows = [r for p in pair_ids for r in (2 * p, 2 * p + 1)]
+            # pair_ids ascend, so their members' rows in matrix order are stacked.
+            rows = np.sort(np.concatenate([chosen[pair_ids], rejected[pair_ids]]))
             sub_target = PreferenceTarget.from_pairs(
                 target.pairwise[p] for p in pair_ids
             )
@@ -589,7 +604,7 @@ def split_matrix(
         if target is None:
             return sub, None
         sub_target = PreferenceTarget.from_pointwise(
-            {eid: target.pointwise[eid] for eid in sub.example_ids}
+            dict(zip(sub.example_ids, pointwise_z(sub, target)))
         )
         return sub, sub_target
 

@@ -1,19 +1,23 @@
 """Alignment objectives: rank correlations and pairwise preference accuracy.
 
 These drive both the calibrators (as the quantity being maximized) and the
-evaluation harness (as reported statistics).
+evaluation harness (as reported statistics).  Every objective takes aligned
+arrays: two paired score lists for a correlation; for pairwise accuracy,
+the chosen and the rejected meta-scores, pair i at position i of each.
 
 Kendall is the tie-corrected tau-b.  The hot path counts discordant pairs
 with a Fenwick tree over rank-compressed values after a lexicographic sort,
 which is O(n log n); segment-level lists can exceed 1e5 entries, where the
-naive O(n^2) pair scan (kept as a test oracle) is unusable.
+naive O(n^2) pair scan (kept as a test oracle) is unusable.  The tau-b tie
+corrections and Spearman's midranks take their runs of tied values from
+one vectorized routine, `_runs`.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,14 +63,18 @@ def _paired_arrays(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, 
     return x, y
 
 
-def _tie_pair_count(sorted_values: np.ndarray) -> int:
-    """Sum of t*(t-1)/2 over runs of equal values in a sorted array."""
-    n = sorted_values.size
-    boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
-    run_ends = np.concatenate([boundaries + 1, [n]])
-    run_starts = np.concatenate([[0], boundaries + 1])
-    runs = run_ends - run_starts
-    return int(np.sum(runs * (runs - 1) // 2))
+def _runs(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and (exclusive) end of each run of equal values in a sorted
+    sequence, given `changes[i]`: value i + 1 differs from value i."""
+    bounds = np.flatnonzero(np.concatenate([[True], changes, [True]]))
+    return bounds[:-1], bounds[1:]
+
+
+def _tied_pairs(changes: np.ndarray) -> int:
+    """Pairs within the same run: the sum of t * (t - 1) / 2 over run lengths t."""
+    starts, ends = _runs(changes)
+    t = ends - starts
+    return int(np.sum(t * (t - 1) // 2))
 
 
 def _count_inversions(values: np.ndarray) -> int:
@@ -103,18 +111,16 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     xs, ys = x[order], y[order]
 
     total = n * (n - 1) // 2
-    ties_x = _tie_pair_count(xs)
-    ties_y = _tie_pair_count(np.sort(y))
+    x_changes = xs[1:] != xs[:-1]
+    y_sorted = np.sort(y)
+    ties_x = _tied_pairs(x_changes)
+    ties_y = _tied_pairs(y_sorted[1:] != y_sorted[:-1])
     if ties_x == total:
         raise DegenerateInput("first list is constant; tau undefined")
     if ties_y == total:
         raise DegenerateInput("second list is constant; tau undefined")
-
-    # Joint-tie pairs: runs of equal (x, y) in lexicographic order.
-    joint_boundary = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    run_ids = np.concatenate([[0], np.cumsum(joint_boundary)])
-    runs = np.bincount(run_ids)
-    ties_xy = int(np.sum(runs * (runs - 1) // 2))
+    # Joint ties: runs of equal (x, y) in lexicographic order.
+    ties_xy = _tied_pairs(x_changes | (ys[1:] != ys[:-1]))
 
     # After the lexsort, every strict inversion in ys has strictly increasing
     # x, so the inversion count is exactly the discordant-pair count.
@@ -128,12 +134,9 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     """Average (mid) ranks, 1-based; ties share the mean of their positions."""
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    starts, ends = _runs(sorted_vals[1:] != sorted_vals[:-1])
     ranks = np.empty(values.size, dtype=np.float64)
-    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [values.size]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -163,23 +166,23 @@ def pearson_r(a: Sequence[float], b: Sequence[float]) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def pairwise_accuracy(pairs: Iterable[tuple[float, float]]) -> float:
-    """Fraction of (chosen, rejected) pairs ranked correctly.
+def pairwise_accuracy(chosen: Sequence[float], rejected: Sequence[float]) -> float:
+    """Fraction of pairs (chosen[i], rejected[i]) ranked correctly.
 
-    Exact ties earn 0.5 credit, which keeps accuracy(pairs) +
-    accuracy(swapped pairs) = 1 even when ties occur.
+    Exact ties earn 0.5 credit, which keeps accuracy(chosen, rejected) +
+    accuracy(rejected, chosen) = 1 even when ties occur.
     """
-    arr = np.asarray(list(pairs), dtype=np.float64)
-    if arr.size == 0:
+    c = np.asarray(chosen, dtype=np.float64).ravel()
+    r = np.asarray(rejected, dtype=np.float64).ravel()
+    if c.size != r.size:
+        raise LengthMismatch(f"{c.size} chosen scores vs {r.size} rejected scores")
+    if c.size == 0:
         raise EmptyInput("no preference pairs")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise LengthMismatch(f"pairs must be (chosen, rejected) tuples, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not (np.isfinite(c).all() and np.isfinite(r).all()):
         raise NonFiniteInput("preference pair scores must be finite")
-    chosen, rejected = arr[:, 0], arr[:, 1]
-    wins = float(np.count_nonzero(chosen > rejected))
-    ties = float(np.count_nonzero(chosen == rejected))
-    return (wins + 0.5 * ties) / arr.shape[0]
+    wins = float(np.count_nonzero(c > r))
+    ties = float(np.count_nonzero(c == r))
+    return (wins + 0.5 * ties) / c.size
 
 
 _CORRELATIONS = {

@@ -78,6 +78,58 @@ def naive_pairwise_accuracy(pairs) -> float:
     return credit / total
 
 
+def loop_midranks(values) -> np.ndarray:
+    """Mid-ranks by a Python loop over the runs of equal sorted values, each
+    run getting 0.5 * (start + end - 1) + 1: the same arithmetic as the
+    package's vectorized `_midranks`, so results must match exactly."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
+    starts = np.concatenate([[0], boundaries + 1])
+    ends = np.concatenate([boundaries + 1, [values.size]])
+    for s, e in zip(starts, ends):
+        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
+    return ranks
+
+
+def tie_pair_count(sorted_values) -> int:
+    """Sum of t*(t-1)/2 over runs of equal values in a sorted array."""
+    n = sorted_values.size
+    boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
+    run_ends = np.concatenate([boundaries + 1, [n]])
+    run_starts = np.concatenate([[0], boundaries + 1])
+    runs = run_ends - run_starts
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def table_kendall_tau(a, b) -> float:
+    """Tau-b of two lists with few distinct values, for large n.
+
+    Concordant and discordant pairs are counted exactly from 2-D cumulative
+    sums over the contingency table of value ranks, tied pairs by
+    `tie_pair_count`; the final division is the package's, so results must
+    match exactly.  The table has one cell per pair of distinct values."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    n = x.size
+    xs, xi = np.unique(x, return_inverse=True)
+    ys, yi = np.unique(y, return_inverse=True)
+    table = np.zeros((xs.size, ys.size), dtype=np.int64)
+    np.add.at(table, (xi, yi), 1)
+    # below[i, j]: elements whose x rank is below i and y rank below j.
+    below = np.zeros((xs.size + 1, ys.size + 1), dtype=np.int64)
+    below[1:, 1:] = table.cumsum(axis=0).cumsum(axis=1)
+    concordant = int(np.sum(table * below[:-1, :-1]))
+    discordant = int(np.sum(table * (below[:-1, -1:] - below[:-1, 1:])))
+    total = n * (n - 1) // 2
+    ties_x = tie_pair_count(np.sort(x))
+    ties_y = tie_pair_count(np.sort(y))
+    tau = (concordant - discordant) / math.sqrt(float(total - ties_x) * float(total - ties_y))
+    return min(1.0, max(-1.0, tau))
+
+
 def matern52_scalar(a, b, lengthscale: float) -> float:
     d = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
     r = math.sqrt(5.0) * d / lengthscale
@@ -225,8 +277,9 @@ def retrain_cv_curve(features, target, objective, config, sizes):
                 keep = np.setdiff1d(np.arange(target.n_pairs), hold)
                 train_x, train_pairs = gbt._subset_pairs(x, target, keep)
                 preds = gbt.gbt_train(train_x, train_pairs, config, n_estimators).predict(x)
-                held = list(zip(preds[target.chosen[hold]], preds[target.rejected[hold]]))
-                values.append(pairwise_accuracy(held))
+                values.append(
+                    pairwise_accuracy(preds[target.chosen[hold]], preds[target.rejected[hold]])
+                )
         else:
             y = np.asarray(target, dtype=np.float64).ravel()
             for hold in gbt._pointwise_folds(x.shape[0], config.cv_folds, rng):

@@ -1,14 +1,17 @@
 import csv
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metacal.cli import main
-from metacal.core import CalibratedModel, ModelKind
-from metacal.gbt import Leaf, TreeEnsemble
-from metacal.io import load_model, load_scores_csv, save_model, save_specs
+from metacal.core import CalibratedModel, MetricSpec, ModelKind, Weighting
+from metacal.gbt import Leaf, Split, TreeEnsemble
+from metacal.io import dumps_canonical, load_model, load_scores_csv, model_to_obj, save_model, save_specs
 from metacal.textmetrics import builtin_specs
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "metacal" / "data" / "desk_corpus.csv"
@@ -268,3 +271,178 @@ def test_byte_identical_artifacts_across_runs(tmp_path, specs_path, scores_path)
                      "--output", report_path]) == 0
         outputs.append((Path(model_path).read_bytes(), Path(report_path).read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Corrupted input files: the CLI exits 0 or 2, never 1, and leaves no temp file
+# ---------------------------------------------------------------------------
+
+_FUZZ_SPECS = (MetricSpec("a", 0.0, 1.0, True), MetricSpec("b", -1.0, 2.0, False))
+
+
+def _fuzz_model(kind: ModelKind) -> bytes:
+    common = dict(metric_specs=_FUZZ_SPECS, objective_used="kendall", seed=3)
+    if kind is ModelKind.LINEAR:
+        model = CalibratedModel(kind=kind, weighting=Weighting.COMBINED,
+                                weights=(0.6, 0.25, 0.5), **common)
+    else:
+        tree = Split(1, 0.5, 1.25, Leaf(-0.125), Split(0, 0.25, 0.5, Leaf(0.5), Leaf(0.75)))
+        model = CalibratedModel(kind=kind, trees=TreeEnsemble((tree, Leaf(0.5)), 0.5, 0.1),
+                                **common)
+    return dumps_canonical(model_to_obj(model)).encode()
+
+
+_FUZZ_FILES = {
+    "specs.json": json.dumps([
+        {"name": s.name, "min": s.min, "max": s.max, "higher_is_better": s.higher_is_better}
+        for s in _FUZZ_SPECS
+    ]).encode(),
+    "scores.csv": ("dataset,system,segment,a,b,human\n" + "".join(
+        f"d{i % 2},s{i % 3},g{i // 6},{i * 0.07 % 1:.2f},{i * 0.13 % 1:.2f},{i * 0.29 % 1:.2f}\n"
+        for i in range(18)
+    )).encode(),
+    "pairs.jsonl": "".join(
+        json.dumps({"group": f"g{i // 2}", "category": f"c{i % 2}",
+                    "chosen": {"a": 0.5 + 0.05 * i, "b": 0.25},
+                    "rejected": {"a": 0.5 - 0.05 * i, "b": 0.5}}) + "\n"
+        for i in range(8)
+    ).encode(),
+    "linear.json": _fuzz_model(ModelKind.LINEAR),
+    "gbt.json": _fuzz_model(ModelKind.GBT),
+}
+
+_TINY_GP = ["--method", "gp", "--init-points", "1", "--n-iter", "1"]
+_TINY_GBT = ["--method", "gbt", "--cv-folds", "2", "--max-depth", "2",
+             "--n-estimators-low", "1", "--n-estimators-high", "2", "--n-estimators-step", "1"]
+
+# The commands that read each file, as argv templates over the fuzz directory.
+_READERS = {
+    "specs.json": [
+        ["split", "--scores", "scores.csv", "--specs", "specs.json",
+         "--train-output", "tr.csv", "--test-output", "te.csv"],
+        ["calibrate", "--scores", "scores.csv", "--specs", "specs.json", "--output", "m.json",
+         *_TINY_GP],
+    ],
+    "scores.csv": [
+        ["split", "--scores", "scores.csv", "--specs", "specs.json",
+         "--train-output", "tr.csv", "--test-output", "te.csv"],
+        ["calibrate", "--scores", "scores.csv", "--specs", "specs.json", "--output", "m.json",
+         *_TINY_GP],
+        ["calibrate", "--scores", "scores.csv", "--specs", "specs.json", "--output", "m.json",
+         *_TINY_GBT],
+        ["score", "--model", "linear.json", "--scores", "scores.csv", "--output", "meta.csv"],
+        ["evaluate", "--model", "gbt.json", "--scores", "scores.csv", "--output", "r.json"],
+        ["evaluate", "--metric", "a", "--scores", "scores.csv", "--output", "r.json"],
+    ],
+    "pairs.jsonl": [
+        ["split", "--format", "jsonl", "--scores", "pairs.jsonl", "--specs", "specs.json",
+         "--train-output", "tr.jsonl", "--test-output", "te.jsonl"],
+        ["calibrate", "--format", "jsonl", "--scores", "pairs.jsonl", "--specs", "specs.json",
+         "--output", "m.json", *_TINY_GP],
+        ["calibrate", "--format", "jsonl", "--scores", "pairs.jsonl", "--specs", "specs.json",
+         "--output", "m.json", *_TINY_GBT],
+        ["score", "--format", "jsonl", "--model", "gbt.json", "--scores", "pairs.jsonl",
+         "--output", "meta.csv"],
+        ["evaluate", "--format", "jsonl", "--model", "linear.json", "--scores", "pairs.jsonl",
+         "--output", "r.json"],
+    ],
+    "linear.json": [
+        ["score", "--model", "linear.json", "--scores", "scores.csv", "--output", "meta.csv"],
+        ["evaluate", "--model", "linear.json", "--scores", "scores.csv", "--output", "r.json"],
+        ["report", "--model", "linear.json", "--output", "w.json"],
+    ],
+    "gbt.json": [
+        ["score", "--model", "gbt.json", "--scores", "scores.csv", "--output", "meta.csv"],
+        ["evaluate", "--format", "jsonl", "--model", "gbt.json", "--scores", "pairs.jsonl",
+         "--output", "r.json"],
+        ["report", "--model", "gbt.json", "--output", "w.json"],
+    ],
+}
+
+def _argv(base: Path, template: list[str]) -> list[str]:
+    return [str(base / arg) if Path(arg).suffix else arg for arg in template]
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_BAD_VALUES = (b"nan", b"NaN", b"inf", b"-Infinity", b"1e999", b"-1e308", b"abc", b"",
+               b"true", b"null", b'"0.5"', b"[]", b"{}", b"2.5", b"-7", b"1" * 5000)
+
+
+@st.composite
+def _corrupted_file(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_FILES)))
+    data = _FUZZ_FILES[name]
+    n = len(data)
+    op = draw(st.sampled_from(["truncate", "flip", "repeat", "drop", "line", "value"]))
+    if op == "truncate":
+        return name, data[: draw(st.integers(0, n - 1))]
+    if op == "flip":
+        i = draw(st.integers(0, n - 1))
+        return name, data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+    if op == "value":
+        start, end = draw(st.sampled_from([m.span() for m in _NUMBER.finditer(data)]))
+        return name, data[:start] + draw(st.sampled_from(_BAD_VALUES)) + data[end:]
+    if op == "line":
+        lines = data.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        copies = draw(st.sampled_from([0, 2]))  # a missing or a repeated line
+        return name, b"".join(lines[:i] + lines[i:i + 1] * copies + lines[i + 1:])
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(i, min(n, i + 40)))
+    if op == "repeat":  # repeated fields, keys or records when the span aligns
+        return name, data[:j] + data[i:j] + data[j:]
+    return name, data[:i] + data[j:]  # missing fields
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(_corrupted_file())
+@example(("specs.json", b"[{"))  # json.JSONDecodeError
+@example(("pairs.jsonl", b'{"chosen": {"a": ' + b"1" * 5000 + b"}}"))  # int too long to convert
+@example(("scores.csv", _FUZZ_FILES["scores.csv"] + b'd,s,"' + b"x" * 140_000))  # csv field limit
+@settings(max_examples=120, deadline=None)
+def test_corrupted_inputs_exit_0_or_2_and_leave_no_temp_file(corrupted):
+    name, data = corrupted
+    with tempfile.TemporaryDirectory() as work:
+        base = Path(work)
+        for other, content in _FUZZ_FILES.items():
+            (base / other).write_bytes(data if other == name else content)
+        for template in _READERS[name]:
+            assert main(_argv(base, template)) in (0, 2), (name, data, template)
+            assert not list(base.glob("*.tmp")), (name, data, template)
+
+
+class TestJsonFieldTypes:
+    """A spec or model field of the wrong JSON type exits 2; it is never
+    coerced to a boolean or an integer."""
+
+    @pytest.fixture()
+    def work(self, tmp_path):
+        for name, content in _FUZZ_FILES.items():
+            (tmp_path / name).write_bytes(content)
+        return tmp_path
+
+    @staticmethod
+    def _edit(path: Path, edit) -> None:
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_higher_is_better_must_be_boolean(self, work, value):
+        self._edit(work / "specs.json", lambda specs: specs[1].update(higher_is_better=value))
+        self._edit(work / "linear.json",
+                   lambda model: model["metrics"][1].update(higher_is_better=value))
+        split, calibrate = _READERS["specs.json"]
+        score = _READERS["linear.json"][0]
+        for template in (split, calibrate, score):
+            assert main(_argv(work, template)) == 2, template
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.7), ("seed", True), ("version", True), ("version", 1.0),
+        ("feature", 1.7), ("feature", True),
+    ])
+    def test_integer_fields_must_be_integers(self, work, field, value):
+        self._edit(work / "gbt.json",
+                   lambda model: (model["trees"][0] if field == "feature" else model).update(
+                       {field: value}))
+        assert main(_argv(work, _READERS["gbt.json"][0])) == 2

@@ -87,7 +87,7 @@ class TestGbtTrain:
         cfg = _single_round(loss=GbtLoss.PAIRWISE_RANK, max_depth=2, learning_rate=0.3)
         model = gbt_train(features, pairs, cfg, 50)
         preds = model.predict(features)
-        acc = pairwise_accuracy(list(zip(preds[pairs.chosen], preds[pairs.rejected])))
+        acc = pairwise_accuracy(preds[pairs.chosen], preds[pairs.rejected])
         assert acc == 1.0
 
     def test_squared_log_error_domain(self):
@@ -259,6 +259,20 @@ class TestCrossValidate:
     def test_pairwise_too_few_groups(self):
         with pytest.raises(TooFewExamples):
             gbt_mod._group_folds(["a", "a", "b"], 3, np.random.default_rng(0))
+
+    def test_pair_subset_keeps_member_rows(self):
+        # Members shared between pairs and rows of no kept pair, in any order.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(30, 2))
+        pairs = RankingPairs(rng.integers(0, 30, 25), rng.integers(0, 30, 25),
+                             tuple(f"g{i}" for i in range(25)))
+        keep = np.sort(rng.permutation(25)[:12])
+        sub_x, sub = gbt_mod._subset_pairs(x, pairs, keep)
+        members = np.unique(np.concatenate([pairs.chosen[keep], pairs.rejected[keep]]))
+        np.testing.assert_array_equal(sub_x, x[members])
+        np.testing.assert_array_equal(sub_x[sub.chosen], x[pairs.chosen[keep]])
+        np.testing.assert_array_equal(sub_x[sub.rejected], x[pairs.rejected[keep]])
+        assert sub.groups == tuple(pairs.groups[i] for i in keep)
 
 
 class TestSearchNEstimators:

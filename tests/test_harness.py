@@ -13,7 +13,7 @@ from metacal.harness import (
     seg_pearson,
     sys_pearson,
 )
-from metacal.objectives import DegenerateInput, EmptyInput
+from metacal.objectives import DegenerateInput, EmptyInput, LengthMismatch
 
 from oracles import naive_pairwise_accuracy, naive_pearson
 
@@ -207,13 +207,13 @@ class TestAffineAndPermutationInvariance:
 
 class TestGroupedPairwiseAccuracy:
     def test_single_category_all_correct(self):
-        report = grouped_pairwise_accuracy([("chat", 0.9, 0.1), ("chat", 0.7, 0.3)])
+        report = grouped_pairwise_accuracy(["chat", "chat"], [0.9, 0.7], [0.1, 0.3])
         assert report.category_accuracy == {"chat": 1.0}
         assert report.overall_accuracy == 1.0
 
     def test_overall_is_unweighted_category_mean(self):
         report = grouped_pairwise_accuracy(
-            [("a", 1.0, 0.0), ("a", 1.0, 0.0), ("a", 1.0, 0.0), ("b", 0.0, 1.0)]
+            ["a", "a", "a", "b"], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]
         )
         assert report.overall_accuracy == 0.5  # categories weigh equally
 
@@ -225,14 +225,23 @@ class TestGroupedPairwiseAccuracy:
             members = [(float(rng.normal()), float(rng.normal())) for _ in range(rng.integers(3, 10))]
             per_cat[cat] = naive_pairwise_accuracy(members)
             pairs.extend((cat, c, r) for c, r in members)
-        report = grouped_pairwise_accuracy(pairs)
+        report = grouped_pairwise_accuracy(*zip(*pairs))
         for cat, acc in per_cat.items():
             assert report.category_accuracy[cat] == acc
         assert report.overall_accuracy == pytest.approx(np.mean(list(per_cat.values())))
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            grouped_pairwise_accuracy([])
+            grouped_pairwise_accuracy([], [], [])
+
+    @pytest.mark.parametrize("categories, chosen, rejected", [
+        (["a"], [1.0, 2.0], [0.0, 0.0]),
+        (["a", "b"], [1.0], [0.0]),
+        (["a", "b"], [1.0, 2.0], [0.0]),
+    ])
+    def test_unaligned_arrays_rejected(self, categories, chosen, rejected):
+        with pytest.raises(LengthMismatch):
+            grouped_pairwise_accuracy(categories, chosen, rejected)
 
 
 def test_build_report_aggregates_all_datasets():

@@ -15,12 +15,15 @@ from metacal.objectives import (
     score_or_worst,
     spearman_rho,
 )
+from metacal.objectives import _midranks
 
 from oracles import (
+    loop_midranks,
     naive_kendall_tau,
     naive_pairwise_accuracy,
     naive_pearson,
     naive_spearman,
+    table_kendall_tau,
 )
 
 
@@ -117,6 +120,33 @@ class TestPearson:
             assert pearson_r(a, b) == pytest.approx(naive_pearson(a, b), abs=1e-12)
 
 
+class TestLargeTiedParity:
+    """Exact parity at sizes the O(n^2) oracles cannot reach, with long tie
+    runs on both sides (a few distinct values over 10^4 or 10^5 entries)."""
+
+    @pytest.mark.parametrize("n, levels", [(10_000, 7), (100_000, 25)])
+    def test_matches_run_loop_and_table_references(self, n, levels):
+        rng = np.random.default_rng(n)
+        ka = rng.integers(-levels, levels, size=n)
+        a = ka / 4.0
+        # a's value group k ends, and group k + 1 starts, on the same b value,
+        # so runs of equal (a, b) must also break where a changes.
+        b = (ka + rng.integers(0, 2, size=n)) // 2 * 0.5
+        c = rng.integers(0, 12 * levels, size=n) * 0.1
+        for values in (a, b, c):
+            assert np.array_equal(_midranks(values), loop_midranks(values))
+        for x, y in ((a, b), (b, a), (a, c), (c, b)):
+            assert spearman_rho(x, y) == pearson_r(loop_midranks(x), loop_midranks(y))
+            assert kendall_tau(x, y) == table_kendall_tau(x, y)
+        assert table_kendall_tau(a[:50], c[:50]) == pytest.approx(
+            naive_kendall_tau(a[:50], c[:50]), abs=1e-12
+        )
+
+    def test_midranks_with_many_short_runs(self):
+        values = np.random.default_rng(5).integers(0, 50_000, size=100_000).astype(float)
+        assert np.array_equal(_midranks(values), loop_midranks(values))
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho, pearson_r])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -129,37 +159,41 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pairwise_accuracy_rejects(self, bad):
         with pytest.raises(NonFiniteInput):
-            pairwise_accuracy([(bad, 0.1), (0.2, 0.1)])
+            pairwise_accuracy([bad, 0.2], [0.1, 0.1])
         with pytest.raises(NonFiniteInput):
-            pairwise_accuracy([(0.3, 0.1), (0.2, bad)])
+            pairwise_accuracy([0.3, 0.2], [0.1, bad])
 
 
 class TestPairwiseAccuracy:
     def test_all_correct(self):
-        assert pairwise_accuracy([(2, 1), (5, 0)]) == 1.0
+        assert pairwise_accuracy([2, 5], [1, 0]) == 1.0
 
     def test_all_wrong(self):
-        assert pairwise_accuracy([(1, 2), (0, 5)]) == 0.0
+        assert pairwise_accuracy([1, 0], [2, 5]) == 0.0
 
     def test_tie_credit(self):
-        assert pairwise_accuracy([(2, 1), (3, 1), (4, 1), (1, 1)]) == 0.875
+        assert pairwise_accuracy([2, 3, 4, 1], [1, 1, 1, 1]) == 0.875
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            pairwise_accuracy([])
+            pairwise_accuracy([], [])
+
+    def test_unaligned_arrays_rejected(self):
+        with pytest.raises(LengthMismatch):
+            pairwise_accuracy([2, 5], [1])
 
     def test_swap_symmetry_without_ties(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             pairs = [tuple(p) for p in rng.normal(size=(rng.integers(1, 30), 2))]
             swapped = [(r, c) for c, r in pairs]
-            assert pairwise_accuracy(pairs) + pairwise_accuracy(swapped) == pytest.approx(1.0)
+            assert pairwise_accuracy(*zip(*pairs)) + pairwise_accuracy(*zip(*swapped)) == pytest.approx(1.0)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
             pairs = [tuple(p) for p in rng.integers(0, 4, size=(rng.integers(1, 40), 2)).astype(float)]
-            assert pairwise_accuracy(pairs) == naive_pairwise_accuracy(pairs)
+            assert pairwise_accuracy(*zip(*pairs)) == naive_pairwise_accuracy(pairs)
 
 
 # Monotone-transform strategies keep values in ranges where exp stays finite.
