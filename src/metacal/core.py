@@ -5,14 +5,17 @@ Everything here is immutable after construction and safe to share across
 workers.  Scores are validated finite at ingestion; missing values are a
 hard error, never imputed.
 
-A score matrix is aligned with human judgments in one of two ways, and
-only this module knows how:
+A score matrix is aligned with human judgments by position, and only this
+module knows the layout.  A target is a sequence of units, and unit i owns
+the matrix rows [i * m, (i + 1) * m) for m members per unit:
 
-- pointwise: the target maps example ids to human scores z, and
-  `pointwise_z` returns z in matrix row order;
-- pairwise: the matrix stacks the pair members, pair i's chosen member at
-  row 2i and its rejected member at row 2i + 1, and `unstack_pairs` splits
-  any sequence in that row order into its (chosen, rejected) halves.
+- pointwise: one member per unit; z[i] is the human score of row i, and
+  `pointwise_z` returns z after checking the row count;
+- pairwise: two members per unit; pair i's chosen member is row 2i and its
+  rejected member row 2i + 1, and `unstack_pairs` splits any sequence in
+  that row order into its (chosen, rejected) halves.
+
+`validate_alignment` checks that rule, and `unit_rows` maps units to rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +40,7 @@ class InvalidSpec(MetacalError):
 
 
 class MissingTarget(MetacalError):
-    """A score row has no matching preference target."""
-
-    def __init__(self, example_id) -> None:
-        super().__init__(f"no target for example {example_id!r}")
-        self.example_id = example_id
+    """A score matrix and a preference target do not have matching rows."""
 
 
 class ExampleId(NamedTuple):
@@ -193,35 +192,60 @@ class PreferencePair:
 class PreferenceTarget:
     """Human ground truth: pointwise scores z, or grouped chosen/rejected pairs.
 
-    Tied z values are stored verbatim; tie handling is owned by the
-    objectives that consume them.
+    `z` is a read-only float64 array in matrix row order (see the module
+    docstring).  Tied z values are stored verbatim; tie handling is owned
+    by the objectives that consume them.
     """
 
     kind: TargetKind
-    pointwise: Mapping[ExampleId, float] | None = None
+    z: np.ndarray | None = None
     pairwise: tuple[PreferencePair, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind is TargetKind.POINTWISE:
-            if self.pointwise is None or self.pairwise is not None:
-                raise MetacalError("pointwise target must carry only a z mapping")
-            frozen = {ExampleId(*k): float(v) for k, v in self.pointwise.items()}
-            for eid, z in frozen.items():
-                if not math.isfinite(z):
-                    raise MetacalError(f"non-finite z for example {eid!r}")
-            object.__setattr__(self, "pointwise", frozen)
+            if self.z is None or self.pairwise is not None:
+                raise MetacalError("pointwise target must carry only z")
+            try:  # a mapping fails here: z is ordered by position, not keyed
+                z = np.array(self.z, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise MetacalError(f"z must be a sequence of numbers: {exc}") from None
+            if z.ndim != 1:
+                raise MetacalError(f"z must be 1-D, got shape {z.shape}")
+            if not np.isfinite(z).all():
+                raise MetacalError(f"non-finite z at row {int(np.argmin(np.isfinite(z)))}")
+            z.flags.writeable = False
+            object.__setattr__(self, "z", z)
         else:
-            if self.pairwise is None or self.pointwise is not None:
+            if self.pairwise is None or self.z is not None:
                 raise MetacalError("pairwise target must carry only preference pairs")
             object.__setattr__(self, "pairwise", tuple(self.pairwise))
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PreferenceTarget) and np.array_equal(self.z, other.z) and (
+            (self.kind, self.pairwise) == (other.kind, other.pairwise))
+
     @classmethod
-    def from_pointwise(cls, mapping: Mapping[ExampleId, float]) -> "PreferenceTarget":
-        return cls(TargetKind.POINTWISE, pointwise=dict(mapping))
+    def from_pointwise(cls, z: Sequence[float] | np.ndarray) -> "PreferenceTarget":
+        return cls(TargetKind.POINTWISE, z=z)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[PreferencePair]) -> "PreferenceTarget":
         return cls(TargetKind.PAIRWISE, pairwise=tuple(pairs))
+
+    @property
+    def n_units(self) -> int:
+        """Judgments in the target: z values or pairs."""
+        return len(self.z) if self.kind is TargetKind.POINTWISE else len(self.pairwise)
+
+    @property
+    def rows_per_unit(self) -> int:
+        return 1 if self.kind is TargetKind.POINTWISE else 2
+
+    def take_units(self, units: Sequence[int]) -> "PreferenceTarget":
+        """The target restricted to the given units, in the order given."""
+        if self.kind is TargetKind.POINTWISE:
+            return PreferenceTarget.from_pointwise(self.z[np.asarray(units, dtype=np.intp)])
+        return PreferenceTarget.from_pairs(self.pairwise[u] for u in units)
 
 
 class ModelKind(Enum):
@@ -297,13 +321,11 @@ class CalibratedModel:
 
 
 def pointwise_z(matrix: ScoreMatrix, target: PreferenceTarget) -> np.ndarray:
-    """The target's z for every matrix row, in row order."""
-    if target.pointwise is None:
+    """The target's z, one value per matrix row in row order."""
+    if target.z is None:
         raise MetacalError("target carries no pointwise z")
-    try:
-        return np.asarray([target.pointwise[eid] for eid in matrix.example_ids])
-    except KeyError as exc:
-        raise MissingTarget(exc.args[0]) from None
+    validate_alignment(matrix, target)
+    return target.z
 
 
 def unstack_pairs(stacked: Sequence) -> tuple[Sequence, Sequence]:
@@ -312,12 +334,18 @@ def unstack_pairs(stacked: Sequence) -> tuple[Sequence, Sequence]:
     return stacked[0::2], stacked[1::2]
 
 
+def unit_rows(target: PreferenceTarget | None, units: Sequence[int]) -> np.ndarray:
+    """The matrix rows of the given target units, unit by unit; without a
+    target every row is its own unit."""
+    per_unit = 1 if target is None else target.rows_per_unit
+    first = per_unit * np.asarray(units, dtype=np.intp).reshape(-1, 1)
+    return (first + np.arange(per_unit)).ravel()
+
+
 def validate_alignment(matrix: ScoreMatrix, target: PreferenceTarget) -> None:
     """Check that a score matrix and a preference target describe the same
-    data: a z for every row, or exactly the stacked pair members."""
-    if target.kind is TargetKind.POINTWISE:
-        pointwise_z(matrix, target)
-    elif matrix.n_examples != 2 * len(target.pairwise):
+    data: as many rows as the target's units have members."""
+    if matrix.n_examples != target.n_units * target.rows_per_unit:
         raise MissingTarget(
-            f"{matrix.n_examples} matrix rows for {len(target.pairwise)} pairs"
+            f"{matrix.n_examples} matrix rows for {target.n_units} {target.kind.value} judgments"
         )

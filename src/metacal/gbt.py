@@ -15,10 +15,11 @@ keeps the arithmetic auditable.
 On top of the trainer sit k-fold cross-validation, a grid search over the
 ensemble size, and iterative pruning: repeatedly drop the feature with the
 least total-gain importance, track CV performance, and keep the model of
-the best-scoring feature subset.  Boosting has no randomness, so an n-tree
-model is exactly the first n trees of a longer run: the whole size grid is
-scored from one boosting run per fold, adding held-out predictions tree by
-tree (the staged-prediction idea of XGBoost's `iteration_range`).
+the best-scoring feature subset; `calibrate_gbt` without pruning is one
+such round.  Boosting has no randomness, so an n-tree model is exactly the
+first n trees of a longer run: the whole size grid is scored from one
+boosting run per fold, adding held-out predictions tree by tree (the
+staged-prediction idea of XGBoost's `iteration_range`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .objectives import (
 
 _MIN_HESSIAN = 1e-6
 _SLE_FLOOR = -1.0 + 1e-6
+_BASE_SCORE = 0.5  # every model's starting prediction
 
 
 class InvalidTarget(MetacalError):
@@ -75,7 +77,6 @@ class GbtConfig:
     gamma: float = 0.0
     cv_folds: int = 5
     seed: int = 0
-    base_score: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_estimators_low < 1 or self.n_estimators_low > self.n_estimators_high:
@@ -88,8 +89,8 @@ class GbtConfig:
             raise MetacalError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise MetacalError("learning_rate must be in (0, 1]")
-        if self.reg_lambda < 0 or self.gamma < 0:
-            raise MetacalError("reg_lambda and gamma must be non-negative")
+        if not (0 <= self.reg_lambda < math.inf and 0 <= self.gamma < math.inf):
+            raise MetacalError("reg_lambda and gamma must be finite and non-negative")
         if self.cv_folds < 2:
             raise MetacalError("cv_folds must be >= 2")
 
@@ -374,7 +375,7 @@ def gbt_train(
         if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(y <= -1.0):
             raise InvalidTarget("squared log error requires targets > -1")
 
-    preds = np.full(x.shape[0], config.base_score, dtype=np.float64)
+    preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
     trees: list[Node] = []
     for _ in range(n_estimators):
         if y is not None:
@@ -388,7 +389,7 @@ def gbt_train(
             np.maximum(preds, _SLE_FLOOR, out=preds)
     return TreeEnsemble(
         trees=tuple(trees),
-        base_score=config.base_score,
+        base_score=_BASE_SCORE,
         learning_rate=config.learning_rate,
     )
 
@@ -510,22 +511,18 @@ def cross_validate(
     return _cv_curve(features, target, objective, config, [n_estimators])[0]
 
 
-def _search_n_estimators_scored(
+def _searched_size(
     features: np.ndarray,
     target: Target,
     objective: ObjectiveKind,
     config: GbtConfig,
 ) -> tuple[int, float]:
+    """The grid's ensemble size with the best mean CV objective, and that
+    objective; ties keep the smaller, cheaper model."""
     grid = config.n_estimators_grid()
     curve = _cv_curve(features, target, objective, config, grid)
-    best_n: int | None = None
-    best_value = -math.inf
-    for n, value in zip(grid, curve):
-        if value > best_value:  # strict: ties keep the smaller, cheaper model
-            best_value = value
-            best_n = n
-    assert best_n is not None
-    return best_n, best_value
+    best = int(np.argmax(curve))  # the first maximum
+    return grid[best], curve[best]
 
 
 def search_n_estimators(
@@ -535,39 +532,7 @@ def search_n_estimators(
     config: GbtConfig,
 ) -> int:
     """Grid-search the ensemble size on CV objective; ties pick the smallest."""
-    return _search_n_estimators_scored(features, target, objective, config)[0]
-
-
-def _fit_searched(
-    features: np.ndarray,
-    target: Target,
-    objective: ObjectiveKind,
-    config: GbtConfig,
-) -> tuple[TreeEnsemble, float]:
-    """Search the ensemble size by CV, then train that size on all data.
-    Returns the model and its CV objective."""
-    best_n, best_value = _search_n_estimators_scored(features, target, objective, config)
-    return gbt_train(features, target, config, best_n), best_value
-
-
-def _calibrated_model(
-    ensemble: TreeEnsemble,
-    specs: Sequence[MetricSpec],
-    target: Target,
-    objective: ObjectiveKind,
-    config: GbtConfig,
-) -> CalibratedModel:
-    return CalibratedModel(
-        kind=ModelKind.GBT,
-        metric_specs=tuple(specs),
-        objective_used=(
-            ObjectiveKind.PAIRWISE_ACCURACY.value
-            if isinstance(target, RankingPairs)
-            else objective.value
-        ),
-        seed=config.seed,
-        trees=ensemble,
-    )
+    return _searched_size(features, target, objective, config)[0]
 
 
 def iterative_prune(
@@ -601,7 +566,9 @@ def iterative_prune(
     best: tuple[TreeEnsemble, tuple[MetricSpec, ...]] | None = None
     for iteration in range(k):
         round_specs = tuple(specs[i] for i in active)
-        ensemble, value = _fit_searched(x[:, active], target, objective, config)
+        round_x = x[:, active]
+        n_trees, value = _searched_size(round_x, target, objective, config)
+        ensemble = gbt_train(round_x, target, config, n_trees)
         if best is None or value > performances[best_iteration]:
             best_iteration, best = iteration, (ensemble, round_specs)
         performances.append(value)
@@ -620,7 +587,18 @@ def iterative_prune(
         best_iteration=best_iteration,
         best_features=tuple(s.name for s in retained_specs),
     )
-    return _calibrated_model(ensemble, retained_specs, target, objective, config), trace
+    model = CalibratedModel(
+        kind=ModelKind.GBT,
+        metric_specs=retained_specs,
+        objective_used=(
+            ObjectiveKind.PAIRWISE_ACCURACY.value
+            if isinstance(target, RankingPairs)
+            else objective.value
+        ),
+        seed=config.seed,
+        trees=ensemble,
+    )
+    return model, trace
 
 
 def calibrate_gbt(
@@ -633,15 +611,11 @@ def calibrate_gbt(
 ) -> tuple[CalibratedModel, PruneTrace | None]:
     """Train a boosted-tree calibrated model on normalized metric features.
 
-    Without pruning this is a CV grid search over the ensemble size followed
-    by a full-data train of the chosen size; with `prune_iterations` it runs
-    `iterative_prune`.
+    This is `iterative_prune` with `prune_iterations` rounds, or with one
+    round (a CV grid search over the ensemble size, then a full-data train
+    of the chosen size) when `prune_iterations` is None; the prune trace is
+    returned only for a pruned run.
     """
-    if prune_iterations is not None:
-        return iterative_prune(features, target, objective, config, prune_iterations, specs)
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    specs = tuple(specs)
-    if len(specs) != x.shape[1]:
-        raise MetacalError(f"{len(specs)} specs for {x.shape[1]} feature columns")
-    ensemble, _ = _fit_searched(x, target, objective, config)
-    return _calibrated_model(ensemble, specs, target, objective, config), None
+    rounds = 1 if prune_iterations is None else prune_iterations
+    model, trace = iterative_prune(features, target, objective, config, rounds, specs)
+    return model, (None if prune_iterations is None else trace)

@@ -44,6 +44,7 @@ from .preprocess import unit_specs
 
 _SQRT5 = math.sqrt(5.0)
 _MAX_JITTER = 1e-2
+_LOW, _HIGH = 0.0, 1.0  # the weight search box [0, 1]^D
 
 
 class DimensionMismatch(MetacalError):
@@ -75,7 +76,6 @@ class GpConfig:
     init_points: int = 5
     n_iter: int = 100
     kappa: float = 2.576
-    bounds: tuple[float, float] = (0.0, 1.0)
     noise_jitter: float = 1e-6
     lengthscale_policy: LengthscalePolicy = LengthscalePolicy.FIXED_ONE
     seed: int = 0
@@ -86,12 +86,10 @@ class GpConfig:
             raise MetacalError("init_points must be >= 1")
         if self.n_iter < 0:
             raise MetacalError("n_iter must be >= 0")
-        if self.kappa < 0:
-            raise MetacalError("kappa must be >= 0")
-        if self.noise_jitter <= 0:
-            raise MetacalError("noise_jitter must be positive")
-        if not self.bounds[0] < self.bounds[1]:
-            raise MetacalError("bounds must satisfy low < high")
+        if not 0 <= self.kappa < math.inf:
+            raise MetacalError("kappa must be finite and >= 0")
+        if not 0 < self.noise_jitter < math.inf:
+            raise MetacalError("noise_jitter must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -300,13 +298,12 @@ def suggest_next(
     model: GpSurrogate, config: GpConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Next weight vector to evaluate: the UCB argmax over 1000 uniform
-    samples in bounds plus 10 local perturbations of the incumbent best."""
+    samples in [0, 1]^D plus 10 local perturbations of the incumbent best."""
     dim = model.observed_weights.shape[1]
-    low, high = config.bounds
-    candidates = rng.uniform(low, high, size=(1000, dim))
+    candidates = rng.uniform(_LOW, _HIGH, size=(1000, dim))
     incumbent = model.observed_weights[int(np.argmax(model.observed_alignments))]
-    local = incumbent[None, :] + rng.normal(0.0, 0.1 * (high - low), size=(10, dim))
-    pool = np.vstack([candidates, np.clip(local, low, high)])
+    local = incumbent[None, :] + rng.normal(0.0, 0.1 * (_HIGH - _LOW), size=(10, dim))
+    pool = np.vstack([candidates, np.clip(local, _LOW, _HIGH)])
     mean, std = _predict_batch(model, pool, exact=False)
     ucb = mean + config.kappa * std
     return pool[int(np.argmax(ucb))].copy()
@@ -406,12 +403,10 @@ def calibrate_gp(
         objective_used = ObjectiveKind.PAIRWISE_ACCURACY.value
 
     rng = np.random.default_rng(config.seed)
-    low, high = config.bounds
-
     observed: list[np.ndarray] = list(_injected_starts(dim))
     n_random = max(config.init_points - len(observed), 0)
     for _ in range(n_random):
-        observed.append(rng.uniform(low, high, size=dim))
+        observed.append(rng.uniform(_LOW, _HIGH, size=dim))
     alignments = [evaluate(w) for w in observed]
 
     current_lengthscale: float | None = (

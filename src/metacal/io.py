@@ -31,6 +31,7 @@ from .core import (
     TargetKind,
     Weighting,
     pointwise_z,
+    unit_rows,
     unstack_pairs,
     validate_alignment,
 )
@@ -173,6 +174,34 @@ def write_json(obj: Any, path: str) -> None:
         fh.write(dumps_canonical(obj))
 
 
+# JSON field types are checked, never coerced.  A type error is a
+# `TypeError`, which each file's loader reports as its own error.  Every
+# integer up to _EXACT_INT is a float64, as I-JSON (RFC 7493) requires of
+# interoperable JSON numbers.
+_EXACT_INT = 2**53 - 1
+
+
+def _json_int(value: Any, name: str) -> int:
+    """`value` if it is a JSON integer; true, false and 2.0 are not."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value: Any, name: str) -> float:
+    """`value` as a float if it is a JSON number that a float64 holds
+    exactly; true, "0.5" and 2**53 + 1 are not."""
+    if type(value) is float or (type(value) is int and abs(value) <= _EXACT_INT):
+        return float(value)
+    raise TypeError(f"{name} must be a number, got {value!r}")
+
+
+def _json_str(value: Any, name: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Metric spec files
 # ---------------------------------------------------------------------------
@@ -201,9 +230,9 @@ def specs_from_obj(obj: Any) -> tuple[MetricSpec, ...]:
                 raise MetacalError(f"{entry!r}: higher_is_better must be true or false")
             specs.append(
                 MetricSpec(
-                    name=str(entry["name"]),
-                    min=float(entry["min"]),
-                    max=float(entry["max"]),
+                    name=_json_str(entry["name"], "name"),
+                    min=_json_number(entry["min"], "min"),
+                    max=_json_number(entry["max"], "max"),
                     higher_is_better=higher_is_better,
                 )
             )
@@ -268,18 +297,17 @@ def _read_table(
 
             ids: list[ExampleId] = []
             rows: list = []
-            zs: dict[ExampleId, float] = {}
+            zs: list[float] = []
             for line, record in enumerate(reader, start=2):
                 if not record:
                     continue
                 if len(record) != len(header):
                     raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
                 fields = pick(record)
-                eid = ExampleId(fields[0], fields[1], fields[2])
-                ids.append(eid)
+                ids.append(ExampleId(fields[0], fields[1], fields[2]))
                 rows.append(parse(line, fields[3:end]))
                 if has_human:
-                    zs[eid] = _parse_value(fields[end], line, HUMAN_COLUMN)
+                    zs.append(_parse_value(fields[end], line, HUMAN_COLUMN))
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             raise ParseError(reader.line_num, str(exc)) from exc
     return ids, rows, (PreferenceTarget.from_pointwise(zs) if has_human else None)
@@ -431,27 +459,20 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
-def _json_int(value: Any, name: str) -> int:
-    """`value` if it is a JSON integer; true, false and 2.0 are not."""
-    if type(value) is not int:
-        raise MalformedModel(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _node_from_obj(obj: Any) -> Node:
     if not isinstance(obj, dict):
         raise MalformedModel(f"tree node must be an object, got {type(obj).__name__}")
     if "value" in obj:
         if set(obj) != {"value"}:
             raise MalformedModel(f"leaf with unexpected keys: {sorted(obj)}")
-        return Leaf(value=float(obj["value"]))
+        return Leaf(value=_json_number(obj["value"], "value"))
     expected = {"feature", "threshold", "gain", "left", "right"}
     if set(obj) != expected:
         raise MalformedModel(f"split with unexpected keys: {sorted(obj)}")
     return Split(
         feature=_json_int(obj["feature"], "feature"),
-        threshold=float(obj["threshold"]),
-        gain=float(obj["gain"]),
+        threshold=_json_number(obj["threshold"], "threshold"),
+        gain=_json_number(obj["gain"], "gain"),
         left=_node_from_obj(obj["left"]),
         right=_node_from_obj(obj["right"]),
     )
@@ -498,21 +519,21 @@ def model_from_obj(obj: Any) -> CalibratedModel:
     try:
         common = dict(
             metric_specs=specs_from_obj(obj["metrics"]),
-            objective_used=str(obj["objective_used"]),
+            objective_used=_json_str(obj["objective_used"], "objective_used"),
             seed=_json_int(obj["seed"], "seed"),
             version=version,
         )
         if kind == "linear":
             return CalibratedModel(
                 kind=ModelKind.LINEAR,
-                weighting=Weighting(obj["weighting"]),
-                weights=tuple(float(w) for w in obj["weights"]),
+                weighting=Weighting(_json_str(obj["weighting"], "weighting")),
+                weights=tuple(_json_number(w, "weights") for w in obj["weights"]),
                 **common,
             )
         ensemble = TreeEnsemble(
             trees=tuple(_node_from_obj(t) for t in obj["trees"]),
-            base_score=float(obj["base_score"]),
-            learning_rate=float(obj["learning_rate"]),
+            base_score=_json_number(obj["base_score"], "base_score"),
+            learning_rate=_json_number(obj["learning_rate"], "learning_rate"),
         )
         return CalibratedModel(kind=ModelKind.GBT, trees=ensemble, **common)
     except MetacalError:
@@ -579,36 +600,18 @@ def split_matrix(
     tuple[ScoreMatrix, PreferenceTarget | None],
     tuple[ScoreMatrix, PreferenceTarget | None],
 ]:
-    """Split a score matrix (and its target) by example; pairwise data is
-    split by pair so members stay together."""
-    if target is not None and target.kind is TargetKind.PAIRWISE:
-        train_pairs, test_pairs = split_train_test(
-            list(range(len(target.pairwise))), fraction, seed
+    """Split a score matrix and its target by target unit, so a pair's
+    members stay together; without a target, by row."""
+    if target is not None:
+        validate_alignment(matrix, target)
+    n_units = matrix.n_examples if target is None else target.n_units
+    return tuple(
+        (
+            matrix.take_rows(unit_rows(target, units)),
+            None if target is None else target.take_units(units),
         )
-        chosen, rejected = unstack_pairs(np.arange(matrix.n_examples))
-
-        def subset(pair_ids: list[int]):
-            # pair_ids ascend, so their members' rows in matrix order are stacked.
-            rows = np.sort(np.concatenate([chosen[pair_ids], rejected[pair_ids]]))
-            sub_target = PreferenceTarget.from_pairs(
-                target.pairwise[p] for p in pair_ids
-            )
-            return matrix.take_rows(rows), sub_target
-
-        return subset(train_pairs), subset(test_pairs)
-
-    train_rows, test_rows = split_train_test(range(matrix.n_examples), fraction, seed)
-
-    def subset_rows(rows: list[int]):
-        sub = matrix.take_rows(rows)
-        if target is None:
-            return sub, None
-        sub_target = PreferenceTarget.from_pointwise(
-            dict(zip(sub.example_ids, pointwise_z(sub, target)))
-        )
-        return sub, sub_target
-
-    return subset_rows(train_rows), subset_rows(test_rows)
+        for units in split_train_test(range(n_units), fraction, seed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +627,8 @@ def report_model(model: CalibratedModel, epsilon: float = 0.01) -> tuple[str, di
     """
     from .gbt import feature_importance
 
+    if not math.isfinite(epsilon):
+        raise MetacalError(f"sparsity epsilon must be finite, got {epsilon}")
     if model.kind is ModelKind.LINEAR:
         names = expanded_feature_names(model.metric_names, model.weighting)
         weights = dict(zip(names, model.weights))

@@ -99,7 +99,7 @@ def test_criterion_03_bo_recovery():
         z = 0.7 * y[:, 0] + 0.3 * y[:, 1] + rng.normal(0.0, 0.1, m)
         ids = tuple(ExampleId("-", "-", str(i)) for i in range(m))
         matrix = ScoreMatrix(("y1", "y2"), ids, y)
-        target = PreferenceTarget.from_pointwise(dict(zip(ids, z)))
+        target = PreferenceTarget.from_pointwise(z)
         model = calibrate_gp(matrix, target, ObjectiveKind.KENDALL, GpConfig(seed=seed))
         tau = kendall_tau(y @ np.asarray(model.weights), z)
 
@@ -160,7 +160,7 @@ def test_criterion_05_iterative_pruning_behavior():
         if trace.pruned_features[0] == "noise":
             noise_first += 1
         retained = [j for j, s in enumerate(specs) if s.name in model.metric_names]
-        _, final_cv = gbt_mod._search_n_estimators_scored(
+        _, final_cv = gbt_mod._searched_size(
             x[:, retained], z, ObjectiveKind.KENDALL, cfg
         )
         if final_cv != max(trace.performances):
@@ -288,7 +288,7 @@ def _run_pipeline(workdir: Path, seed: int) -> dict[str, Path]:
 
 def _held_out_tau(meta_csv: Path, test_csv: Path) -> float:
     matrix, target = load_scores_csv(str(test_csv), builtin_specs(METRICS))
-    z = np.asarray([target.pointwise[eid] for eid in matrix.example_ids])
+    z = target.z
     with open(meta_csv) as fh:
         rows = list(csv.DictReader(fh))
     meta = {(r["dataset"], r["system"], r["segment"]): float(r["meta_score"]) for r in rows}
@@ -307,7 +307,7 @@ def test_criterion_09_end_to_end_desk_run(tmp_path):
     )
 
     matrix, target = load_scores_csv(str(run_a["test"]), builtin_specs(METRICS))
-    z = np.asarray([target.pointwise[eid] for eid in matrix.example_ids])
+    z = target.z
     best_single = max(
         kendall_tau(matrix.values[:, j], z) for j in range(matrix.n_metrics)
     )

@@ -446,3 +446,50 @@ class TestJsonFieldTypes:
                    lambda model: (model["trees"][0] if field == "feature" else model).update(
                        {field: value}))
         assert main(_argv(work, _READERS["gbt.json"][0])) == 2
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("specs.json", "min", "-1"), ("specs.json", "max", True),
+        ("linear.json", "weights", [True, 0.25, 0.5]), ("linear.json", "weights", ["0.6", 0.25, 0.5]),
+        ("linear.json", "objective_used", 7), ("linear.json", "weighting", None),
+        ("gbt.json", "base_score", "0.5"), ("gbt.json", "base_score", 2**53 + 1),
+        ("gbt.json", "learning_rate", False), ("gbt.json", "threshold", "0.5"),
+        ("gbt.json", "gain", True), ("gbt.json", "value", [0.5]),
+    ])
+    def test_number_and_string_fields_need_their_json_type(self, work, name, field, value):
+        holders = {
+            "specs.json": lambda obj: obj[1],
+            "linear.json": lambda obj: obj,
+            "gbt.json": lambda obj: (obj["trees"][1] if field == "value"
+                                     else obj["trees"][0] if field in ("threshold", "gain")
+                                     else obj),
+        }
+        self._edit(work / name, lambda obj: holders[name](obj).update({field: value}))
+        for template in _READERS[name]:
+            assert main(_argv(work, template)) == 2, template
+
+
+class TestNonFiniteSettings:
+    """A NaN or infinite numeric setting exits 2 before any work and writes
+    nothing."""
+
+    @pytest.mark.parametrize("flags", [
+        [*_TINY_GP, "--kappa", "nan"], [*_TINY_GP, "--kappa", "inf"],
+        [*_TINY_GBT, "--reg-lambda", "nan"], [*_TINY_GBT, "--reg-lambda", "inf"],
+        [*_TINY_GBT, "--gamma", "nan"], [*_TINY_GBT, "--gamma", "inf"],
+    ])
+    def test_calibrate(self, tmp_path, flags):
+        for name in ("specs.json", "scores.csv"):
+            (tmp_path / name).write_bytes(_FUZZ_FILES[name])
+        argv = ["calibrate", "--scores", "scores.csv", "--specs", "specs.json",
+                "--output", "m.json", *flags]
+        assert main(_argv(tmp_path, argv)) == 2
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_report_epsilon(self, tmp_path, capsys, epsilon):
+        (tmp_path / "linear.json").write_bytes(_FUZZ_FILES["linear.json"])
+        argv = ["report", "--model", "linear.json", "--output", "w.json",
+                f"--sparsity-epsilon={epsilon}"]
+        assert main(_argv(tmp_path, argv)) == 2
+        assert not (tmp_path / "w.json").exists()
+        assert capsys.readouterr().out == ""

@@ -9,6 +9,7 @@ from metacal.core import (
     MetricSpec,
     MissingTarget,
     ModelKind,
+    PreferencePair,
     PreferenceTarget,
     ScoreMatrix,
     Weighting,
@@ -59,18 +60,38 @@ class TestScoreMatrix:
 class TestValidateAlignment:
     def test_complete_pointwise_alignment_ok(self):
         matrix = _matrix(3)
-        target = PreferenceTarget.from_pointwise(
-            {eid: 1.0 for eid in matrix.example_ids}
-        )
+        target = PreferenceTarget.from_pointwise([1.0] * matrix.n_examples)
         validate_alignment(matrix, target)
 
     def test_missing_pointwise_target(self):
         matrix = _matrix(3)
-        target = PreferenceTarget.from_pointwise(
-            {eid: 1.0 for eid in matrix.example_ids[:2]}
-        )
+        target = PreferenceTarget.from_pointwise([1.0] * 2)
         with pytest.raises(MissingTarget):
             validate_alignment(matrix, target)
+
+    def test_pair_count_must_match_rows(self):
+        target = PreferenceTarget.from_pairs(PreferencePair(f"g{i}") for i in range(2))
+        validate_alignment(_matrix(4), target)
+        for rows in (3, 5):
+            with pytest.raises(MissingTarget, match=f"{rows} matrix rows for 2 pairwise"):
+                validate_alignment(_matrix(rows), target)
+
+    @pytest.mark.parametrize("z", [
+        {ExampleId("d", "s", "0"): 1.0}, [[1.0, 2.0]], [1.0, float("nan")], ["x"],
+    ])
+    def test_from_pointwise_takes_finite_flat_z(self, z):
+        with pytest.raises(MetacalError):
+            PreferenceTarget.from_pointwise(z)
+
+    def test_z_is_read_only_copy(self):
+        source = np.array([1.0, 2.0])
+        target = PreferenceTarget.from_pointwise(source)
+        source[0] = 9.0
+        assert target.z.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            target.z[0] = 5.0
+        assert target == PreferenceTarget.from_pointwise([1.0, 2.0])
+        assert target != PreferenceTarget.from_pointwise([1.0, 3.0])
 
 
 class TestCalibratedModel:

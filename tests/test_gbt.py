@@ -358,7 +358,7 @@ class TestIterativePrune:
             x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
         )
         retained = [i for i, n in enumerate(("a", "b", "c")) if n in model.metric_names]
-        best_n = gbt_mod._search_n_estimators_scored(
+        best_n = gbt_mod._searched_size(
             x[:, retained], y, ObjectiveKind.KENDALL, cfg
         )
         assert best_n[1] == max(trace.performances)

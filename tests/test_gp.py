@@ -40,8 +40,15 @@ def _pointwise_data(values, z):
     matrix = ScoreMatrix(
         tuple(f"m{j}" for j in range(values.shape[1])), ids, values
     )
-    target = PreferenceTarget.from_pointwise(dict(zip(ids, map(float, z))))
+    target = PreferenceTarget.from_pointwise(z)
     return matrix, target
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_noise_jitter_rejected(value):
+    # No flag sets noise_jitter; kappa, reg_lambda and gamma are checked in test_cli.
+    with pytest.raises(MetacalError, match="noise_jitter"):
+        GpConfig(noise_jitter=value)
 
 
 class TestMatern52:
@@ -328,13 +335,13 @@ class TestSelectTopK:
 
     def test_k_one_returns_best(self):
         matrix, target = self._dataset()
-        z = [target.pointwise[eid] for eid in matrix.example_ids]
+        z = target.z
         taus = [naive_kendall_tau(matrix.values[:, j], z) for j in range(3)]
         assert select_top_k(matrix, target, ObjectiveKind.KENDALL, 1) == (int(np.argmax(taus)),)
 
     def test_top_two_match_oracle_ranking(self):
         matrix, target = self._dataset()
-        z = [target.pointwise[eid] for eid in matrix.example_ids]
+        z = target.z
         taus = [naive_kendall_tau(matrix.values[:, j], z) for j in range(3)]
         expected = tuple(sorted(np.argsort(taus)[::-1][:2].tolist()))
         assert select_top_k(matrix, target, ObjectiveKind.KENDALL, 2) == expected

@@ -11,6 +11,7 @@ from metacal.core import (
     ExampleId,
     MetacalError,
     MetricSpec,
+    MissingTarget,
     ModelKind,
     PreferencePair,
     PreferenceTarget,
@@ -38,6 +39,7 @@ from metacal.io import (
     save_scores_csv,
     save_scores_jsonl,
     score_with_model,
+    specs_from_obj,
     split_matrix,
     split_train_test,
 )
@@ -101,7 +103,7 @@ class TestScoresCsvRoundTrip:
         rng = np.random.default_rng(1)
         matrix = _random_matrix(rng)
         target = PreferenceTarget.from_pointwise(
-            {eid: float(rng.normal()) for eid in matrix.example_ids}
+            [float(rng.normal()) for _ in matrix.example_ids]
         )
         path = str(tmp_path / "scores.csv")
         save_scores_csv(matrix, path, target)
@@ -109,7 +111,7 @@ class TestScoresCsvRoundTrip:
         assert back_m.metric_names == matrix.metric_names
         assert back_m.example_ids == matrix.example_ids
         np.testing.assert_array_equal(back_m.values, matrix.values)
-        assert back_t.pointwise == target.pointwise
+        np.testing.assert_array_equal(back_t.z, target.z)
 
     def test_missing_metric_column(self, tmp_path):
         path = str(tmp_path / "bad.csv")
@@ -187,7 +189,7 @@ class TestTableReader:
         corpus = self.CORPUS.replace("segment,", "segment,note,note,").replace("d,s,1,", "d,s,1,x,y,")
         _, pairs, target = load_corpus_csv(self._write(tmp_path, "c.csv", corpus))
         assert (pairs[0].hypothesis, pairs[0].reference) == ("a cat", "the cat")
-        assert target.pointwise == {ExampleId("d", "s", "1"): 0.9}
+        assert target.z.tolist() == [0.9]
 
 
 class TestScoresJsonlRoundTrip:
@@ -225,6 +227,17 @@ class TestScoresJsonlRoundTrip:
             fh.write("{not json\n")
         with pytest.raises(ParseError, match="line 1"):
             load_scores_jsonl(path, _specs())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 7), ("min", "-1"), ("min", False), ("max", True), ("max", 2**53 + 1),
+])
+def test_spec_fields_need_their_json_type(field, value):
+    entry = {"name": "7", "min": -1, "max": 1.5, "higher_is_better": True}
+    assert specs_from_obj([entry]) == (MetricSpec("7", -1.0, 1.5),)
+    entry[field] = value
+    with pytest.raises(MetacalError, match=field):
+        specs_from_obj([entry])
 
 
 class TestModelPersistence:
@@ -427,13 +440,25 @@ class TestModelFileRoundTrip:
         text = dumps_canonical(model_to_obj(model))
         assert self._round_trip(text) == text
 
-    @settings(max_examples=200, deadline=None)
-    @given(field=st.sampled_from(["seed", "version", "feature", "higher_is_better"]),
-           value=_SCALARS)
+    @settings(max_examples=600, deadline=None)
+    @given(field=st.sampled_from([
+        "seed", "version", "objective_used", "base_score", "learning_rate",
+        "weighting", "weights", "name", "min", "max", "higher_is_better",
+        "feature", "threshold", "gain", "value",
+    ]), value=_SCALARS)
     def test_typed_field_replaced(self, field, value):
-        obj = model_to_obj(_gbt_model(np.random.default_rng(4)))
-        holder = {"feature": obj["trees"][0], "higher_is_better": obj["metrics"][0]}.get(field, obj)
-        holder[field] = value
+        linear = field in ("weighting", "weights")
+        obj = model_to_obj(_linear_model() if linear else _gbt_model(np.random.default_rng(4)))
+        holder, key = obj, field
+        if field in ("name", "min", "max", "higher_is_better"):
+            holder = obj["metrics"][0]
+        elif field == "weights":
+            holder, key = obj["weights"], 1
+        elif field in ("feature", "threshold", "gain", "value"):
+            holder = obj["trees"][0]
+            while key not in holder:
+                holder = holder["left"]
+        holder[key] = value
         text = dumps_canonical(obj)
         assert self._round_trip(text) in (None, text)
 
@@ -542,6 +567,32 @@ class TestSplit:
         np.testing.assert_array_equal(
             train_m.values[0::2], [chosen[int(p.group_id[1:])] for p in train_t.pairwise]
         )
+
+
+    def test_split_matrix_pointwise_keeps_z_with_its_row(self):
+        rng = np.random.default_rng(11)
+        matrix = _random_matrix(rng, n=17)
+        z = rng.normal(size=17)
+        target = PreferenceTarget.from_pointwise(z)
+        z_of = dict(zip(matrix.example_ids, z.tolist()))
+        halves = split_matrix(matrix, target, 0.30, seed=3)
+        for sub_m, sub_t in halves:
+            assert sub_t.z.tolist() == [z_of[eid] for eid in sub_m.example_ids]
+        train_ids, test_ids = (set(m.example_ids) for m, _ in halves)
+        assert len(train_ids) == 5 and not train_ids & test_ids
+        assert train_ids | test_ids == set(matrix.example_ids)
+        for (sub_m, _), (plain_m, plain_t) in zip(halves, split_matrix(matrix, None, 0.30, 3)):
+            assert plain_t is None and plain_m.example_ids == sub_m.example_ids
+            np.testing.assert_array_equal(plain_m.values, sub_m.values)
+
+    def test_split_matrix_rejects_unaligned_target(self):
+        matrix = _random_matrix(np.random.default_rng(12), n=6)
+        for target in (
+            PreferenceTarget.from_pointwise([0.0] * 5),
+            PreferenceTarget.from_pairs(PreferencePair(f"g{i}") for i in range(2)),
+        ):
+            with pytest.raises(MissingTarget):
+                split_matrix(matrix, target)
 
 
 class TestReportModel:

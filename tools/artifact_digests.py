@@ -4,10 +4,12 @@ Runs, in a temporary directory and through `metacal.cli.main`, with the
 metacal of this checkout (`src/`):
 
 - the CSV path: basemetrics on the bundled desk corpus, split, then a GP
-  model (Kendall) and a default-flags GBT model on the train side, each
+  model (Kendall), a GP model over the 3 metrics that align best on their
+  own (`--top-k 3`) and a default-flags GBT model on the train side, each
   scored, evaluated and reported on the test side;
 - the pairwise JSONL path: preference pairs of same-segment systems whose
-  human scores differ (the higher one chosen), split by pair, a GP model
+  human scores differ (the higher one chosen), split by pair, then a GP
+  model and a GBT model pruned over 2 rounds on a short size grid, trained
   on the train pairs, scored and evaluated on the test pairs.
 
 Two checkouts that print the same lines produce the same artifacts.  The
@@ -80,8 +82,13 @@ def quick_start(work: str, seed: str) -> None:
         "--test-output", p("pairs_test.jsonl"))
     models = (
         ("gp", "train.csv", "csv", ["--method", "gp", "--objective", "kendall"]),
+        ("gp_top3", "train.csv", "csv", ["--method", "gp", "--objective", "kendall",
+                                          "--top-k", "3"]),
         ("gbt", "train.csv", "csv", ["--method", "gbt"]),
         ("gp_pairs", "pairs_train.jsonl", "jsonl", ["--method", "gp"]),
+        ("gbt_pairs", "pairs_train.jsonl", "jsonl", [
+            "--method", "gbt", "--n-estimators-low", "10", "--n-estimators-high", "30",
+            "--n-estimators-step", "10", "--prune-iterations", "2"]),
     )
     for tag, train, fmt, flags in models:
         model = p(f"{tag}.json")
