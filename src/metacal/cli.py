@@ -36,7 +36,7 @@ from .harness import (
     grouped_pairwise_accuracy,
 )
 from .objectives import ObjectiveKind
-from .preprocess import PreprocessConfig, normalize_matrix
+from .preprocess import normalize_matrix
 from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
 
 _OBJECTIVES = {
@@ -115,12 +115,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     validate_alignment(matrix, target)
 
     if run.top_k is not None:
-        normalized = normalize_matrix(matrix, PreprocessConfig(specs))
+        normalized = normalize_matrix(matrix, specs)
         keep = select_top_k(normalized, target, run.objective, run.top_k)
         matrix = matrix.take_columns(keep)
         specs = tuple(specs[i] for i in keep)
 
-    normalized = normalize_matrix(matrix, PreprocessConfig(specs))
+    normalized = normalize_matrix(matrix, specs)
     if run.method == "gp":
         config = GpConfig(
             init_points=args.init_points,

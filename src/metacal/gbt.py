@@ -12,6 +12,13 @@ on the lowest feature index, then the lowest threshold.  No histogramming,
 subsampling, or early stopping; feature counts here are small and exactness
 keeps the arithmetic auditable.
 
+A `Tree` is five parallel node arrays in pre-order: `feature`, `threshold`,
+`gain`, `value` and `right`.  A split's left child is the next node and its
+right child is node `right[i]`, with i + 1 < right[i] < tree size; the root
+is never a right child, so `right[i] == 0` marks a leaf.  Leaves hold 0 in
+`feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer and the
+model-file reader both build trees through `Tree.grow`.
+
 On top of the trainer sit k-fold cross-validation, a grid search over the
 ensemble size, and iterative pruning: repeatedly drop the feature with the
 least total-gain importance, track CV performance, and keep the model of
@@ -25,9 +32,9 @@ staged-prediction idea of XGBoost's `iteration_range`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -100,21 +107,52 @@ class GbtConfig:
         )
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: float
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One regression tree as parallel node arrays in pre-order (see the
+    module docstring), held as read-only copies and compared by value."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    value: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), np.intp if f.name in ("feature", "right") else float)
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+            if arr.ndim != 1 or not arr.size or arr.shape != self.feature.shape:
+                raise MetacalError("tree node arrays must be 1-D, non-empty and of one length")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Tree) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @classmethod
+    def grow(cls, root: Any, visit: Callable[[Any], tuple]) -> "Tree":
+        """The tree below `root` in pre-order: `visit(node)` returns `(value,)`
+        for a leaf, `(feature, threshold, gain, left, right)` for a split."""
+        rows: list[list] = []
+
+        def add(node: Any) -> None:
+            found = visit(node)
+            if len(found) == 1:
+                rows.append([0, 0.0, 0.0, found[0], 0])
+                return
+            rows.append(row := [*found[:3], 0.0, 0])
+            add(found[3])  # the left child is the next row
+            row[4] = len(rows)
+            add(found[4])
+
+        add(root)
+        return cls(*zip(*rows))
 
 
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    gain: float
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Split]
+def _stacked(trees: Sequence[Tree], name: str) -> np.ndarray:
+    """Node array `name` of every tree, concatenated in tree order."""
+    return np.concatenate([getattr(t, name) for t in trees] or [np.zeros(0, np.intp)])
 
 
 @dataclass(frozen=True)
@@ -123,47 +161,45 @@ class TreeEnsemble:
     of per-tree outputs.  Routing rule at a split: x[feature] < threshold
     goes left."""
 
-    trees: tuple[Node, ...]
+    trees: tuple[Tree, ...]
     base_score: float
     learning_rate: float
 
     def validate(self, n_features: int) -> None:
-        """Reject split features outside [0, n_features) and a non-finite
-        base score, learning rate, threshold, gain or leaf value."""
+        """Reject split features outside [0, n_features), a split whose right
+        child is not in (i + 1, tree size), and a non-finite base score,
+        learning rate, threshold, gain or leaf value."""
         if not math.isfinite(self.base_score):
             raise MetacalError("non-finite base_score")
         if not math.isfinite(self.learning_rate):
             raise MetacalError("non-finite learning_rate")
-        stack = list(self.trees)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                if not math.isfinite(node.value):
-                    raise MetacalError("non-finite leaf value")
-                continue
-            if not 0 <= node.feature < n_features:
-                raise MetacalError(
-                    f"tree references feature index {node.feature} but only "
-                    f"{n_features} metrics are retained"
-                )
-            if not (math.isfinite(node.threshold) and math.isfinite(node.gain)):
-                raise MetacalError("non-finite split threshold or gain")
-            stack.append(node.left)
-            stack.append(node.right)
+        feature, threshold, gain, value, right = (_stacked(self.trees, f.name) for f in fields(Tree))
+        split = right != 0
+        bad = feature[split & ((feature < 0) | (feature >= n_features))]
+        if bad.size:
+            raise MetacalError(
+                f"tree references feature index {bad[0]} but only "
+                f"{n_features} metrics are retained"
+            )
+        if not np.isfinite(value[~split]).all():
+            raise MetacalError("non-finite leaf value")
+        if not (np.isfinite(threshold[split]).all() and np.isfinite(gain[split]).all()):
+            raise MetacalError("non-finite split threshold or gain")
+        sizes = [t.right.size for t in self.trees]
+        node = np.arange(right.size) - np.repeat(np.cumsum(sizes, dtype=np.intp) - sizes, sizes)
+        if np.any(split & ((right <= node + 1) | (right >= np.repeat(sizes, sizes)))):
+            raise MetacalError("a split's right child must lie after its left child, inside the tree")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        out = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * _predict_tree(tree, x)
-        return out
+        return list(self.staged_predict(features))[-1]
 
     def staged_predict(self, features: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the predictions of the first 1, 2, ... trees, bit for bit
+        """Yield the predictions of the first 0, 1, 2, ... trees, bit for bit
         what `predict` returns for the truncated ensemble.  The yielded
         array is updated in place by the next step."""
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         out = np.full(x.shape[0], self.base_score, dtype=np.float64)
+        yield out
         for tree in self.trees:
             out += self.learning_rate * _predict_tree(tree, x)
             yield out
@@ -220,17 +256,19 @@ class RankingPairs:
 Target = Union[np.ndarray, RankingPairs]
 
 
-def _predict_tree(node: Node, x: np.ndarray) -> np.ndarray:
+def _predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
+    feature, threshold, value, right = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.value, tree.right))
     out = np.empty(x.shape[0], dtype=np.float64)
-    stack = [(node, np.arange(x.shape[0]))]
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
-        current, idx = stack.pop()
-        if isinstance(current, Leaf):
-            out[idx] = current.value
+        i, idx = stack.pop()
+        if right[i] == 0:
+            out[idx] = value[i]
             continue
-        goes_left = x[idx, current.feature] < current.threshold
-        stack.append((current.left, idx[goes_left]))
-        stack.append((current.right, idx[~goes_left]))
+        goes_left = x[idx, feature[i]] < threshold[i]
+        stack.append((i + 1, idx[goes_left]))
+        stack.append((right[i], idx[~goes_left]))
     return out
 
 
@@ -314,26 +352,21 @@ def _best_split(
 def _build_tree(
     x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     reg_lambda: float, gamma: float, max_depth: int,
-) -> Node:
-    def build(idx: np.ndarray, depth: int) -> Node:
+) -> Tree:
+    def visit(node: tuple[np.ndarray, int]) -> tuple:
+        idx, depth = node
         g = float(grad[idx].sum())
         h = float(hess[idx].sum())
-        leaf_value = -g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0
+        leaf = (-g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0,)
         if depth >= max_depth or idx.size < 2:
-            return Leaf(leaf_value)
+            return leaf
         found = _best_split(x, grad, hess, idx, reg_lambda, gamma)
         if found is None or found[0] <= 0.0:
-            return Leaf(leaf_value)
+            return leaf
         gain, feature, threshold, left_idx, right_idx = found
-        return Split(
-            feature=feature,
-            threshold=threshold,
-            gain=gain,
-            left=build(left_idx, depth + 1),
-            right=build(right_idx, depth + 1),
-        )
+        return feature, threshold, gain, (left_idx, depth + 1), (right_idx, depth + 1)
 
-    return build(np.arange(x.shape[0]), 0)
+    return Tree.grow((np.arange(x.shape[0]), 0), visit)
 
 
 def gbt_train(
@@ -376,7 +409,7 @@ def gbt_train(
             raise InvalidTarget("squared log error requires targets > -1")
 
     preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
-    trees: list[Node] = []
+    trees: list[Tree] = []
     for _ in range(n_estimators):
         if y is not None:
             grad, hess = _regression_grad_hess(config.loss, preds, y)
@@ -397,18 +430,11 @@ def gbt_train(
 def feature_importance(model: TreeEnsemble, n_features: int) -> np.ndarray:
     """Total split gain per feature index; never-split features get 0.
 
-    Gains are added tree by tree in pre-order (node, left, right), without
-    recursion, so arbitrarily deep loaded trees are safe."""
-    totals = [0.0] * n_features
-    for tree in model.trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Split):
-                totals[node.feature] += node.gain
-                stack.append(node.right)
-                stack.append(node.left)
-    return np.asarray(totals)
+    Gains are added in node order, tree by tree, each tree in pre-order
+    (node, left subtree, right subtree)."""
+    feature, gain, right = (_stacked(model.trees, name) for name in ("feature", "gain", "right"))
+    split = right != 0
+    return np.bincount(feature[split], weights=gain[split], minlength=n_features)
 
 
 def _pointwise_folds(
@@ -482,7 +508,7 @@ def _cv_curve(
             held_x = x[np.concatenate([target.chosen[hold], target.rejected[hold]])]
             fold_scores.append({
                 n: pairwise_accuracy(preds[:n_held], preds[n_held:])
-                for n, preds in enumerate(model.staged_predict(held_x), start=1)
+                for n, preds in enumerate(model.staged_predict(held_x))
                 if n in wanted
             })
     else:
@@ -493,7 +519,7 @@ def _cv_curve(
             model = gbt_train(x[keep], y[keep], config, n_trees)
             fold_scores.append({
                 n: score_or_worst(objective, preds, y[hold])
-                for n, preds in enumerate(model.staged_predict(x[hold]), start=1)
+                for n, preds in enumerate(model.staged_predict(x[hold]))
                 if n in wanted
             })
     return [float(np.mean([scores[n] for scores in fold_scores])) for n in sizes]

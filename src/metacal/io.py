@@ -35,7 +35,7 @@ from .core import (
     unstack_pairs,
     validate_alignment,
 )
-from .gbt import Leaf, Node, Split, TreeEnsemble
+from .gbt import Tree, TreeEnsemble, feature_importance
 from .gp import expand_matrix, expanded_feature_names
 from .harness import EvalReport
 from .preprocess import normalize_values
@@ -255,7 +255,7 @@ def save_specs(specs: Sequence[MetricSpec], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_value(text: str, line: int, column: str) -> float:
+def _parse_value(text: str | float, line: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
@@ -378,8 +378,9 @@ def load_scores_jsonl(
         {"group": ..., "category": ..., "chosen": {metric: value},
          "rejected": {metric: value}}
 
-    Returns the stacked member matrix (chosen at row 2i, rejected at 2i+1)
-    and the pairwise target.
+    Metric values must be finite JSON numbers, and `group` and `category`
+    JSON strings; nothing is coerced.  Returns the stacked member matrix
+    (chosen at row 2i, rejected at 2i+1) and the pairwise target.
     """
     names = [s.name for s in specs]
     pairs: list[PreferencePair] = []
@@ -393,19 +394,22 @@ def load_scores_jsonl(
             record = _parse_json(raw, lambda reason: ParseError(line, reason))
             if not isinstance(record, dict) or "chosen" not in record or "rejected" not in record:
                 raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
-            group = str(record.get("group", line - 1))
-            category = str(record.get("category", "-"))
-            for side in ("chosen", "rejected"):
-                scores = record[side]
-                if not isinstance(scores, dict):
-                    raise ParseError(line, f"{side!r} must be an object of metric scores")
-                missing = [m for m in names if m not in scores]
-                if missing:
-                    raise HeaderMismatch(
-                        f"line {line}: {side} record missing metrics: {', '.join(missing)}"
-                    )
-                rows.append([_parse_value(str(scores[m]), line, m) for m in names])
-                ids.append(ExampleId("-", group, f"{len(pairs)}:{side}"))
+            try:
+                group = _json_str(record["group"], "group") if "group" in record else str(line - 1)
+                category = _json_str(record.get("category", "-"), "category")
+                for side in ("chosen", "rejected"):
+                    scores = record[side]
+                    if not isinstance(scores, dict):
+                        raise ParseError(line, f"{side!r} must be an object of metric scores")
+                    missing = [m for m in names if m not in scores]
+                    if missing:
+                        raise HeaderMismatch(
+                            f"line {line}: {side} record missing metrics: {', '.join(missing)}"
+                        )
+                    rows.append([_parse_value(_json_number(scores[m], m), line, m) for m in names])
+                    ids.append(ExampleId("-", group, f"{len(pairs)}:{side}"))
+            except TypeError as exc:
+                raise ParseError(line, str(exc)) from None
             pairs.append(PreferencePair(group_id=group, category=category))
     if not pairs:
         raise ParseError(1, "no pairwise records")
@@ -447,34 +451,31 @@ def load_scores(
 # ---------------------------------------------------------------------------
 
 
-def _node_to_obj(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"value": float(node.value)}
+def _tree_to_obj(tree: Tree, i: int = 0) -> dict:
+    if tree.right[i] == 0:
+        return {"value": float(tree.value[i])}
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "gain": float(node.gain),
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
+        "feature": int(tree.feature[i]),
+        "threshold": float(tree.threshold[i]),
+        "gain": float(tree.gain[i]),
+        "left": _tree_to_obj(tree, i + 1),
+        "right": _tree_to_obj(tree, int(tree.right[i])),
     }
 
 
-def _node_from_obj(obj: Any) -> Node:
-    if not isinstance(obj, dict):
-        raise MalformedModel(f"tree node must be an object, got {type(obj).__name__}")
-    if "value" in obj:
-        if set(obj) != {"value"}:
-            raise MalformedModel(f"leaf with unexpected keys: {sorted(obj)}")
-        return Leaf(value=_json_number(obj["value"], "value"))
-    expected = {"feature", "threshold", "gain", "left", "right"}
-    if set(obj) != expected:
-        raise MalformedModel(f"split with unexpected keys: {sorted(obj)}")
-    return Split(
-        feature=_json_int(obj["feature"], "feature"),
-        threshold=_json_number(obj["threshold"], "threshold"),
-        gain=_json_number(obj["gain"], "gain"),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
+def _node_fields(obj: Any) -> tuple:
+    """One nested JSON tree node as `Tree.grow` visits it."""
+    keys = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if keys == ["value"]:
+        return (_json_number(obj["value"], "value"),)
+    if keys != ["feature", "gain", "left", "right", "threshold"]:
+        raise MalformedModel(f"tree node must be a leaf or a split object, got {keys}")
+    return (
+        _json_int(obj["feature"], "feature"),
+        _json_number(obj["threshold"], "threshold"),
+        _json_number(obj["gain"], "gain"),
+        obj["left"],
+        obj["right"],
     )
 
 
@@ -488,7 +489,7 @@ def model_to_obj(model: CalibratedModel) -> dict:
         obj["weighting"] = model.weighting.value
         obj["weights"] = [float(w) for w in model.weights]
     else:
-        obj["trees"] = [_node_to_obj(t) for t in model.trees.trees]
+        obj["trees"] = [_tree_to_obj(t) for t in model.trees.trees]
         obj["base_score"] = float(model.trees.base_score)
         obj["learning_rate"] = float(model.trees.learning_rate)
     obj["objective_used"] = model.objective_used
@@ -531,7 +532,7 @@ def model_from_obj(obj: Any) -> CalibratedModel:
                 **common,
             )
         ensemble = TreeEnsemble(
-            trees=tuple(_node_from_obj(t) for t in obj["trees"]),
+            trees=tuple(Tree.grow(t, _node_fields) for t in obj["trees"]),
             base_score=_json_number(obj["base_score"], "base_score"),
             learning_rate=_json_number(obj["learning_rate"], "learning_rate"),
         )
@@ -625,8 +626,6 @@ def report_model(model: CalibratedModel, epsilon: float = 0.01) -> tuple[str, di
     Linear models list every stored weight and flag those below `epsilon` as
     dropped; tree models list total-gain importances, largest first.
     """
-    from .gbt import feature_importance
-
     if not math.isfinite(epsilon):
         raise MetacalError(f"sparsity epsilon must be finite, got {epsilon}")
     if model.kind is ModelKind.LINEAR:

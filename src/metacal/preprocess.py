@@ -9,38 +9,15 @@ ranges are metric knowledge, not something estimated from data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import MetacalError, MetricSpec, ScoreMatrix, _check_unique_names
+from .core import MetacalError, MetricSpec, ScoreMatrix
 
 
 class SpecMismatch(MetacalError):
-    """Preprocessing config does not line up with the matrix columns."""
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Ordered metric specs, one per score-matrix column."""
-
-    specs: tuple[MetricSpec, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-        _check_unique_names(self.specs)
-
-    def check_against(self, matrix: ScoreMatrix) -> None:
-        if len(self.specs) != matrix.n_metrics:
-            raise SpecMismatch(
-                f"{len(self.specs)} specs for {matrix.n_metrics} matrix columns"
-            )
-        for spec, name in zip(self.specs, matrix.metric_names):
-            if spec.name != name:
-                raise SpecMismatch(
-                    f"spec {spec.name!r} does not match column {name!r}"
-                )
+    """Metric specs do not line up with the matrix columns."""
 
 
 def normalize_score(raw: float, spec: MetricSpec) -> float:
@@ -66,13 +43,16 @@ def normalize_values(values: np.ndarray, specs: Sequence[MetricSpec]) -> np.ndar
     return out
 
 
-def normalize_matrix(matrix: ScoreMatrix, config: PreprocessConfig) -> ScoreMatrix:
-    """Apply `normalize_score` element-wise; example ids pass through."""
-    config.check_against(matrix)
+def normalize_matrix(matrix: ScoreMatrix, specs: Sequence[MetricSpec]) -> ScoreMatrix:
+    """Apply `normalize_score` element-wise; example ids pass through.
+    `specs` name the matrix columns in order."""
+    names = tuple(s.name for s in specs)
+    if names != matrix.metric_names:
+        raise SpecMismatch(f"specs {list(names)} do not match columns {list(matrix.metric_names)}")
     return ScoreMatrix(
         matrix.metric_names,
         matrix.example_ids,
-        normalize_values(matrix.values, config.specs),
+        normalize_values(matrix.values, specs),
     )
 
 

@@ -31,8 +31,14 @@ def _tokens(text: str) -> list[str]:
     return text.split()
 
 
-def _ngram_counts(items: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(items[i : i + n]) for i in range(len(items) - n + 1))
+def _ngram_overlap(hyp: Sequence[str], ref: Sequence[str], n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of `hyp` in `ref` (each n-gram counts at most
+    as often as `ref` has it), and the n-gram totals of `hyp` and `ref`."""
+    hyp_counts, ref_counts = (
+        Counter(tuple(items[i : i + n]) for i in range(len(items) - n + 1)) for items in (hyp, ref)
+    )
+    matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    return matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)
 
 
 def bleu(pair: SegmentPair, max_n: int = 4) -> float:
@@ -48,10 +54,7 @@ def bleu(pair: SegmentPair, max_n: int = 4) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        total = max(len(hyp) - n + 1, 0)
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        matched, total, _ = _ngram_overlap(hyp, ref, n)
         if n == 1:
             if matched == 0:
                 return 0.0
@@ -81,11 +84,7 @@ def chrf(pair: SegmentPair, char_n: int = 6, beta: float = 2.0) -> float:
     precisions = []
     recalls = []
     for n in range(1, char_n + 1):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        hyp_total = max(len(hyp) - n + 1, 0)
-        ref_total = max(len(ref) - n + 1, 0)
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        matched, hyp_total, ref_total = _ngram_overlap(hyp, ref, n)
         if hyp_total > 0:
             precisions.append(matched / hyp_total)
         if ref_total > 0:
@@ -99,15 +98,11 @@ def chrf(pair: SegmentPair, char_n: int = 6, beta: float = 2.0) -> float:
 
 
 def _ngram_f1(hyp: Sequence[str], ref: Sequence[str], n: int) -> float:
-    hyp_counts = _ngram_counts(hyp, n)
-    ref_counts = _ngram_counts(ref, n)
-    hyp_total = max(len(hyp) - n + 1, 0)
-    ref_total = max(len(ref) - n + 1, 0)
+    matched, hyp_total, ref_total = _ngram_overlap(hyp, ref, n)
     if hyp_total == 0 and ref_total == 0:
         return 1.0
     if hyp_total == 0 or ref_total == 0:
         return 0.0
-    matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
     precision = matched / hyp_total
     recall = matched / ref_total
     if precision + recall == 0.0:

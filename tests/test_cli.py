@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from metacal.cli import main
 from metacal.core import CalibratedModel, MetricSpec, ModelKind, Weighting
-from metacal.gbt import Leaf, Split, TreeEnsemble
+from metacal.gbt import Tree, TreeEnsemble
 from metacal.io import dumps_canonical, load_model, load_scores_csv, model_to_obj, save_model, save_specs
 from metacal.textmetrics import builtin_specs
 
@@ -207,6 +207,10 @@ class TestUnreadableInputs:
         assert rc == 2
 
 
+def _leaf(value: float) -> Tree:
+    return Tree(feature=[0], threshold=[0.0], gain=[0.0], value=[value], right=[0])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestOverflowingModel:
     """A valid model whose two 1e308 leaves add up to inf meta-scores."""
@@ -217,7 +221,7 @@ class TestOverflowingModel:
         save_model(CalibratedModel(
             kind=ModelKind.GBT, metric_specs=builtin_specs(METRICS),
             objective_used="kendall", seed=0,
-            trees=TreeEnsemble((Leaf(1e308), Leaf(1e308)), base_score=0.5, learning_rate=1.0),
+            trees=TreeEnsemble((_leaf(1e308), _leaf(1e308)), base_score=0.5, learning_rate=1.0),
         ), path)
         return path
 
@@ -286,8 +290,10 @@ def _fuzz_model(kind: ModelKind) -> bytes:
         model = CalibratedModel(kind=kind, weighting=Weighting.COMBINED,
                                 weights=(0.6, 0.25, 0.5), **common)
     else:
-        tree = Split(1, 0.5, 1.25, Leaf(-0.125), Split(0, 0.25, 0.5, Leaf(0.5), Leaf(0.75)))
-        model = CalibratedModel(kind=kind, trees=TreeEnsemble((tree, Leaf(0.5)), 0.5, 0.1),
+        # split(1, 0.5) -> leaf -0.125 | split(0, 0.25) -> leaf 0.5 | leaf 0.75
+        tree = Tree(feature=[1, 0, 0, 0, 0], threshold=[0.5, 0, 0.25, 0, 0],
+                    gain=[1.25, 0, 0.5, 0, 0], value=[0, -0.125, 0, 0.5, 0.75], right=[2, 0, 4, 0, 0])
+        model = CalibratedModel(kind=kind, trees=TreeEnsemble((tree, _leaf(0.5)), 0.5, 0.1),
                                 **common)
     return dumps_canonical(model_to_obj(model)).encode()
 
@@ -366,6 +372,8 @@ def _argv(base: Path, template: list[str]) -> list[str]:
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _BAD_VALUES = (b"nan", b"NaN", b"inf", b"-Infinity", b"1e999", b"-1e308", b"abc", b"",
                b"true", b"null", b'"0.5"', b"[]", b"{}", b"2.5", b"-7", b"1" * 5000)
+_STRING_VALUE = re.compile(rb'(?<=": )"[^"]*"')  # a JSON string after a key
+_RETYPED = (b"7", b"-0.5", b"[1]", b'["g0"]', b"{}", b"null", b"true")
 
 
 @st.composite
@@ -373,7 +381,8 @@ def _corrupted_file(draw):
     name = draw(st.sampled_from(sorted(_FUZZ_FILES)))
     data = _FUZZ_FILES[name]
     n = len(data)
-    op = draw(st.sampled_from(["truncate", "flip", "repeat", "drop", "line", "value"]))
+    ops = ["truncate", "flip", "repeat", "drop", "line", "value"]
+    op = draw(st.sampled_from(ops + ["retype"] * (b'": "' in data)))
     if op == "truncate":
         return name, data[: draw(st.integers(0, n - 1))]
     if op == "flip":
@@ -382,6 +391,9 @@ def _corrupted_file(draw):
     if op == "value":
         start, end = draw(st.sampled_from([m.span() for m in _NUMBER.finditer(data)]))
         return name, data[:start] + draw(st.sampled_from(_BAD_VALUES)) + data[end:]
+    if op == "retype":  # a string field, such as a JSONL group, of another JSON type
+        start, end = draw(st.sampled_from([m.span() for m in _STRING_VALUE.finditer(data)]))
+        return name, data[:start] + draw(st.sampled_from(_RETYPED)) + data[end:]
     if op == "line":
         lines = data.splitlines(keepends=True)
         i = draw(st.integers(0, len(lines) - 1))
@@ -398,6 +410,7 @@ def _corrupted_file(draw):
 @given(_corrupted_file())
 @example(("specs.json", b"[{"))  # json.JSONDecodeError
 @example(("pairs.jsonl", b'{"chosen": {"a": ' + b"1" * 5000 + b"}}"))  # int too long to convert
+@example(("pairs.jsonl", _FUZZ_FILES["pairs.jsonl"].replace(b'"g0"', b"7", 1)))  # a number as group
 @example(("scores.csv", _FUZZ_FILES["scores.csv"] + b'd,s,"' + b"x" * 140_000))  # csv field limit
 @settings(max_examples=120, deadline=None)
 def test_corrupted_inputs_exit_0_or_2_and_leave_no_temp_file(corrupted):
@@ -412,8 +425,8 @@ def test_corrupted_inputs_exit_0_or_2_and_leave_no_temp_file(corrupted):
 
 
 class TestJsonFieldTypes:
-    """A spec or model field of the wrong JSON type exits 2; it is never
-    coerced to a boolean or an integer."""
+    """A spec, model or JSONL score field of the wrong JSON type exits 2; it
+    is never coerced to a boolean, a number, an integer or a string."""
 
     @pytest.fixture()
     def work(self, tmp_path):
@@ -465,6 +478,23 @@ class TestJsonFieldTypes:
         }
         self._edit(work / name, lambda obj: holders[name](obj).update({field: value}))
         for template in _READERS[name]:
+            assert main(_argv(work, template)) == 2, template
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("group", 7), ("group", [1]), ("group", None), ("category", 3), ("category", True),
+        ("chosen", "0.5"), ("chosen", True), ("rejected", None), ("rejected", [0.5]),
+        ("rejected", 2**53 + 1), ("chosen", float("nan")), ("rejected", float("-inf")),
+    ])
+    def test_jsonl_fields_need_their_json_type(self, work, field, value):
+        path = work / "pairs.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if field in ("chosen", "rejected"):
+            records[3][field]["a"] = value
+        else:
+            records[3][field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        for template in _READERS["pairs.jsonl"]:
             assert main(_argv(work, template)) == 2, template
 
 

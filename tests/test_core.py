@@ -108,11 +108,12 @@ class TestCalibratedModel:
             )
 
     def test_gbt_feature_index_bound(self):
-        from metacal.gbt import Leaf, Split, TreeEnsemble
+        from metacal.gbt import Tree, TreeEnsemble
 
         specs = (MetricSpec("only", 0, 1),)
         bad = TreeEnsemble(
-            trees=(Split(feature=3, threshold=0.5, gain=1.0, left=Leaf(0.0), right=Leaf(1.0)),),
+            trees=(Tree(feature=[3, 0, 0], threshold=[0.5, 0, 0], gain=[1.0, 0, 0],
+                        value=[0.0, 0.0, 1.0], right=[2, 0, 0]),),
             base_score=0.5, learning_rate=0.1,
         )
         with pytest.raises(MetacalError, match="feature index"):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 import metacal.gbt as gbt_mod
-from metacal.core import MetricSpec, ModelKind
+from metacal.core import MetacalError, MetricSpec, ModelKind
 from metacal.gbt import (
     GbtConfig,
     GbtLoss,
     InvalidTarget,
-    Leaf,
     RankingPairs,
-    Split,
     TooFewExamples,
+    Tree,
     TreeEnsemble,
     calibrate_gbt,
     cross_validate,
@@ -33,13 +32,6 @@ def _single_round(**overrides):
     return GbtConfig(**base)
 
 
-def _walk(node, path=()):
-    yield node, path
-    if isinstance(node, Split):
-        yield from _walk(node.left, path + ("L",))
-        yield from _walk(node.right, path + ("R",))
-
-
 class TestGbtTrain:
     def test_analytic_depth_one_split(self):
         cfg = _single_round(max_depth=1, learning_rate=1.0, reg_lambda=0.0)
@@ -47,9 +39,9 @@ class TestGbtTrain:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         model = gbt_train(x, y, cfg, 1)
         tree = model.trees[0]
-        assert isinstance(tree, Split)
-        assert tree.left.value == -0.5
-        assert tree.right.value == 0.5
+        assert tree.right[0] != 0  # the root is a split
+        assert tree.value[1] == -0.5
+        assert tree.value[tree.right[0]] == 0.5
         np.testing.assert_array_equal(model.predict(x), y)
 
     def test_constant_targets(self):
@@ -59,9 +51,9 @@ class TestGbtTrain:
         model = gbt_train(x, y, cfg, 3)
         np.testing.assert_array_equal(model.predict(x), y)
         for tree in model.trees:
-            assert isinstance(tree, Leaf)
-        assert model.trees[1].value == 0.0
-        assert model.trees[2].value == 0.0
+            assert tree.right.tolist() == [0]  # a single leaf
+        assert model.trees[1].value[0] == 0.0
+        assert model.trees[2].value[0] == 0.0
 
     def test_squared_loss_non_increasing(self):
         rng = np.random.default_rng(0)
@@ -135,10 +127,10 @@ class TestGbtTrain:
             hess = np.ones_like(grad)
 
             def check(node, idx):
-                if isinstance(node, Leaf):
+                if tree.right[node] == 0:
                     return
-                left = idx[x[idx, node.feature] < node.threshold]
-                right = idx[x[idx, node.feature] >= node.threshold]
+                left = idx[x[idx, tree.feature[node]] < tree.threshold[node]]
+                right = idx[x[idx, tree.feature[node]] >= tree.threshold[node]]
                 gl, hl = grad[left].sum(), hess[left].sum()
                 gr, hr = grad[right].sum(), hess[right].sum()
                 expected = 0.5 * (
@@ -146,12 +138,65 @@ class TestGbtTrain:
                     + gr * gr / (hr + lam)
                     - (gl + gr) ** 2 / (hl + hr + lam)
                 ) - gamma
-                assert node.gain == pytest.approx(expected, abs=1e-9)
-                check(node.left, left)
-                check(node.right, right)
+                assert tree.gain[node] == pytest.approx(expected, abs=1e-9)
+                check(node + 1, left)
+                check(tree.right[node], right)
 
-            check(tree, np.arange(60))
+            check(0, np.arange(60))
             preds = preds + model.learning_rate * gbt_mod._predict_tree(tree, x)
+
+
+class TestTreeLayout:
+    # split(x0 < 0.5) -> [split(x0 < 0.25) -> leaf 1 | leaf 2] | leaf 3, in pre-order
+    ARRAYS = dict(feature=[0, 0, 0, 0, 0], threshold=[0.5, 0.25, 0, 0, 0],
+                  gain=[2.0, 1.0, 0, 0, 0], value=[0, 0, 1.0, 2.0, 3.0], right=[4, 3, 0, 0, 0])
+
+    def _ensemble(self, **changes):
+        return TreeEnsemble((Tree(**{**self.ARRAYS, **changes}),), base_score=0.0, learning_rate=1.0)
+
+    def test_routes_by_preorder_arrays(self):
+        x = np.array([[0.1], [0.25], [0.4], [0.5], [0.9]])
+        np.testing.assert_array_equal(self._ensemble().predict(x), [1.0, 2.0, 2.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("right", [
+        [1, 3, 0, 0, 0],  # the root's right child is its left child
+        [-1, 3, 0, 0, 0],
+        [5, 3, 0, 0, 0],  # one past the end
+        [4, 1, 0, 0, 0],  # node 1 points back at itself
+        [4, 2, 0, 0, 0],
+        [4, 9, 0, 0, 0],
+    ])
+    def test_validate_rejects_right_child_backwards_or_past_the_end(self, right):
+        self._ensemble().validate(1)
+        with pytest.raises(MetacalError, match="right child"):
+            self._ensemble(right=right).validate(1)
+
+    @pytest.mark.parametrize("feature", [-1, 1])
+    def test_validate_rejects_split_feature_outside_the_columns(self, feature):
+        with pytest.raises(MetacalError, match=f"feature index {feature} "):
+            self._ensemble(feature=[0, feature, 0, 0, 0]).validate(1)
+        self._ensemble(feature=[0, 0, feature, 0, 0]).validate(1)  # a leaf's feature is unused
+
+    def test_arrays_are_read_only_copies(self):
+        value = np.array(self.ARRAYS["value"])
+        tree = Tree(**{**self.ARRAYS, "value": value})
+        value[2] = 9.0
+        assert tree.value[2] == 1.0
+        with pytest.raises(ValueError):
+            tree.value[2] = 9.0
+
+    @pytest.mark.parametrize("changes", [
+        {"gain": [2.0, 1.0, 0, 0]},
+        {"right": [[4, 3, 0, 0, 0]]},
+        {name: [] for name in ARRAYS},
+    ])
+    def test_arrays_must_be_flat_non_empty_and_aligned(self, changes):
+        with pytest.raises(MetacalError, match="tree node arrays"):
+            Tree(**{**self.ARRAYS, **changes})
+
+    def test_equality_is_by_value(self):
+        assert self._ensemble() == self._ensemble()
+        assert self._ensemble() != self._ensemble(value=[0, 0, 1.0, 2.0, 3.5])
 
 
 class TestFeatureImportance:
@@ -198,14 +243,14 @@ class TestFeatureImportance:
         model = gbt_train(x, y, _single_round(max_depth=5), 60)
         totals = [0.0] * 3
 
-        def walk(node):
-            if isinstance(node, Split):
-                totals[node.feature] += node.gain
-                walk(node.left)
-                walk(node.right)
+        def walk(tree, node):
+            if tree.right[node] != 0:
+                totals[tree.feature[node]] += tree.gain[node]
+                walk(tree, node + 1)
+                walk(tree, tree.right[node])
 
         for tree in model.trees:
-            walk(tree)
+            walk(tree, 0)
         assert feature_importance(model, 3).tolist() == totals
 
 

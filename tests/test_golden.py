@@ -1,0 +1,71 @@
+"""Byte identity of GBT model files on the bundled desk corpus.
+
+Runs `basemetrics`, `split` at seed 0 and a short-grid pruned GBT
+calibration through `metacal.cli.main`, on the CSV path and on a pairwise
+JSONL path, and compares the sha256 of each model file and of its `report`
+output with the values pinned below.  The GBT trainer calls no BLAS
+routine, so the pins do not depend on BLAS threading.  A change that moves
+a pin changes what users get from the same inputs; re-pin only with the
+reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from metacal.cli import main
+from metacal.io import save_specs
+from metacal.textmetrics import BUILTIN_METRICS, builtin_specs
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "metacal" / "data" / "desk_corpus.csv"
+SHORT_PRUNED_GBT = ["--method", "gbt", "--n-estimators-low", "10", "--n-estimators-high", "30",
+                    "--n-estimators-step", "10", "--prune-iterations", "2"]
+
+PINNED = {
+    "csv": {
+        "model": "2752bd5bb59f4f44c263372fbd5d6963e6ead16689dc03a9f392c1edf2990e3d",
+        "report": "188e52adee9a7539b1b47b11400239a3ba6b733a16561dce78863f0cfdf24772",
+    },
+    "jsonl": {
+        "model": "4decb2d422243c10b20f3df71692593137f7547c97d946ca51d3fe4fc7c7a999",
+        "report": "b0eaa82db920fa0739eb7d790b92a09e0050cd0596c16e31d12c3ff2598bd922",
+    },
+}
+
+
+def _write_pairs(scores_csv: Path, path: Path) -> None:
+    """The pairwise JSONL input of `tools/artifact_digests.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_pairs(str(scores_csv), str(path))
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory) -> Path:
+    base = tmp_path_factory.mktemp("golden")
+    assert main(["basemetrics", "--input", str(CORPUS), "--output", str(base / "scores.csv")]) == 0
+    save_specs(builtin_specs(list(BUILTIN_METRICS)), str(base / "specs.json"))
+    _write_pairs(base / "scores.csv", base / "scores.jsonl")
+    return base
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_pruned_gbt_model_bytes_are_pinned(work, fmt):
+    scores, train, test = (str(work / f"{stem}.{fmt}") for stem in ("scores", "train", "test"))
+    model, report = str(work / f"gbt_{fmt}.json"), str(work / f"report_{fmt}.json")
+    specs = str(work / "specs.json")
+    assert main(["split", "--scores", scores, "--specs", specs, "--format", fmt, "--seed", "0",
+                 "--train-output", train, "--test-output", test]) == 0
+    assert main(["calibrate", "--scores", train, "--specs", specs, "--format", fmt,
+                 "--seed", "0", "--output", model, *SHORT_PRUNED_GBT]) == 0
+    assert main(["report", "--model", model, "--output", report]) == 0
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in (("model", model), ("report", report))}
+    assert digests == PINNED[fmt]

@@ -18,7 +18,7 @@ from metacal.core import (
     ScoreMatrix,
     Weighting,
 )
-from metacal.gbt import GbtConfig, Leaf, Split, gbt_train
+from metacal.gbt import GbtConfig, gbt_train
 from metacal.io import (
     ColumnMismatch,
     HeaderMismatch,
@@ -227,6 +227,36 @@ class TestScoresJsonlRoundTrip:
             fh.write("{not json\n")
         with pytest.raises(ParseError, match="line 1"):
             load_scores_jsonl(path, _specs())
+
+    @pytest.mark.parametrize("edit", [
+        {"group": 7}, {"group": [1]}, {"group": None}, {"category": 3},
+        {"chosen": {"alpha": "0.5", "beta": 1, "gamma": 1}},
+        {"rejected": {"alpha": True, "beta": 1, "gamma": 1}},
+        {"rejected": {"alpha": 2**53 + 1, "beta": 1, "gamma": 1}},
+    ])
+    def test_fields_are_never_coerced(self, tmp_path, edit):
+        record = {"group": "g", "category": "c", "chosen": {"alpha": 1, "beta": 1, "gamma": 1},
+                  "rejected": {"alpha": 0, "beta": 0.5, "gamma": 0}}
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, **edit}) + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_scores_jsonl(str(path), _specs())
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, literal):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"chosen": {"alpha": 1, "beta": 1, "gamma": 1}, '
+                        f'"rejected": {{"alpha": 0, "beta": {literal}, "gamma": 0}}}}\n')
+        with pytest.raises(NonFiniteValue, match="'beta'"):
+            load_scores_jsonl(str(path), _specs())
+
+    def test_absent_group_and_category_defaults(self, tmp_path):
+        record = {"chosen": {"alpha": 1, "beta": 1, "gamma": 1},
+                  "rejected": {"alpha": 0, "beta": 0, "gamma": 0}}
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n")
+        _, target = load_scores_jsonl(str(path), _specs())
+        assert [(p.group_id, p.category) for p in target.pairwise] == [("1", "-")]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -463,6 +493,56 @@ class TestModelFileRoundTrip:
         assert self._round_trip(text) in (None, text)
 
 
+# Probe rows with repeated values; split thresholds are drawn from them, so
+# rows land exactly on x == threshold and must route right.
+_PROBES = np.round(np.random.default_rng(9).uniform(0.0, 1.0, (40, 3)), 1)
+_NESTED_TREES = st.recursive(
+    st.builds(lambda v: {"value": v}, st.floats(-4, 4) | st.just(-0.0)),
+    lambda child: st.builds(
+        lambda f, row, gain, left, right: {"feature": f, "threshold": float(_PROBES[row, f]),
+                                           "gain": gain, "left": left, "right": right},
+        st.integers(0, 2), st.integers(0, len(_PROBES) - 1), st.floats(0, 10), child, child),
+    max_leaves=24,
+)
+
+
+class TestFlatTreeLayout:
+    """Nested model-file trees and the flat pre-order `Tree` arrays agree."""
+
+    @staticmethod
+    def _walk(node, row):
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
+        return node["value"]
+
+    @staticmethod
+    def _add_gains(node, totals):
+        if "feature" in node:
+            totals[node["feature"]] += node["gain"]
+            TestFlatTreeLayout._add_gains(node["left"], totals)
+            TestFlatTreeLayout._add_gains(node["right"], totals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees=st.lists(_NESTED_TREES, min_size=1, max_size=4))
+    def test_loaded_tree_predicts_saves_and_sums_like_the_nested_tree(self, trees):
+        from metacal.gbt import feature_importance
+
+        obj = model_to_obj(_gbt_model(np.random.default_rng(4)))
+        obj["trees"] = trees
+        ensemble = model_from_obj(obj).trees
+        preds = ensemble.predict(_PROBES)
+        for i, row in enumerate(_PROBES):
+            expected = ensemble.base_score
+            for tree in trees:
+                expected += ensemble.learning_rate * self._walk(tree, row)
+            assert preds[i] == expected
+        assert dumps_canonical(model_to_obj(model_from_obj(obj))) == dumps_canonical(obj)
+        totals = [0.0] * 3
+        for tree in trees:
+            self._add_gains(tree, totals)
+        assert feature_importance(ensemble, 3).tolist() == totals
+
+
 class TestScoreWithModel:
     def test_one_hot_weight_selects_column(self):
         specs = (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))
@@ -502,10 +582,11 @@ class TestScoreWithModel:
         matrix = ScoreMatrix(("alpha", "beta", "gamma"), ids, values)
         got = score_with_model(model, matrix)
 
-        def walk(node, row):
-            while isinstance(node, Split):
-                node = node.left if row[node.feature] < node.threshold else node.right
-            return node.value
+        def walk(tree, row):
+            node = 0
+            while tree.right[node] != 0:
+                node = node + 1 if row[tree.feature[node]] < tree.threshold[node] else tree.right[node]
+            return tree.value[node]
 
         for i in range(30):
             expected = model.trees.base_score + model.trees.learning_rate * sum(

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from metacal.core import ExampleId, MetricSpec, ScoreMatrix
 from metacal.preprocess import (
-    PreprocessConfig,
     SpecMismatch,
     normalize_matrix,
     normalize_score,
@@ -74,15 +73,15 @@ class TestNormalizeMatrix:
 
     def test_identity_on_in_range_unit_specs(self):
         matrix = self._matrix([[0.2, 0.8], [0.5, 0.1]])
-        config = PreprocessConfig(tuple(MetricSpec(n, 0, 1) for n in matrix.metric_names))
-        out = normalize_matrix(matrix, config)
+        specs = tuple(MetricSpec(n, 0, 1) for n in matrix.metric_names)
+        out = normalize_matrix(matrix, specs)
         np.testing.assert_array_equal(out.values, matrix.values)
         assert out.example_ids == matrix.example_ids
 
     def test_endpoints_with_inversion(self):
         matrix = self._matrix([[0.0], [25.0]])
-        config = PreprocessConfig((MetricSpec("m0", 0, 25, higher_is_better=False),))
-        out = normalize_matrix(matrix, config)
+        specs = (MetricSpec("m0", 0, 25, higher_is_better=False),)
+        out = normalize_matrix(matrix, specs)
         np.testing.assert_array_equal(out.values[:, 0], [1.0, 0.0])
 
     def test_matches_scalar_op_cell_by_cell(self):
@@ -94,7 +93,7 @@ class TestNormalizeMatrix:
             MetricSpec("c", 0, 1),
         )
         matrix = self._matrix(values, names=("a", "b", "c"))
-        out = normalize_matrix(matrix, PreprocessConfig(specs))
+        out = normalize_matrix(matrix, specs)
         for i in range(matrix.n_examples):
             for j, spec in enumerate(specs):
                 assert out.values[i, j] == normalize_score(values[i, j], spec)
@@ -102,9 +101,9 @@ class TestNormalizeMatrix:
     def test_column_count_mismatch(self):
         matrix = self._matrix([[0.1, 0.2]])
         with pytest.raises(SpecMismatch):
-            normalize_matrix(matrix, PreprocessConfig((MetricSpec("m0", 0, 1),)))
+            normalize_matrix(matrix, (MetricSpec("m0", 0, 1),))
 
     def test_name_mismatch(self):
         matrix = self._matrix([[0.1]])
         with pytest.raises(SpecMismatch):
-            normalize_matrix(matrix, PreprocessConfig((MetricSpec("other", 0, 1),)))
+            normalize_matrix(matrix, (MetricSpec("other", 0, 1),))
