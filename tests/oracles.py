@@ -136,6 +136,29 @@ def matern52_scalar(a, b, lengthscale: float) -> float:
     return (1.0 + r + r * r / 3.0) * math.exp(-r)
 
 
+def kernel_matrix_direct(a, b, lengthscale: float) -> np.ndarray:
+    """Matern-5/2 block from direct differences, in the expression order the
+    GP used for its kernel matrix before the shared in-place helper."""
+    diff = a[:, None, :] - b[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=2))
+    r = math.sqrt(5.0) * d / lengthscale
+    return (1.0 + r + r * r / 3.0) * np.exp(-r)
+
+
+def kernel_matrix_expanded(a, b, lengthscale: float) -> np.ndarray:
+    """Matern-5/2 block from the expanded square |a|^2 + |b|^2 - 2 a.b, in the
+    expression order the GP used for its candidate block before the shared
+    in-place helper."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    d = np.sqrt(np.clip(sq, 0.0, None))
+    r = math.sqrt(5.0) * d / lengthscale
+    return (1.0 + r + r * r / 3.0) * np.exp(-r)
+
+
 def _dense_solve(A, b):
     # LU solve plus one iterative-refinement step: near-duplicate observation
     # points push the kernel condition number to ~1e6, where raw LU round-off

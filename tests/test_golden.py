@@ -1,12 +1,15 @@
-"""Byte identity of GBT model files on the bundled desk corpus.
+"""Byte identity of GBT and GP model files on the bundled desk corpus.
 
-Runs `basemetrics`, `split` at seed 0 and a short-grid pruned GBT
-calibration through `metacal.cli.main`, on the CSV path and on a pairwise
-JSONL path, and compares the sha256 of each model file and of its `report`
-output with the values pinned below.  The GBT trainer calls no BLAS
-routine, so the pins do not depend on BLAS threading.  A change that moves
-a pin changes what users get from the same inputs; re-pin only with the
-reason in CHANGES.md.
+Runs `basemetrics`, `split` at seed 0, then a short-grid pruned GBT
+calibration and a default GP calibration (Kendall on the CSV path) through
+`metacal.cli.main`, on the CSV path and on a pairwise JSONL path, and
+compares the sha256 of each model file and of its `report` output with the
+values pinned below.  The splits, the pairs and the GP runs are those of
+`tools/artifact_digests.py --seed 0`.  The GBT trainer calls no BLAS
+routine, so its pins do not depend on BLAS threading.  The GP surrogate
+does (matrix products, Cholesky, inverse); its pins held with OpenBLAS at 1
+thread and at 2 threads.  A change that moves a pin changes what users get
+from the same inputs; re-pin only with the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -36,6 +39,17 @@ PINNED = {
         "report": "b0eaa82db920fa0739eb7d790b92a09e0050cd0596c16e31d12c3ff2598bd922",
     },
 }
+GP_FLAGS = {"csv": ["--method", "gp", "--objective", "kendall"], "jsonl": ["--method", "gp"]}
+GP_PINNED = {
+    "csv": {
+        "model": "69a786c3252aac87e08c082e49b74ad801c965be737116de32dffc1dce22a939",
+        "report": "251a17f58ed3787088751e225be1f073c90f599f47beba188fac012a3ef29ddc",
+    },
+    "jsonl": {
+        "model": "88263a631b99ed6eecbbb0c9ce30a40ae998f0d20d748a254c2caa9d20ce8b8d",
+        "report": "c49300cccb1661d4db4eb361920c8fc4d520ea901041670705f8dc22707965ac",
+    },
+}
 
 
 def _write_pairs(scores_csv: Path, path: Path) -> None:
@@ -53,19 +67,31 @@ def work(tmp_path_factory) -> Path:
     assert main(["basemetrics", "--input", str(CORPUS), "--output", str(base / "scores.csv")]) == 0
     save_specs(builtin_specs(list(BUILTIN_METRICS)), str(base / "specs.json"))
     _write_pairs(base / "scores.csv", base / "scores.jsonl")
+    specs = str(base / "specs.json")
+    for fmt in ("csv", "jsonl"):
+        scores, train, test = (str(base / f"{stem}.{fmt}") for stem in ("scores", "train", "test"))
+        assert main(["split", "--scores", scores, "--specs", specs, "--format", fmt,
+                     "--seed", "0", "--train-output", train, "--test-output", test]) == 0
     return base
+
+
+def _calibrate_digests(work: Path, fmt: str, tag: str, flags: list[str]) -> dict[str, str]:
+    """sha256 of the model that `calibrate` fits on the train split, and of
+    its `report` output."""
+    model, report = str(work / f"{tag}_{fmt}.json"), str(work / f"report_{tag}_{fmt}.json")
+    assert main(["calibrate", "--scores", str(work / f"train.{fmt}"),
+                 "--specs", str(work / "specs.json"), "--format", fmt,
+                 "--seed", "0", "--output", model, *flags]) == 0
+    assert main(["report", "--model", model, "--output", report]) == 0
+    return {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for name, path in (("model", model), ("report", report))}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_pruned_gbt_model_bytes_are_pinned(work, fmt):
-    scores, train, test = (str(work / f"{stem}.{fmt}") for stem in ("scores", "train", "test"))
-    model, report = str(work / f"gbt_{fmt}.json"), str(work / f"report_{fmt}.json")
-    specs = str(work / "specs.json")
-    assert main(["split", "--scores", scores, "--specs", specs, "--format", fmt, "--seed", "0",
-                 "--train-output", train, "--test-output", test]) == 0
-    assert main(["calibrate", "--scores", train, "--specs", specs, "--format", fmt,
-                 "--seed", "0", "--output", model, *SHORT_PRUNED_GBT]) == 0
-    assert main(["report", "--model", model, "--output", report]) == 0
-    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-               for name, path in (("model", model), ("report", report))}
-    assert digests == PINNED[fmt]
+    assert _calibrate_digests(work, fmt, "gbt", SHORT_PRUNED_GBT) == PINNED[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_gp_model_bytes_are_pinned(work, fmt):
+    assert _calibrate_digests(work, fmt, "gp", GP_FLAGS[fmt]) == GP_PINNED[fmt]

@@ -29,9 +29,14 @@ from metacal.gp import (
     select_top_k,
     suggest_next,
 )
-from metacal.objectives import ObjectiveKind, kendall_tau
+from metacal.objectives import NonFiniteInput, ObjectiveKind, kendall_tau
 
-from oracles import gp_dense_oracle, naive_kendall_tau
+from oracles import (
+    gp_dense_oracle,
+    kernel_matrix_direct,
+    kernel_matrix_expanded,
+    naive_kendall_tau,
+)
 
 
 def _pointwise_data(values, z):
@@ -49,6 +54,78 @@ def test_non_finite_noise_jitter_rejected(value):
     # No flag sets noise_jitter; kappa, reg_lambda and gamma are checked in test_cli.
     with pytest.raises(MetacalError, match="noise_jitter"):
         GpConfig(noise_jitter=value)
+
+
+_W2, _RHO2 = [[0.1, 0.2], [0.7, 0.4]], [0.2, 0.6]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: gp_fit(_W2, _RHO2, GpConfig(), lengthscale=0.0),
+                 MetacalError, "lengthscale", id="lengthscale-zero"),
+    pytest.param(lambda: gp_fit(_W2, _RHO2, GpConfig(), lengthscale=-1.0),
+                 MetacalError, "lengthscale", id="lengthscale-negative"),
+    pytest.param(lambda: gp_fit(_W2, _RHO2, GpConfig(), lengthscale=math.nan),
+                 MetacalError, "lengthscale", id="lengthscale-nan"),
+    pytest.param(lambda: gp_fit(_W2, _RHO2, GpConfig(), lengthscale=math.inf),
+                 MetacalError, "lengthscale", id="lengthscale-inf"),
+    pytest.param(lambda: matern52([0.1], [0.2], math.nan),
+                 MetacalError, "lengthscale", id="matern52-lengthscale-nan"),
+    pytest.param(lambda: gp_fit(_W2, [0.2, math.nan], GpConfig()),
+                 NonFiniteInput, "alignments", id="rho-nan"),
+    pytest.param(lambda: gp_fit(_W2, [math.inf, 0.6], GpConfig()),
+                 NonFiniteInput, "alignments", id="rho-inf"),
+    pytest.param(lambda: gp_fit([[0.1, math.nan], [0.7, 0.4]], _RHO2, GpConfig()),
+                 NonFiniteInput, "weight", id="weights-nan"),
+    pytest.param(lambda: gp_fit([[0.1, 0.2], [-math.inf, 0.4]], _RHO2, GpConfig()),
+                 NonFiniteInput, "weight", id="weights-inf"),
+    pytest.param(lambda: gp_predict(gp_fit(_W2, _RHO2, GpConfig()), [math.nan, 0.2]),
+                 NonFiniteInput, "query", id="query-nan"),
+    pytest.param(lambda: gp_predict(gp_fit(_W2, _RHO2, GpConfig()), [0.1, math.inf]),
+                 NonFiniteInput, "query", id="query-inf"),
+])
+def test_gp_boundary_refuses_non_finite_input(call, error, match):
+    # Each of these used to return a surrogate or a prediction holding NaN,
+    # or (lengthscale = inf) a plausible-looking posterior.
+    with pytest.raises(error, match=match):
+        call()
+
+
+def _bo_sized_observations(rng, n, d):
+    """n points shaped like a BO run, with the Kendall alignments a run
+    records for them: uniform probes, clipped Gaussian perturbations of one
+    incumbent near the upper corner (so points repeat exactly at the corner)
+    and one pair 1e-7 apart.  As in a run, a repeated point carries the same
+    target.  Repeated points with different targets make the posterior mean
+    ill-conditioned: there a float64 dense solve, the oracle's included,
+    is only good to about 1e-8."""
+    local = np.clip(rng.uniform(0.9, 1.0, d) + rng.normal(0.0, 0.1, (n // 2, d)), 0.0, 1.0)
+    W = np.vstack([rng.uniform(0.0, 1.0, (n - n // 2 - 1, d)), local])
+    W = np.vstack([W, W[0] + 1e-7])
+    scores = rng.uniform(0.0, 1.0, (200, d))
+    z = scores @ np.linspace(1.0, 0.2, d) + rng.normal(0.0, 0.1, 200)
+    return W, np.array([kendall_tau(scores @ w, z) for w in W])
+
+
+@pytest.mark.parametrize("n", [1, 55, 105])
+@pytest.mark.parametrize("lengthscale", [1.0, 0.3])
+def test_kernel_blocks_bit_identical_to_reference_expressions(n, lengthscale):
+    """The in-place kernel helper keeps the exact bits of the expressions it
+    replaced: direct differences for the Gram matrix, the expanded square
+    for the (n x 1,010) candidate block."""
+    rng = np.random.default_rng(n)
+    points = _bo_sized_observations(rng, n, 3)[0] if n > 1 else rng.uniform(0, 1, (1, 3))
+    incumbent = points[-1]
+    candidates = np.vstack([
+        rng.uniform(0.0, 1.0, (1000, 3)),
+        np.clip(incumbent + rng.normal(0.0, 0.1, (10, 3)), 0.0, 1.0),
+    ])
+    candidates[0] = incumbent  # a zero distance, where the expanded square can go negative
+    gram = gp_mod._gram_matrix(points, lengthscale)
+    assert gram.shape == (n, n)
+    assert np.array_equal(gram, kernel_matrix_direct(points, points, lengthscale))
+    cross = gp_mod._cross_kernel(points, candidates, lengthscale)
+    assert cross.shape == (n, 1010)
+    assert np.array_equal(cross, kernel_matrix_expanded(points, candidates, lengthscale))
 
 
 class TestMatern52:
@@ -113,6 +190,21 @@ class TestGpFitPredict:
                 assert got[0] == pytest.approx(want[0], abs=1e-8)
                 assert got[1] == pytest.approx(want[1], abs=1e-8)
 
+    @pytest.mark.parametrize("n, d, seed", [(10, 2, 0), (55, 3, 1), (105, 2, 0), (105, 2, 1),
+                                            (105, 5, 2)])
+    def test_matches_dense_solve_oracle_at_bo_size(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        W, rho = _bo_sized_observations(rng, n, d)
+        if n > 100 and d == 2:
+            assert len(np.unique(W, axis=0)) < n  # a corner repeats
+        model = gp_fit(W, rho, GpConfig())
+        near = W[rng.integers(0, n, 4)] + rng.normal(0.0, 1e-4, (4, d))
+        for query in [W[-1], *near, *rng.uniform(0.0, 1.0, (4, d))]:
+            got = gp_predict(model, query)
+            want = gp_dense_oracle(W, rho, model.lengthscale, model.jitter, query)
+            assert got[0] == pytest.approx(want[0], abs=1e-8)
+            assert got[1] == pytest.approx(want[1], abs=1e-8)
+
     def test_posterior_variance_bounded_by_prior(self):
         rng = np.random.default_rng(4)
         W = rng.uniform(0, 1, (6, 3))
@@ -126,7 +218,7 @@ class TestGpFitPredict:
     def test_kernel_matrix_symmetric_and_factorizable(self):
         rng = np.random.default_rng(5)
         W = rng.uniform(0, 1, (12, 2))
-        K = gp_mod._kernel_matrix(W, W, 1.0)
+        K = gp_mod._gram_matrix(W, 1.0)
         np.testing.assert_allclose(K, K.T, atol=1e-15)
         _factorize(K, 1e-6)  # must not raise
 
