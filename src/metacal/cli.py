@@ -13,21 +13,18 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import io
 from .core import (
     MetacalError,
     MetricSpec,
     PreferenceTarget,
-    ScoreMatrix,
     TargetKind,
     Weighting,
     pointwise_z,
     unstack_pairs,
     validate_alignment,
 )
-from .gbt import GbtConfig, GbtLoss, RankingPairs, calibrate_gbt
+from .gbt import GbtConfig, GbtLoss, calibrate_gbt
 from .gp import GpConfig, LengthscalePolicy, calibrate_gp, select_top_k
 from .harness import (
     TIE_POLICIES,
@@ -39,12 +36,7 @@ from .objectives import ObjectiveKind
 from .preprocess import normalize_matrix
 from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
 
-_OBJECTIVES = {
-    "kendall": ObjectiveKind.KENDALL,
-    "spearman": ObjectiveKind.SPEARMAN,
-    "pearson": ObjectiveKind.PEARSON,
-    "pairwise": ObjectiveKind.PAIRWISE_ACCURACY,
-}
+_OBJECTIVES = {o.value: o for o in ObjectiveKind}
 _WEIGHTINGS = {w.value: w for w in Weighting}
 _LOSSES = {l.value: l for l in GbtLoss}
 
@@ -153,15 +145,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             cv_folds=args.cv_folds,
             seed=seed,
         )
-        if target.kind is TargetKind.PAIRWISE:
-            gbt_target: np.ndarray | RankingPairs = RankingPairs.stacked(
-                len(target.pairwise), [p.group_id for p in target.pairwise]
-            )
-        else:
-            gbt_target = pointwise_z(normalized, target)
         model, _ = calibrate_gbt(
             normalized.values,
-            gbt_target,
+            target,
             run.objective,
             config,
             specs,
@@ -181,14 +167,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_column_scores(
-    matrix: ScoreMatrix, name: str
-) -> np.ndarray:
-    if name not in matrix.metric_names:
-        raise io.ColumnMismatch(f"metric {name!r} not in score file")
-    return matrix.column(name)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if (args.model is None) == (args.metric is None):
         raise MetacalError("pass exactly one of --model or --metric")
@@ -197,14 +175,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         specs: tuple[MetricSpec, ...] = model.metric_specs
     else:
         # A raw column evaluation needs no range metadata; the spec is a
-        # placeholder used only to select the column.
+        # placeholder that makes `load_scores` read that one column (or
+        # reject a file without it).
         specs = (MetricSpec(args.metric, 0.0, 1.0, True),)
         model = None
     matrix, target = io.load_scores(args.scores, args.format, specs)
     if model is not None:
         metric_scores = io.score_with_model(model, matrix)
     else:
-        metric_scores = _metric_column_scores(matrix, args.metric)
+        metric_scores = matrix.column(args.metric)
 
     if args.format == "jsonl":
         assert target is not None and target.pairwise is not None
@@ -272,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_basemetrics)
 
+    gp, gbt = GpConfig(), GbtConfig()
     p = sub.add_parser("calibrate", help="learn a calibrated model from scores + targets")
     p.add_argument("--scores", required=True)
     p.add_argument("--specs", required=True, help="metric spec JSON file")
@@ -283,21 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.add_argument("--init-points", type=int, default=5)
-    p.add_argument("--n-iter", type=int, default=100)
-    p.add_argument("--kappa", type=float, default=2.576)
+    p.add_argument("--init-points", type=int, default=gp.init_points)
+    p.add_argument("--n-iter", type=int, default=gp.n_iter)
+    p.add_argument("--kappa", type=float, default=gp.kappa)
     p.add_argument("--fit-lengthscale", action="store_true",
                    help="refit the GP lengthscale by marginal likelihood")
     p.add_argument("--loss", choices=tuple(_LOSSES), default=None,
                    help="gbt loss (default: squarederror, or pairwise for jsonl data)")
-    p.add_argument("--max-depth", type=int, default=6)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--cv-folds", type=int, default=5)
-    p.add_argument("--n-estimators-low", type=int, default=100)
-    p.add_argument("--n-estimators-high", type=int, default=1000)
-    p.add_argument("--n-estimators-step", type=int, default=100)
+    p.add_argument("--max-depth", type=int, default=gbt.max_depth)
+    p.add_argument("--learning-rate", type=float, default=gbt.learning_rate)
+    p.add_argument("--reg-lambda", type=float, default=gbt.reg_lambda)
+    p.add_argument("--gamma", type=float, default=gbt.gamma)
+    p.add_argument("--cv-folds", type=int, default=gbt.cv_folds)
+    p.add_argument("--n-estimators-low", type=int, default=gbt.n_estimators_low)
+    p.add_argument("--n-estimators-high", type=int, default=gbt.n_estimators_high)
+    p.add_argument("--n-estimators-step", type=int, default=gbt.n_estimators_step)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("score", help="apply a calibrated model to a score file")
@@ -319,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="weights / feature-importance report for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--sparsity-epsilon", type=float, default=0.01,
+    p.add_argument("--sparsity-epsilon", type=float, default=io.SPARSITY_EPSILON,
                    help="linear weights below this magnitude are reported as dropped")
     p.set_defaults(func=_cmd_report)
 
@@ -327,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--specs", required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--train-fraction", type=float, default=0.30)
+    p.add_argument("--train-fraction", type=float, default=io.TRAIN_FRACTION)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)

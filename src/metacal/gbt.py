@@ -19,14 +19,20 @@ is never a right child, so `right[i] == 0` marks a leaf.  Leaves hold 0 in
 `feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer and the
 model-file reader both build trees through `Tree.grow`.
 
-On top of the trainer sit k-fold cross-validation, a grid search over the
-ensemble size, and iterative pruning: repeatedly drop the feature with the
-least total-gain importance, track CV performance, and keep the model of
-the best-scoring feature subset; `calibrate_gbt` without pruning is one
-such round.  Boosting has no randomness, so an n-tree model is exactly the
-first n trees of a longer run: the whole size grid is scored from one
-boosting run per fold, adding held-out predictions tree by tree (the
-staged-prediction idea of XGBoost's `iteration_range`).
+Every entry point takes features in matrix row order and a
+`PreferenceTarget` aligned with them as `metacal.core` lays it out; a 1-D
+array is read as a pointwise z.  Non-finite features or targets raise
+`NonFiniteInput`.  The regression losses fit z; PAIRWISE_RANK fits the
+pairs, whose members are the stacked rows of each pair.
+
+On top of the trainer sit k-fold cross-validation over target units, a grid
+search over the ensemble size, and iterative pruning: repeatedly drop the
+feature with the least total-gain importance, track CV performance, and
+keep the model of the best-scoring feature subset; `calibrate_gbt` without
+pruning is one such round.  Boosting has no randomness, so an n-tree model
+is exactly the first n trees of a longer run: the whole size grid is scored
+from one boosting run per fold, adding held-out predictions tree by tree
+(the staged-prediction idea of XGBoost's `iteration_range`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,10 +49,14 @@ from .core import (
     MetacalError,
     MetricSpec,
     ModelKind,
+    PreferenceTarget,
+    TargetKind,
+    unit_rows,
     unstack_pairs,
 )
 from .objectives import (
     EmptyInput,
+    NonFiniteInput,
     ObjectiveKind,
     pairwise_accuracy,
     score_or_worst,
@@ -227,35 +237,6 @@ class PruneTrace:
             raise MetacalError("best_iteration outside recorded trace")
 
 
-@dataclass(frozen=True)
-class RankingPairs:
-    """Preference pairs as row indices into a shared feature matrix."""
-
-    chosen: np.ndarray
-    rejected: np.ndarray
-    groups: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.chosen, dtype=np.intp)
-        r = np.asarray(self.rejected, dtype=np.intp)
-        if c.size != r.size or c.size != len(self.groups):
-            raise MetacalError("ranking pair arrays must have equal length")
-        object.__setattr__(self, "chosen", c)
-        object.__setattr__(self, "rejected", r)
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.chosen.size)
-
-    @classmethod
-    def stacked(cls, n_pairs: int, groups: Sequence[str]) -> "RankingPairs":
-        """Pairs over the rows of a stacked pair matrix (see `metacal.core`)."""
-        return cls(*unstack_pairs(np.arange(2 * n_pairs)), tuple(groups))
-
-
-Target = Union[np.ndarray, RankingPairs]
-
-
 def _predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
     feature, threshold, value, right = (
         a.tolist() for a in (tree.feature, tree.threshold, tree.value, tree.right))
@@ -288,20 +269,19 @@ def _regression_grad_hess(
     raise InvalidTarget(f"{loss} is not a regression loss")
 
 
-def _pairwise_grad_hess(
-    pairs: RankingPairs, preds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Logistic pairwise loss log(1 + exp(-(s_chosen - s_rejected))) per pair.
-    margin = preds[pairs.chosen] - preds[pairs.rejected]
-    sig = 1.0 / (1.0 + np.exp(-margin))
-    pair_grad = sig - 1.0
+def _pairwise_grad_hess(preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Logistic pairwise loss log(1 + exp(-(s_chosen - s_rejected))) per pair,
+    # over predictions in stacked pair order; each row is in exactly one pair.
+    chosen, rejected = unstack_pairs(preds)
+    sig = 1.0 / (1.0 + np.exp(-(chosen - rejected)))
     pair_hess = np.maximum(sig * (1.0 - sig), _MIN_HESSIAN)
-    grad = np.zeros_like(preds)
-    hess = np.zeros_like(preds)
-    np.add.at(grad, pairs.chosen, pair_grad)
-    np.add.at(grad, pairs.rejected, -pair_grad)
-    np.add.at(hess, pairs.chosen, pair_hess)
-    np.add.at(hess, pairs.rejected, pair_hess)
+    grad = np.empty_like(preds)
+    hess = np.empty_like(preds)
+    grad_chosen, grad_rejected = unstack_pairs(grad)
+    grad_chosen[:] = sig - 1.0
+    grad_rejected[:] = 0.0 - grad_chosen  # -g would turn a 0.0 into -0.0
+    for half in unstack_pairs(hess):
+        half[:] = pair_hess
     return grad, hess
 
 
@@ -369,52 +349,60 @@ def _build_tree(
     return Tree.grow((np.arange(x.shape[0]), 0), visit)
 
 
+def _as_features(features: np.ndarray) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("features must hold finite values")
+    return x
+
+
+def _as_target(target: PreferenceTarget | np.ndarray) -> PreferenceTarget:
+    """`target` itself, or a 1-D array read as a pointwise z."""
+    if isinstance(target, PreferenceTarget):
+        return target
+    z = np.asarray(target, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise NonFiniteInput("targets must hold finite values")
+    return PreferenceTarget.from_pointwise(z)
+
+
 def gbt_train(
     features: np.ndarray,
-    target: Target,
+    target: PreferenceTarget | np.ndarray,
     config: GbtConfig,
     n_estimators: int,
 ) -> TreeEnsemble:
     """Boost `n_estimators` trees against the configured loss.
 
-    `target` is a 1-D array for the regression losses or `RankingPairs`
-    (indices into `features` rows) for PAIRWISE_RANK.  Squared-log-error
-    requires targets > -1 and clamps intermediate predictions to stay above
-    -1 as well.
+    PAIRWISE_RANK takes a pairwise target and the regression losses a
+    pointwise one (see the module docstring).  Squared-log-error requires
+    targets > -1 and clamps intermediate predictions to stay above -1 as
+    well.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = _as_features(features)
+    target = _as_target(target)
     if x.shape[0] == 0 or x.shape[1] == 0:
         raise EmptyInput("no training data")
     if x.shape[0] < 2:
         raise EmptyInput("need at least 2 training examples")
     if n_estimators < 1:
         raise MetacalError("n_estimators must be >= 1")
-
-    if isinstance(target, RankingPairs):
-        if config.loss is not GbtLoss.PAIRWISE_RANK:
-            raise InvalidTarget("ranking pairs require the PAIRWISE_RANK loss")
-        if target.n_pairs == 0:
-            raise EmptyInput("no preference pairs")
-        hi = int(max(target.chosen.max(), target.rejected.max()))
-        if hi >= x.shape[0]:
-            raise InvalidTarget(f"pair index {hi} outside {x.shape[0]} feature rows")
-        y = None
-    else:
-        if config.loss is GbtLoss.PAIRWISE_RANK:
-            raise InvalidTarget("PAIRWISE_RANK loss requires ranking pairs")
-        y = np.asarray(target, dtype=np.float64).ravel()
-        if y.size != x.shape[0]:
-            raise InvalidTarget(f"{y.size} targets for {x.shape[0]} examples")
-        if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(y <= -1.0):
-            raise InvalidTarget("squared log error requires targets > -1")
+    pairwise = target.kind is TargetKind.PAIRWISE
+    if pairwise != (config.loss is GbtLoss.PAIRWISE_RANK):
+        raise InvalidTarget(f"the {config.loss.value} loss cannot fit a {target.kind.value} target")
+    if target.n_units * target.rows_per_unit != x.shape[0]:
+        raise InvalidTarget(
+            f"{target.n_units} {target.kind.value} judgments for {x.shape[0]} feature rows")
+    if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(target.z <= -1.0):
+        raise InvalidTarget("squared log error requires targets > -1")
 
     preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(n_estimators):
-        if y is not None:
-            grad, hess = _regression_grad_hess(config.loss, preds, y)
+        if pairwise:
+            grad, hess = _pairwise_grad_hess(preds)
         else:
-            grad, hess = _pairwise_grad_hess(target, preds)
+            grad, hess = _regression_grad_hess(config.loss, preds, target.z)
         tree = _build_tree(x, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
         trees.append(tree)
         preds += config.learning_rate * _predict_tree(tree, x)
@@ -437,28 +425,21 @@ def feature_importance(model: TreeEnsemble, n_features: int) -> np.ndarray:
     return np.bincount(feature[split], weights=gain[split], minlength=n_features)
 
 
-def _pointwise_folds(
-    n: int, folds: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    if folds > n:
-        raise TooFewExamples(f"{folds} folds over {n} examples")
-    return [np.sort(part) for part in np.array_split(rng.permutation(n), folds)]
-
-
 def _group_folds(
-    groups: Sequence[str], folds: int, rng: np.random.Generator
+    groups: Sequence[Hashable], folds: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Fold assignment over pair indices that keeps each group's pairs together."""
-    unique: list[str] = []
-    seen: set[str] = set()
+    """Fold assignment over units that keeps each group's units together:
+    the sorted units of each chunk of a shuffle of the distinct groups."""
+    unique: list[Hashable] = []
+    seen: set[Hashable] = set()
     for g in groups:
         if g not in seen:
             seen.add(g)
             unique.append(g)
     if folds > len(unique):
-        raise TooFewExamples(f"{folds} folds over {len(unique)} pair groups")
+        raise TooFewExamples(f"{folds} folds over {len(unique)} unit groups")
     order = rng.permutation(len(unique))
-    fold_of_group: dict[str, int] = {}
+    fold_of_group: dict[Hashable, int] = {}
     for fold_id, chunk in enumerate(np.array_split(order, folds)):
         for gi in chunk:
             fold_of_group[unique[int(gi)]] = fold_id
@@ -466,104 +447,80 @@ def _group_folds(
     return [np.flatnonzero(assignments == f) for f in range(folds)]
 
 
-def _subset_pairs(
-    features: np.ndarray, pairs: RankingPairs, keep: np.ndarray
-) -> tuple[np.ndarray, RankingPairs]:
-    """Restrict to the given pair indices, compacting member rows."""
-    rows = np.unique(np.concatenate([pairs.chosen[keep], pairs.rejected[keep]]))
-    chosen = np.searchsorted(rows, pairs.chosen[keep])
-    rejected = np.searchsorted(rows, pairs.rejected[keep])
-    groups = tuple(pairs.groups[int(i)] for i in keep)
-    return features[rows], RankingPairs(chosen, rejected, groups)
+def _held_out_score(
+    objective: ObjectiveKind, held: PreferenceTarget, preds: np.ndarray
+) -> float:
+    """Pairwise accuracy on a pairwise target, else `objective` against z
+    (-1 when degenerate)."""
+    if held.kind is TargetKind.PAIRWISE:
+        return pairwise_accuracy(*unstack_pairs(preds))
+    return score_or_worst(objective, preds, held.z)
 
 
 def _cv_curve(
-    features: np.ndarray,
-    target: Target,
+    x: np.ndarray,
+    target: PreferenceTarget,
     objective: ObjectiveKind,
     config: GbtConfig,
     sizes: Sequence[int],
 ) -> list[float]:
     """Mean held-out objective at each ensemble size in `sizes`.
 
-    Each fold trains `max(sizes)` trees once and scores its held-out rows
-    after the first n trees for every n in `sizes`: boosting is
-    deterministic, so those are exactly the predictions of an n-tree model.
-    Pointwise folds shuffle example indices; pairwise folds shuffle pair
-    groups so no group straddles a fold.  A fold whose held-out objective is
-    degenerate (constant predictions) scores -1.
+    Folds shuffle the target's units; a pair group never straddles two
+    folds, and every pointwise unit is its own group.  Each fold trains
+    `max(sizes)` trees once on the rows of the other folds' units and scores
+    its held-out rows after the first n trees for every n in `sizes`:
+    boosting is deterministic, so those are exactly the predictions of an
+    n-tree model.  A fold whose held-out objective is degenerate (constant
+    predictions) scores -1.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     wanted = set(sizes)
     n_trees = max(wanted)
-    rng = np.random.default_rng(config.seed)
+    units = np.arange(target.n_units)
+    groups = [p.group_id for p in target.pairwise] if target.pairwise else range(target.n_units)
     fold_scores: list[dict[int, float]] = []
-    if isinstance(target, RankingPairs):
-        folds = _group_folds(target.groups, config.cv_folds, rng)
-        for hold in folds:
-            keep = np.setdiff1d(np.arange(target.n_pairs), hold)
-            train_x, train_pairs = _subset_pairs(x, target, keep)
-            model = gbt_train(train_x, train_pairs, config, n_trees)
-            n_held = hold.size
-            held_x = x[np.concatenate([target.chosen[hold], target.rejected[hold]])]
-            fold_scores.append({
-                n: pairwise_accuracy(preds[:n_held], preds[n_held:])
-                for n, preds in enumerate(model.staged_predict(held_x))
-                if n in wanted
-            })
-    else:
-        y = np.asarray(target, dtype=np.float64).ravel()
-        folds = _pointwise_folds(x.shape[0], config.cv_folds, rng)
-        for hold in folds:
-            keep = np.setdiff1d(np.arange(x.shape[0]), hold)
-            model = gbt_train(x[keep], y[keep], config, n_trees)
-            fold_scores.append({
-                n: score_or_worst(objective, preds, y[hold])
-                for n, preds in enumerate(model.staged_predict(x[hold]))
-                if n in wanted
-            })
+    for hold in _group_folds(groups, config.cv_folds, np.random.default_rng(config.seed)):
+        keep = np.setdiff1d(units, hold)
+        model = gbt_train(x[unit_rows(target, keep)], target.take_units(keep), config, n_trees)
+        held = target.take_units(hold)
+        fold_scores.append({
+            n: _held_out_score(objective, held, preds)
+            for n, preds in enumerate(model.staged_predict(x[unit_rows(target, hold)]))
+            if n in wanted
+        })
     return [float(np.mean([scores[n] for scores in fold_scores])) for n in sizes]
 
 
 def cross_validate(
     features: np.ndarray,
-    target: Target,
+    target: PreferenceTarget | np.ndarray,
     objective: ObjectiveKind,
     config: GbtConfig,
     n_estimators: int,
 ) -> float:
     """Mean held-out objective of `n_estimators`-tree models over seeded
     k-fold splits (see `_cv_curve`)."""
-    return _cv_curve(features, target, objective, config, [n_estimators])[0]
+    x, target = _as_features(features), _as_target(target)
+    return _cv_curve(x, target, objective, config, [n_estimators])[0]
 
 
-def _searched_size(
+def search_n_estimators(
     features: np.ndarray,
-    target: Target,
+    target: PreferenceTarget | np.ndarray,
     objective: ObjectiveKind,
     config: GbtConfig,
 ) -> tuple[int, float]:
     """The grid's ensemble size with the best mean CV objective, and that
     objective; ties keep the smaller, cheaper model."""
     grid = config.n_estimators_grid()
-    curve = _cv_curve(features, target, objective, config, grid)
+    curve = _cv_curve(_as_features(features), _as_target(target), objective, config, grid)
     best = int(np.argmax(curve))  # the first maximum
     return grid[best], curve[best]
 
 
-def search_n_estimators(
-    features: np.ndarray,
-    target: Target,
-    objective: ObjectiveKind,
-    config: GbtConfig,
-) -> int:
-    """Grid-search the ensemble size on CV objective; ties pick the smallest."""
-    return _searched_size(features, target, objective, config)[0]
-
-
 def iterative_prune(
     features: np.ndarray,
-    target: Target,
+    target: PreferenceTarget | np.ndarray,
     objective: ObjectiveKind,
     config: GbtConfig,
     k: int,
@@ -577,7 +534,8 @@ def iterative_prune(
     full-data model of the best-scoring round (the earliest on ties) is the
     returned model.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = _as_features(features)
+    target = _as_target(target)
     specs = tuple(specs)
     n_features = x.shape[1]
     if len(specs) != n_features:
@@ -593,7 +551,7 @@ def iterative_prune(
     for iteration in range(k):
         round_specs = tuple(specs[i] for i in active)
         round_x = x[:, active]
-        n_trees, value = _searched_size(round_x, target, objective, config)
+        n_trees, value = search_n_estimators(round_x, target, objective, config)
         ensemble = gbt_train(round_x, target, config, n_trees)
         if best is None or value > performances[best_iteration]:
             best_iteration, best = iteration, (ensemble, round_specs)
@@ -618,7 +576,7 @@ def iterative_prune(
         metric_specs=retained_specs,
         objective_used=(
             ObjectiveKind.PAIRWISE_ACCURACY.value
-            if isinstance(target, RankingPairs)
+            if target.kind is TargetKind.PAIRWISE
             else objective.value
         ),
         seed=config.seed,
@@ -629,7 +587,7 @@ def iterative_prune(
 
 def calibrate_gbt(
     features: np.ndarray,
-    target: Target,
+    target: PreferenceTarget | np.ndarray,
     objective: ObjectiveKind,
     config: GbtConfig,
     specs: Sequence[MetricSpec],

@@ -577,8 +577,12 @@ def score_with_model(model: CalibratedModel, matrix: ScoreMatrix) -> np.ndarray:
     return model.trees.predict(normalized)
 
 
+TRAIN_FRACTION = 0.30  # the default train share of `split_train_test` and `split_matrix`
+SPARSITY_EPSILON = 0.01  # the default dropped-weight cut of `report_model`
+
+
 def split_train_test(
-    rows: Sequence, fraction: float = 0.30, seed: int = 0
+    rows: Sequence, fraction: float = TRAIN_FRACTION, seed: int = 0
 ) -> tuple[list, list]:
     """Seeded shuffle-then-split; the train side takes floor(fraction * n)."""
     if not 0.0 < fraction < 1.0:
@@ -595,7 +599,7 @@ def split_train_test(
 def split_matrix(
     matrix: ScoreMatrix,
     target: PreferenceTarget | None,
-    fraction: float = 0.30,
+    fraction: float = TRAIN_FRACTION,
     seed: int = 0,
 ) -> tuple[
     tuple[ScoreMatrix, PreferenceTarget | None],
@@ -620,7 +624,7 @@ def split_matrix(
 # ---------------------------------------------------------------------------
 
 
-def report_model(model: CalibratedModel, epsilon: float = 0.01) -> tuple[str, dict]:
+def report_model(model: CalibratedModel, epsilon: float = SPARSITY_EPSILON) -> tuple[str, dict]:
     """Human-readable text plus a JSON-ready dict of weights or importances.
 
     Linear models list every stored weight and flag those below `epsilon` as

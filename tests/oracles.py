@@ -286,26 +286,33 @@ def per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma):
 
 def retrain_cv_curve(features, target, objective, config, sizes):
     """Mean held-out objective per ensemble size, training a fresh model of
-    each size on each fold and predicting with `TreeEnsemble.predict`."""
+    each size on each fold and predicting with `TreeEnsemble.predict`.
+
+    Pointwise folds are the sorted chunks of one permutation of the rows;
+    pairwise folds keep each group's pairs together, and a fold's pairs are
+    sliced out of the stacked rows here (chosen 2i, rejected 2i + 1)."""
     from metacal import gbt
+    from metacal.core import PreferenceTarget, TargetKind
     from metacal.objectives import pairwise_accuracy, score_or_worst
 
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    pairwise = isinstance(target, PreferenceTarget) and target.kind is TargetKind.PAIRWISE
     curve = []
     for n_estimators in sizes:
         rng = np.random.default_rng(config.seed)
         values = []
-        if isinstance(target, gbt.RankingPairs):
-            for hold in gbt._group_folds(target.groups, config.cv_folds, rng):
-                keep = np.setdiff1d(np.arange(target.n_pairs), hold)
-                train_x, train_pairs = gbt._subset_pairs(x, target, keep)
-                preds = gbt.gbt_train(train_x, train_pairs, config, n_estimators).predict(x)
-                values.append(
-                    pairwise_accuracy(preds[target.chosen[hold]], preds[target.rejected[hold]])
-                )
+        if pairwise:
+            groups = [pair.group_id for pair in target.pairwise]
+            for hold in gbt._group_folds(groups, config.cv_folds, rng):
+                keep = np.setdiff1d(np.arange(len(groups)), hold)
+                rows = np.sort(np.concatenate([2 * keep, 2 * keep + 1]))
+                kept = PreferenceTarget.from_pairs(target.pairwise[i] for i in keep)
+                preds = gbt.gbt_train(x[rows], kept, config, n_estimators).predict(x)
+                values.append(pairwise_accuracy(preds[2 * hold], preds[2 * hold + 1]))
         else:
-            y = np.asarray(target, dtype=np.float64).ravel()
-            for hold in gbt._pointwise_folds(x.shape[0], config.cv_folds, rng):
+            y = np.asarray(target.z if isinstance(target, PreferenceTarget) else target, float)
+            for chunk in np.array_split(rng.permutation(x.shape[0]), config.cv_folds):
+                hold = np.sort(chunk)
                 keep = np.setdiff1d(np.arange(x.shape[0]), hold)
                 preds = gbt.gbt_train(x[keep], y[keep], config, n_estimators).predict(x[hold])
                 values.append(score_or_worst(objective, preds, y[hold]))

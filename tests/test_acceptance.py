@@ -13,7 +13,7 @@ import pytest
 import metacal.gbt as gbt_mod
 from metacal.cli import main
 from metacal.core import ExampleId, MetricSpec, PreferenceTarget, ScoreMatrix
-from metacal.gbt import GbtConfig, gbt_train, iterative_prune
+from metacal.gbt import GbtConfig, gbt_train, iterative_prune, search_n_estimators
 from metacal.gp import GpConfig, calibrate_gp, expand_features, gp_fit, gp_predict
 from metacal.harness import GroupedScores, acc_t, seg_pearson, sys_pearson
 from metacal.core import Weighting
@@ -160,9 +160,7 @@ def test_criterion_05_iterative_pruning_behavior():
         if trace.pruned_features[0] == "noise":
             noise_first += 1
         retained = [j for j, s in enumerate(specs) if s.name in model.metric_names]
-        _, final_cv = gbt_mod._searched_size(
-            x[:, retained], z, ObjectiveKind.KENDALL, cfg
-        )
+        _, final_cv = search_n_estimators(x[:, retained], z, ObjectiveKind.KENDALL, cfg)
         if final_cv != max(trace.performances):
             cv_exact = False
     _report(

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metacal.cli import main
+from metacal.cli import build_parser, main
 from metacal.core import CalibratedModel, MetricSpec, ModelKind, Weighting
-from metacal.gbt import Tree, TreeEnsemble
+from metacal.gbt import GbtConfig, Tree, TreeEnsemble
+from metacal.gp import GpConfig
 from metacal.io import dumps_canonical, load_model, load_scores_csv, model_to_obj, save_model, save_specs
 from metacal.textmetrics import builtin_specs
 
@@ -37,6 +38,17 @@ def _tiny_gbt_flags():
         "--max-depth", "2", "--cv-folds", "3",
         "--n-estimators-low", "10", "--n-estimators-high", "20", "--n-estimators-step", "10",
     ]
+
+
+def test_calibrate_defaults_are_the_config_defaults():
+    args = vars(build_parser().parse_args(["calibrate", "--scores", "s", "--specs", "p",
+                                           "--output", "o"]))
+    for config, names in [
+        (GpConfig(), ("init_points", "n_iter", "kappa")),
+        (GbtConfig(), ("max_depth", "learning_rate", "reg_lambda", "gamma", "cv_folds",
+                       "n_estimators_low", "n_estimators_high", "n_estimators_step")),
+    ]:
+        assert {n: args[n] for n in names} == {n: getattr(config, n) for n in names}
 
 
 class TestBasemetrics:
@@ -161,6 +173,16 @@ class TestEvaluate:
         with open(report_path) as fh:
             report = json.load(fh)
         assert report["datasets"]["synthetic"]["acc_t"] > 0.5
+
+    def test_missing_metric_column_is_validation_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("dataset,system,segment,a,human\nd,s,1,0.5,1.0\nd,s,2,0.7,2.0\n")
+        report_path = tmp_path / "report.json"
+        rc = main(["evaluate", "--metric", "b", "--scores", str(scores),
+                   "--output", str(report_path)])
+        assert rc == 2
+        assert "missing columns: b" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
 
     def test_model_and_metric_together_rejected(self, tmp_path, scores_path):
         rc = main(["evaluate", "--model", "x.json", "--metric", "chrf",

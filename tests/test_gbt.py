@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 import metacal.gbt as gbt_mod
-from metacal.core import MetacalError, MetricSpec, ModelKind
+from metacal.core import (
+    MetacalError,
+    MetricSpec,
+    ModelKind,
+    PreferencePair,
+    PreferenceTarget,
+    unstack_pairs,
+)
 from metacal.gbt import (
     GbtConfig,
     GbtLoss,
     InvalidTarget,
-    RankingPairs,
     TooFewExamples,
     Tree,
     TreeEnsemble,
@@ -19,8 +25,13 @@ from metacal.gbt import (
     search_n_estimators,
 )
 from metacal.io import dumps_canonical, model_to_obj
-from metacal.objectives import EmptyInput, ObjectiveKind, pairwise_accuracy
+from metacal.objectives import EmptyInput, NonFiniteInput, ObjectiveKind, pairwise_accuracy
 from oracles import per_feature_best_split, retrain_cv_curve
+
+
+def _pairs(groups):
+    """A pairwise target, one pair per group id, over stacked member rows."""
+    return PreferenceTarget.from_pairs(PreferencePair(g) for g in groups)
 
 
 def _single_round(**overrides):
@@ -75,11 +86,10 @@ class TestGbtTrain:
         chosen = rng.uniform(0.5, 1.0, (n_pairs, 2))
         rejected = rng.uniform(0.0, 0.45, (n_pairs, 2))
         features = np.vstack([np.ravel(np.column_stack([chosen[:, j], rejected[:, j]])) for j in range(2)]).T
-        pairs = RankingPairs.stacked(n_pairs, [f"g{i}" for i in range(n_pairs)])
+        pairs = _pairs(f"g{i}" for i in range(n_pairs))
         cfg = _single_round(loss=GbtLoss.PAIRWISE_RANK, max_depth=2, learning_rate=0.3)
         model = gbt_train(features, pairs, cfg, 50)
-        preds = model.predict(features)
-        acc = pairwise_accuracy(preds[pairs.chosen], preds[pairs.rejected])
+        acc = pairwise_accuracy(*unstack_pairs(model.predict(features)))
         assert acc == 1.0
 
     def test_squared_log_error_domain(self):
@@ -95,7 +105,14 @@ class TestGbtTrain:
             gbt_train(np.zeros((4, 1)), np.zeros(4), cfg, 1)
         cfg2 = _single_round()
         with pytest.raises(InvalidTarget):
-            gbt_train(np.zeros((4, 1)), RankingPairs.stacked(2, ["a", "b"]), cfg2, 1)
+            gbt_train(np.zeros((4, 1)), _pairs(["a", "b"]), cfg2, 1)
+
+    def test_target_rows_must_match_feature_rows(self):
+        with pytest.raises(InvalidTarget):
+            gbt_train(np.zeros((4, 1)), np.zeros(3), _single_round(), 1)
+        with pytest.raises(InvalidTarget):
+            gbt_train(np.zeros((5, 1)), _pairs(["a", "b"]),
+                      _single_round(loss=GbtLoss.PAIRWISE_RANK), 1)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -305,19 +322,17 @@ class TestCrossValidate:
         with pytest.raises(TooFewExamples):
             gbt_mod._group_folds(["a", "a", "b"], 3, np.random.default_rng(0))
 
-    def test_pair_subset_keeps_member_rows(self):
-        # Members shared between pairs and rows of no kept pair, in any order.
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(30, 2))
-        pairs = RankingPairs(rng.integers(0, 30, 25), rng.integers(0, 30, 25),
-                             tuple(f"g{i}" for i in range(25)))
-        keep = np.sort(rng.permutation(25)[:12])
-        sub_x, sub = gbt_mod._subset_pairs(x, pairs, keep)
-        members = np.unique(np.concatenate([pairs.chosen[keep], pairs.rejected[keep]]))
-        np.testing.assert_array_equal(sub_x, x[members])
-        np.testing.assert_array_equal(sub_x[sub.chosen], x[pairs.chosen[keep]])
-        np.testing.assert_array_equal(sub_x[sub.rejected], x[pairs.rejected[keep]])
-        assert sub.groups == tuple(pairs.groups[i] for i in keep)
+    def test_distinct_groups_fold_like_a_shuffle_of_the_units(self):
+        # A pointwise unit is its own group: each fold is the sorted chunk of
+        # one permutation of the units.
+        for seed in range(3):
+            for n in range(2, 60):
+                for k in range(2, min(n, 7) + 1):
+                    got = gbt_mod._group_folds(range(n), k, np.random.default_rng(seed))
+                    want = np.array_split(np.random.default_rng(seed).permutation(n), k)
+                    assert len(got) == k
+                    for fold, chunk in zip(got, want):
+                        np.testing.assert_array_equal(fold, np.sort(chunk))
 
 
 class TestSearchNEstimators:
@@ -352,7 +367,7 @@ class TestSearchNEstimators:
             n_estimators_low=2, n_estimators_high=6, n_estimators_step=2,
             max_depth=2, cv_folds=2, seed=0,
         )
-        assert search_n_estimators(x, y, ObjectiveKind.KENDALL, cfg) == 2
+        assert search_n_estimators(x, y, ObjectiveKind.KENDALL, cfg) == (2, -1.0)
 
 
 class TestIterativePrune:
@@ -403,10 +418,8 @@ class TestIterativePrune:
             x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
         )
         retained = [i for i, n in enumerate(("a", "b", "c")) if n in model.metric_names]
-        best_n = gbt_mod._searched_size(
-            x[:, retained], y, ObjectiveKind.KENDALL, cfg
-        )
-        assert best_n[1] == max(trace.performances)
+        _, best_cv = search_n_estimators(x[:, retained], y, ObjectiveKind.KENDALL, cfg)
+        assert best_cv == max(trace.performances)
 
     def test_noise_feature_pruned_first_mostly(self):
         hits = 0
@@ -464,15 +477,14 @@ class TestCalibrateGbt:
 
 def _tied_problem(loss, seed, n=36):
     """Integer-valued features (many ties) and a target for the given loss:
-    group-folded ranking pairs for the pairwise loss, tied values otherwise."""
+    pairs two to a group for the pairwise loss, tied z values otherwise."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 4, (n, 3)).astype(float)
     if loss is GbtLoss.PAIRWISE_RANK:
-        n_pairs = n // 2
-        return x, RankingPairs.stacked(n_pairs, [f"g{i // 2}" for i in range(n_pairs)])
+        return x, _pairs(f"g{i // 2}" for i in range(n // 2))
     if loss is GbtLoss.SQUARED_LOG_ERROR:
-        return x, rng.integers(0, 6, n) / 2.0
-    return x, x[:, 0] + rng.integers(0, 3, n)
+        return x, PreferenceTarget.from_pointwise(rng.integers(0, 6, n) / 2.0)
+    return x, PreferenceTarget.from_pointwise(x[:, 0] + rng.integers(0, 3, n))
 
 
 class TestOracleParity:
@@ -530,6 +542,35 @@ class TestOracleParity:
         specs = tuple(MetricSpec(name, 0, 3) for name in ("a", "b", "c"))
         model, trace = iterative_prune(x, target, ObjectiveKind.KENDALL, cfg, 3, specs)
         retained = [i for i, s in enumerate(specs) if s.name in trace.best_features]
-        best_n = search_n_estimators(x[:, retained], target, ObjectiveKind.KENDALL, cfg)
+        best_n, _ = search_n_estimators(x[:, retained], target, ObjectiveKind.KENDALL, cfg)
         expected = gbt_train(x[:, retained], target, cfg, best_n)
         assert model.trees == expected
+
+
+_ENTRY_POINTS = {
+    "gbt_train": lambda x, y, cfg: gbt_train(x, y, cfg, 1),
+    "cross_validate": lambda x, y, cfg: cross_validate(x, y, ObjectiveKind.KENDALL, cfg, 1),
+    "search_n_estimators": lambda x, y, cfg: search_n_estimators(x, y, ObjectiveKind.KENDALL, cfg),
+    "iterative_prune": lambda x, y, cfg: iterative_prune(
+        x, y, ObjectiveKind.KENDALL, cfg, 1, (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))),
+    "calibrate_gbt": lambda x, y, cfg: calibrate_gbt(
+        x, y, ObjectiveKind.KENDALL, cfg, (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_feature_is_refused(entry, bad):
+    x = np.arange(20.0).reshape(10, 2)
+    x[4, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        _ENTRY_POINTS[entry](x, np.arange(10.0), _single_round(cv_folds=2))
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_target_is_refused(entry, bad):
+    y = np.arange(10.0)
+    y[7] = bad
+    with pytest.raises(NonFiniteInput):
+        _ENTRY_POINTS[entry](np.arange(20.0).reshape(10, 2), y, _single_round(cv_folds=2))

@@ -2,9 +2,10 @@
 
 Runs `basemetrics`, `split` at seed 0, then a short-grid pruned GBT
 calibration and a default GP calibration (Kendall on the CSV path) through
-`metacal.cli.main`, on the CSV path and on a pairwise JSONL path, and
-compares the sha256 of each model file and of its `report` output with the
-values pinned below.  The splits, the pairs and the GP runs are those of
+`metacal.cli.main`, on the CSV path and on a pairwise JSONL path, plus the
+short-grid pruned GBT under the absolute-error and squared-log-error losses
+on the CSV path, and compares the sha256 of each model file and of its
+`report` output with the values pinned below.  The splits, the pairs and the GP runs are those of
 `tools/artifact_digests.py --seed 0`.  The GBT trainer calls no BLAS
 routine, so its pins do not depend on BLAS threading.  The GP surrogate
 does (matrix products, Cholesky, inverse); its pins held with OpenBLAS at 1
@@ -37,6 +38,16 @@ PINNED = {
     "jsonl": {
         "model": "4decb2d422243c10b20f3df71692593137f7547c97d946ca51d3fe4fc7c7a999",
         "report": "b0eaa82db920fa0739eb7d790b92a09e0050cd0596c16e31d12c3ff2598bd922",
+    },
+}
+LOSS_PINNED = {
+    "absoluteerror": {
+        "model": "193f87946dcd175878375d8fc9ed6be88fa2af1467a2be4afef4aae09e6c8f81",
+        "report": "e3f69bf13afcc1d3ccd0134d2f26465fcceb390e162936abe08b0d60e6b60bd0",
+    },
+    "squaredlogerror": {
+        "model": "0aa9318fccfa3bdea936b19314158b72300c2b3ea75d1969b9083f3a304d0d72",
+        "report": "24b6b0ea73eca567346dab73a7b8c2b82c843c1d3fb88ffd019c5eb34766770d",
     },
 }
 GP_FLAGS = {"csv": ["--method", "gp", "--objective", "kendall"], "jsonl": ["--method", "gp"]}
@@ -90,6 +101,12 @@ def _calibrate_digests(work: Path, fmt: str, tag: str, flags: list[str]) -> dict
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_pruned_gbt_model_bytes_are_pinned(work, fmt):
     assert _calibrate_digests(work, fmt, "gbt", SHORT_PRUNED_GBT) == PINNED[fmt]
+
+
+@pytest.mark.parametrize("loss", sorted(LOSS_PINNED))
+def test_regression_loss_gbt_model_bytes_are_pinned(work, loss):
+    digests = _calibrate_digests(work, "csv", loss, [*SHORT_PRUNED_GBT, "--loss", loss])
+    assert digests == LOSS_PINNED[loss]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
