@@ -59,6 +59,7 @@ from .objectives import (
     NonFiniteInput,
     ObjectiveKind,
     pairwise_accuracy,
+    prepare,
     score_or_worst,
 )
 
@@ -332,21 +333,27 @@ def _best_split(
 def _build_tree(
     x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     reg_lambda: float, gamma: float, max_depth: int,
-) -> Tree:
+) -> tuple[Tree, np.ndarray]:
+    """The tree, and its output on each training row: the builder routes
+    every row to its leaf (x <= lo, hence x < threshold, goes left), so the
+    rows need no second walk of the finished tree."""
+    out = np.empty(x.shape[0], dtype=np.float64)
+
     def visit(node: tuple[np.ndarray, int]) -> tuple:
         idx, depth = node
-        g = float(grad[idx].sum())
-        h = float(hess[idx].sum())
-        leaf = (-g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0,)
-        if depth >= max_depth or idx.size < 2:
-            return leaf
-        found = _best_split(x, grad, hess, idx, reg_lambda, gamma)
+        found = None
+        if depth < max_depth and idx.size >= 2:
+            found = _best_split(x, grad, hess, idx, reg_lambda, gamma)
         if found is None or found[0] <= 0.0:
-            return leaf
+            g = float(grad[idx].sum())
+            h = float(hess[idx].sum())
+            value = -g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0
+            out[idx] = value
+            return (value,)
         gain, feature, threshold, left_idx, right_idx = found
         return feature, threshold, gain, (left_idx, depth + 1), (right_idx, depth + 1)
 
-    return Tree.grow((np.arange(x.shape[0]), 0), visit)
+    return Tree.grow((np.arange(x.shape[0]), 0), visit), out
 
 
 def _as_features(features: np.ndarray) -> np.ndarray:
@@ -403,9 +410,10 @@ def gbt_train(
             grad, hess = _pairwise_grad_hess(preds)
         else:
             grad, hess = _regression_grad_hess(config.loss, preds, target.z)
-        tree = _build_tree(x, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
+        tree, tree_preds = _build_tree(
+            x, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
         trees.append(tree)
-        preds += config.learning_rate * _predict_tree(tree, x)
+        preds += config.learning_rate * tree_preds
         if config.loss is GbtLoss.SQUARED_LOG_ERROR:
             np.maximum(preds, _SLE_FLOOR, out=preds)
     return TreeEnsemble(
@@ -447,14 +455,15 @@ def _group_folds(
     return [np.flatnonzero(assignments == f) for f in range(folds)]
 
 
-def _held_out_score(
-    objective: ObjectiveKind, held: PreferenceTarget, preds: np.ndarray
-) -> float:
-    """Pairwise accuracy on a pairwise target, else `objective` against z
-    (-1 when degenerate)."""
+def _held_out_scorer(
+    objective: ObjectiveKind, held: PreferenceTarget
+) -> Callable[[np.ndarray], float]:
+    """Pairwise accuracy on a pairwise target, else `objective` against z,
+    prepared once for every ensemble size (-1 when degenerate)."""
     if held.kind is TargetKind.PAIRWISE:
-        return pairwise_accuracy(*unstack_pairs(preds))
-    return score_or_worst(objective, preds, held.z)
+        return lambda preds: pairwise_accuracy(*unstack_pairs(preds))
+    z = prepare(objective, held.z)
+    return lambda preds: score_or_worst(objective, preds, z)
 
 
 def _cv_curve(
@@ -482,9 +491,9 @@ def _cv_curve(
     for hold in _group_folds(groups, config.cv_folds, np.random.default_rng(config.seed)):
         keep = np.setdiff1d(units, hold)
         model = gbt_train(x[unit_rows(target, keep)], target.take_units(keep), config, n_trees)
-        held = target.take_units(hold)
+        score = _held_out_scorer(objective, target.take_units(hold))
         fold_scores.append({
-            n: _held_out_score(objective, held, preds)
+            n: score(preds)
             for n, preds in enumerate(model.staged_predict(x[unit_rows(target, hold)]))
             if n in wanted
         })

@@ -38,6 +38,7 @@ from .objectives import (
     NonFiniteInput,
     ObjectiveKind,
     pairwise_accuracy,
+    prepare,
     score_or_worst,
 )
 from .preprocess import unit_specs
@@ -389,7 +390,7 @@ def calibrate_gp(
 
     if target.kind is TargetKind.POINTWISE:
         features = expand_matrix(matrix.values, config.weighting)
-        z = pointwise_z(matrix, target)
+        z = prepare(objective, pointwise_z(matrix, target))
 
         def evaluate(w: np.ndarray) -> float:
             return score_or_worst(objective, features @ w, z)
@@ -448,7 +449,7 @@ def select_top_k(
         raise MetacalError(f"k must be in [1, {n}], got {k}")
     scores = np.empty(n)
     if target.kind is TargetKind.POINTWISE:
-        z = pointwise_z(matrix, target)
+        z = prepare(objective, pointwise_z(matrix, target))
         for j in range(n):
             scores[j] = score_or_worst(objective, matrix.values[:, j], z)
     else:

@@ -509,6 +509,16 @@ class TestOracleParity:
             np.testing.assert_array_equal(got[3], want[3])
             np.testing.assert_array_equal(got[4], want[4])
 
+    def test_builder_outputs_match_a_walk_of_the_tree(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            x = rng.integers(0, 4, (n, int(rng.integers(1, 4)))) / 3.0
+            grad = rng.normal(size=n)
+            hess = rng.integers(0, 3, n) / 2.0
+            tree, out = gbt_mod._build_tree(x, grad, hess, 1.0, 0.0, int(rng.integers(1, 5)))
+            assert out.tobytes() == gbt_mod._predict_tree(tree, x).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
     @pytest.mark.parametrize("loss", list(GbtLoss))

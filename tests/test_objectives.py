@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metacal.core import MetacalError
 from metacal.objectives import (
     DegenerateInput,
     EmptyInput,
@@ -12,6 +13,7 @@ from metacal.objectives import (
     kendall_tau,
     pairwise_accuracy,
     pearson_r,
+    prepare,
     score_or_worst,
     spearman_rho,
 )
@@ -145,6 +147,105 @@ class TestLargeTiedParity:
     def test_midranks_with_many_short_runs(self):
         values = np.random.default_rng(5).integers(0, 50_000, size=100_000).astype(float)
         assert np.array_equal(_midranks(values), loop_midranks(values))
+
+
+class TestPreparedTarget:
+    """A prepared z stands in for the plain second list: same bits, same
+    errors in the same order."""
+
+    _CORRELATIONS = {
+        ObjectiveKind.KENDALL: kendall_tau,
+        ObjectiveKind.SPEARMAN: spearman_rho,
+        ObjectiveKind.PEARSON: pearson_r,
+    }
+
+    @pytest.mark.parametrize("kind", list(_CORRELATIONS))
+    def test_one_target_reused_across_many_first_lists(self, kind):
+        fn = self._CORRELATIONS[kind]
+        rng = np.random.default_rng(17)
+        for n, levels in ((60, None), (720, 10), (2_000, 3)):
+            z = rng.normal(size=n) if levels is None else rng.integers(0, levels, n).astype(float)
+            target = prepare(kind, z)
+            for _ in range(30):
+                a = rng.integers(0, int(rng.integers(2, 40)), n).astype(float)
+                assert fn(a, target) == fn(a, z)
+                assert correlation(kind, a, target) == fn(a, z)
+
+    @pytest.mark.parametrize("kind", list(_CORRELATIONS))
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_length_mismatch_comes_before_non_finite(self, kind, prepared):
+        z = [1.0, 2.0, 3.0]
+        with pytest.raises(LengthMismatch):
+            self._CORRELATIONS[kind]([np.nan, 1.0], prepare(kind, z) if prepared else z)
+
+    @pytest.mark.parametrize("kind", [ObjectiveKind.KENDALL, ObjectiveKind.SPEARMAN])
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_first_constant_list_is_named_before_the_second(self, kind, prepared):
+        z = [2.0, 2.0, 2.0]
+        with pytest.raises(DegenerateInput, match="first list is constant"):
+            self._CORRELATIONS[kind]([1.0, 1.0, 1.0], prepare(kind, z) if prepared else z)
+        with pytest.raises(DegenerateInput, match="second list is constant"):
+            self._CORRELATIONS[kind]([1.0, 2.0, 3.0], prepare(kind, z) if prepared else z)
+
+    @pytest.mark.parametrize("kind", list(_CORRELATIONS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_preparing_a_non_finite_target_is_refused(self, kind, bad):
+        with pytest.raises(NonFiniteInput):
+            prepare(kind, [0.1, bad, 0.3])
+        with pytest.raises(NonFiniteInput):
+            self._CORRELATIONS[kind]([0.1, bad, 0.3], prepare(kind, [1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("kind", list(_CORRELATIONS))
+    def test_too_short_target_is_refused(self, kind):
+        with pytest.raises(LengthMismatch):
+            prepare(kind, [1.0])
+
+    @pytest.mark.parametrize("kind", list(_CORRELATIONS))
+    def test_score_or_worst_maps_degenerate_to_minus_one(self, kind):
+        assert score_or_worst(kind, [1.0, 1.0, 1.0], prepare(kind, [1.0, 2.0, 3.0])) == -1.0
+        assert score_or_worst(kind, [1.0, 2.0, 3.0], prepare(kind, [4.0, 4.0, 4.0])) == -1.0
+        assert score_or_worst(kind, [1.0, 2.0, 3.0], prepare(kind, [1.0, 2.0, 3.0])) == 1.0
+
+    def test_pairwise_accuracy_is_not_a_correlation(self):
+        with pytest.raises(MetacalError, match="not a correlation"):
+            prepare(ObjectiveKind.PAIRWISE_ACCURACY, [1.0, 2.0])
+
+    def test_target_of_another_kind_is_refused(self):
+        with pytest.raises(MetacalError, match="cannot stand in"):
+            kendall_tau([1.0, 2.0, 3.0], prepare(ObjectiveKind.SPEARMAN, [1.0, 2.0, 3.0]))
+
+
+@st.composite
+def _tied_lists(draw):
+    """Paired lists of up to 50 values drawn from a few levels each."""
+    n = draw(st.integers(min_value=2, max_value=50))
+    a_levels = draw(st.integers(min_value=2, max_value=6))
+    b_levels = draw(st.integers(min_value=2, max_value=6))
+    a = draw(st.lists(st.integers(0, a_levels - 1), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, b_levels - 1), min_size=n, max_size=n))
+    return np.asarray(a, float), np.asarray(b, float)
+
+
+@given(_tied_lists())
+@settings(max_examples=300, deadline=None)
+def test_kendall_matches_pair_enumeration_under_heavy_ties(lists):
+    a, b = lists
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return
+    assert kendall_tau(a, b) == pytest.approx(naive_kendall_tau(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("levels", [256, 257, 65_536, 65_537, 131_072, 131_073])
+def test_kendall_exact_at_rank_dtype_boundaries(levels):
+    """z's dense ranks change dtype above 256 and 65,536 levels, and the
+    sort keys of the last bit stop fitting 16 bits above 131,072 levels."""
+    rng = np.random.default_rng(levels)
+    n = levels + 3_000
+    z = np.concatenate([np.arange(levels), rng.integers(0, levels, n - levels)]) * 0.5
+    rng.shuffle(z)
+    a = rng.integers(0, 7, n) * 0.25
+    assert kendall_tau(a, z) == table_kendall_tau(a, z)
+    assert kendall_tau(z, a) == table_kendall_tau(z, a)
 
 
 class TestNonFiniteInput:
