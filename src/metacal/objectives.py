@@ -20,9 +20,10 @@ stable sort by the bits above b groups the ranks, and each rank whose bit
 b is 1 is inverted with every 0 after it in its group.  Summed over all
 levels, the positions of the 1s fall short of a constant that depends on
 z alone by exactly the number of inversions; the constant is the same sum
-over z's own sorted ranks, which hold none.  The tau-b tie corrections and Spearman's midranks take their
-runs of tied values from one vectorized routine, `_runs`.  The naive
-O(n^2) pair scan is kept as a test oracle.
+over z's own sorted ranks, which hold none.  The tau-b tie corrections
+and Spearman's midranks take their runs of tied values from one
+vectorized routine, `_runs`.  The naive O(n^2) pair scan is kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ class ObjectiveKind(Enum):
     SPEARMAN = "spearman"
     PEARSON = "pearson"
     PAIRWISE_ACCURACY = "pairwise"
-
-
-def _paired_arrays(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    if x.size != y.size:
-        raise LengthMismatch(f"paired lists differ in length: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise LengthMismatch(f"need at least 2 paired values, got {x.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("paired lists must hold finite values")
-    return x, y
 
 
 def _runs(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +173,7 @@ _TARGETS: dict[ObjectiveKind, type] = {
     ObjectiveKind.SPEARMAN: SpearmanTarget,
     ObjectiveKind.PEARSON: PearsonTarget,
 }
+_PREPARED = tuple(_TARGETS.values())
 
 
 def prepare(kind: ObjectiveKind, z: Sequence[float]) -> RankTarget:
@@ -205,19 +195,20 @@ def prepare(kind: ObjectiveKind, z: Sequence[float]) -> RankTarget:
 def _against(
     a: Sequence[float], b: Sequence[float] | RankTarget, cls: type
 ) -> tuple[np.ndarray, RankTarget]:
-    """`a` as a checked first list, and `b` as a `cls` target: prepared
-    from a plain list after both lists are checked together."""
-    if not isinstance(b, tuple(_TARGETS.values())):
-        x, y = _paired_arrays(a, b)
-        return x, cls._of(y)
-    if not isinstance(b, cls):
+    """`a` as a checked first list, and `b` as a `cls` target.  A plain `b`
+    is prepared after both lists are checked: lengths first, then values."""
+    if isinstance(b, _PREPARED) and not isinstance(b, cls):
         raise MetacalError(f"a {type(b).__name__} cannot stand in for a {cls.__name__}")
     x = np.asarray(a, dtype=np.float64).ravel()
-    if x.size != b.n:
-        raise LengthMismatch(f"paired lists differ in length: {x.size} vs {b.n}")
-    if not np.isfinite(x).all():
+    y = None if isinstance(b, cls) else np.asarray(b, dtype=np.float64).ravel()
+    n = b.n if y is None else y.size
+    if x.size != n:
+        raise LengthMismatch(f"paired lists differ in length: {x.size} vs {n}")
+    if x.size < 2:
+        raise LengthMismatch(f"need at least 2 paired values, got {x.size}")
+    if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
         raise NonFiniteInput("paired lists must hold finite values")
-    return x, b
+    return x, (b if y is None else cls._of(y))
 
 
 def kendall_tau(a: Sequence[float], b: Sequence[float] | KendallTarget) -> float:
