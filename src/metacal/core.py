@@ -126,25 +126,6 @@ class ScoreMatrix:
             self, "example_ids", tuple(ExampleId(*e) for e in self.example_ids)
         )
 
-    @classmethod
-    def from_rows(
-        cls,
-        metric_names: Sequence[str],
-        rows: Iterable[tuple[ExampleId | tuple[str, str, str], Sequence[float]]],
-    ) -> "ScoreMatrix":
-        ids = []
-        scores = []
-        names = tuple(metric_names)
-        for eid, row in rows:
-            if len(row) != len(names):
-                raise MetacalError(
-                    f"row {eid!r} has {len(row)} scores, expected {len(names)}"
-                )
-            ids.append(ExampleId(*eid))
-            scores.append([float(v) for v in row])
-        values = np.asarray(scores, dtype=np.float64).reshape(len(ids), len(names))
-        return cls(names, tuple(ids), values)
-
     @property
     def n_examples(self) -> int:
         return len(self.example_ids)

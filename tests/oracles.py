@@ -3,7 +3,8 @@
 Everything here is written for clarity, not speed, and deliberately avoids
 the code paths used by the package: pair counting by explicit double loops,
 dense linear algebra by plain solves, n-gram metrics by direct enumeration.
-The boosted-tree references are the direct forms of the package's faster
+The per-pair text metrics are the package's first scalar forms: `Counter`
+n-gram overlap per segment and the O(|a|·|b|) LCS table.  The boosted-tree references are the direct forms of the package's faster
 searches: a split scan one feature at a time, and cross-validation that
 trains a separate model for every ensemble size.
 """
@@ -11,6 +12,7 @@ trains a separate model for every ensemble size.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -242,6 +244,114 @@ def lcs_recursive(a: tuple, b: tuple, memo=None) -> int:
         result = max(lcs_recursive(a[:-1], b, memo), lcs_recursive(a, b[:-1], memo))
     memo[key] = result
     return result
+
+
+def ngram_overlap(hyp, ref, n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of `hyp` in `ref` (each n-gram counts at most
+    as often as `ref` has it), and the n-gram totals of `hyp` and `ref`."""
+    hyp_counts, ref_counts = (
+        Counter(tuple(items[i : i + n]) for i in range(len(items) - n + 1)) for items in (hyp, ref)
+    )
+    matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    return matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)
+
+
+def bleu_pair(hypothesis: str, reference: str, max_n: int = 4) -> float:
+    hyp = hypothesis.split()
+    ref = reference.split()
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        matched, total, _ = ngram_overlap(hyp, ref, n)
+        if n == 1:
+            if matched == 0:
+                return 0.0
+            precision = matched / total
+        else:
+            precision = (matched + 1.0) / (total + 1.0)
+        log_sum += math.log(precision)
+    if len(hyp) >= len(ref):
+        brevity = 1.0
+    else:
+        brevity = math.exp(1.0 - len(ref) / len(hyp))
+    return brevity * math.exp(log_sum / max_n)
+
+
+def _left_to_right_mean(values: list[float]) -> float:
+    """Mean with the sum added left to right (Python 3.12's `sum` would
+    compensate, and the metric's figures predate that)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
+
+
+def chrf_pair(hypothesis: str, reference: str, char_n: int = 6, beta: float = 2.0) -> float:
+    hyp = "".join(hypothesis.split())
+    ref = "".join(reference.split())
+    if not hyp and not ref:
+        return 1.0
+    if not hyp or not ref:
+        return 0.0
+    precisions = []
+    recalls = []
+    for n in range(1, char_n + 1):
+        matched, hyp_total, ref_total = ngram_overlap(hyp, ref, n)
+        if hyp_total > 0:
+            precisions.append(matched / hyp_total)
+        if ref_total > 0:
+            recalls.append(matched / ref_total)
+    avg_p = _left_to_right_mean(precisions)
+    avg_r = _left_to_right_mean(recalls)
+    denom = beta * beta * avg_p + avg_r
+    if denom == 0.0:
+        return 0.0
+    return (1.0 + beta * beta) * avg_p * avg_r / denom
+
+
+def rouge_n_pair(hypothesis: str, reference: str, n: int) -> float:
+    matched, hyp_total, ref_total = ngram_overlap(hypothesis.split(), reference.split(), n)
+    if hyp_total == 0 and ref_total == 0:
+        return 1.0
+    if hyp_total == 0 or ref_total == 0:
+        return 0.0
+    precision = matched / hyp_total
+    recall = matched / ref_total
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def lcs_table(a, b) -> int:
+    """LCS length by the O(|a|·|b|) dynamic-programming table."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for token in a:
+        cur = [0] * (len(b) + 1)
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_pair(hypothesis: str, reference: str) -> float:
+    hyp = hypothesis.split()
+    ref = reference.split()
+    if not hyp and not ref:
+        return 1.0
+    if not hyp or not ref:
+        return 0.0
+    lcs = lcs_table(hyp, ref)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(hyp)
+    recall = lcs / len(ref)
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma):

@@ -66,6 +66,25 @@ class TestBasemetrics:
         ])
         assert rc == 2
 
+    def test_empty_selection_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["basemetrics", "--input", str(CORPUS), "--output", str(out), "--metrics", " , "])
+        assert rc == 2
+        assert "no built-in metric" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_metric_is_rejected_before_scoring(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("scored a selection that names a metric twice")
+
+        monkeypatch.setattr("metacal.cli.score_corpus", never)
+        out = tmp_path / "x.csv"
+        rc = main(["basemetrics", "--input", str(CORPUS), "--output", str(out),
+                   "--metrics", "bleu,chrf,bleu"])
+        assert rc == 2
+        assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrateAndScore:
     def test_gp_then_score_and_report(self, tmp_path, specs_path, scores_path):

@@ -38,18 +38,16 @@ class TestMetricSpec:
 class TestScoreMatrix:
     def test_row_width_must_match(self):
         with pytest.raises(MetacalError):
-            ScoreMatrix.from_rows(("a", "b"), [(ExampleId("d", "s", "1"), [1.0])])
+            ScoreMatrix(("a", "b"), (ExampleId("d", "s", "1"),), np.array([[1.0]]))
 
     def test_duplicate_ids_rejected(self):
         eid = ExampleId("d", "s", "1")
         with pytest.raises(MetacalError, match="duplicate"):
-            ScoreMatrix.from_rows(("a",), [(eid, [1.0]), (eid, [2.0])])
+            ScoreMatrix(("a",), (eid, eid), np.array([[1.0], [2.0]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(MetacalError, match="non-finite"):
-            ScoreMatrix.from_rows(
-                ("a",), [(ExampleId("d", "s", "1"), [float("nan")])]
-            )
+            ScoreMatrix(("a",), (ExampleId("d", "s", "1"),), np.array([[float("nan")]]))
 
     def test_values_read_only(self):
         matrix = _matrix()

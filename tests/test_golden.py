@@ -1,11 +1,14 @@
-"""Byte identity of GBT and GP model files on the bundled desk corpus.
+"""Byte identity of the desk score file and of GBT and GP model files.
 
-Runs `basemetrics`, `split` at seed 0, then a short-grid pruned GBT
-calibration and a default GP calibration (Kendall on the CSV path) through
-`metacal.cli.main`, on the CSV path and on a pairwise JSONL path, plus the
-short-grid pruned GBT under the absolute-error and squared-log-error losses
-on the CSV path, and compares the sha256 of each model file and of its
-`report` output with the values pinned below.  The splits, the pairs and the GP runs are those of
+Runs `basemetrics` on the bundled desk corpus and compares the sha256 of
+its score CSV with the value pinned below, so a drift in a text metric
+fails here even where the models downstream do not move.  Then runs
+`split` at seed 0, then a short-grid pruned GBT calibration and a default
+GP calibration (Kendall on the CSV path) through `metacal.cli.main`, on the
+CSV path and on a pairwise JSONL path, plus the short-grid pruned GBT under
+the absolute-error and squared-log-error losses on the CSV path, and
+compares the sha256 of each model file and of its `report` output with the
+values pinned below.  The splits, the pairs and the GP runs are those of
 `tools/artifact_digests.py --seed 0`.  The GBT trainer calls no BLAS
 routine, so its pins do not depend on BLAS threading.  The GP surrogate
 does (matrix products, Cholesky, inverse); its pins held with OpenBLAS at 1
@@ -30,6 +33,7 @@ CORPUS = ROOT / "src" / "metacal" / "data" / "desk_corpus.csv"
 SHORT_PRUNED_GBT = ["--method", "gbt", "--n-estimators-low", "10", "--n-estimators-high", "30",
                     "--n-estimators-step", "10", "--prune-iterations", "2"]
 
+SCORES_PINNED = "aff3514672ec9010059af7b7db9ae4c2c20c21b1ad4f890372182edda2181763"
 PINNED = {
     "csv": {
         "model": "2752bd5bb59f4f44c263372fbd5d6963e6ead16689dc03a9f392c1edf2990e3d",
@@ -96,6 +100,10 @@ def _calibrate_digests(work: Path, fmt: str, tag: str, flags: list[str]) -> dict
     assert main(["report", "--model", model, "--output", report]) == 0
     return {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
             for name, path in (("model", model), ("report", report))}
+
+
+def test_desk_score_bytes_are_pinned(work):
+    assert hashlib.sha256((work / "scores.csv").read_bytes()).hexdigest() == SCORES_PINNED
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
