@@ -110,9 +110,12 @@ class ScoreMatrix:
                 f"non-finite score at row {bad[0]}, column "
                 f"{self.metric_names[bad[1]]!r}"
             )
-        if len(set(self.example_ids)) != len(self.example_ids):
+        ids = tuple(self.example_ids)
+        if set(map(type, ids)) - {ExampleId}:  # build only the ids not built yet
+            ids = tuple(e if type(e) is ExampleId else ExampleId(*e) for e in ids)
+        if len(set(ids)) != len(ids):
             seen: set[ExampleId] = set()
-            for eid in self.example_ids:
+            for eid in ids:
                 if eid in seen:
                     raise MetacalError(f"duplicate example id {eid!r}")
                 seen.add(eid)
@@ -122,9 +125,7 @@ class ScoreMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
-        object.__setattr__(
-            self, "example_ids", tuple(ExampleId(*e) for e in self.example_ids)
-        )
+        object.__setattr__(self, "example_ids", ids)
 
     @property
     def n_examples(self) -> int:
@@ -138,10 +139,10 @@ class ScoreMatrix:
         return self.values[:, self.metric_names.index(name)]
 
     def take_rows(self, indices: Sequence[int]) -> "ScoreMatrix":
-        idx = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
         return ScoreMatrix(
             self.metric_names,
-            tuple(self.example_ids[i] for i in idx),
+            tuple(map(self.example_ids.__getitem__, idx.tolist())),
             self.values[idx],
         )
 

@@ -427,9 +427,13 @@ def feature_importance(model: TreeEnsemble, n_features: int) -> np.ndarray:
     """Total split gain per feature index; never-split features get 0.
 
     Gains are added in node order, tree by tree, each tree in pre-order
-    (node, left subtree, right subtree)."""
+    (node, left subtree, right subtree).  `n_features` must exceed every
+    split's feature index."""
     feature, gain, right = (_stacked(model.trees, name) for name in ("feature", "gain", "right"))
     split = right != 0
+    needed = int(feature[split].max(initial=-1)) + 1
+    if n_features < needed:
+        raise MetacalError(f"n_features must be at least {needed} for this model, got {n_features}")
     return np.bincount(feature[split], weights=gain[split], minlength=n_features)
 
 

@@ -150,8 +150,8 @@ def matern52(w: Sequence[float], w_prime: Sequence[float], lengthscale: float) -
     with d the Euclidean distance between the two weight vectors.
     """
     _check_lengthscale(lengthscale)
-    a = np.asarray(w, dtype=np.float64).ravel()
-    b = np.asarray(w_prime, dtype=np.float64).ravel()
+    a = _finite_array(w, "kernel inputs").ravel()
+    b = _finite_array(w_prime, "kernel inputs").ravel()
     if a.size != b.size:
         raise DimensionMismatch(f"kernel inputs of dim {a.size} vs {b.size}")
     diff = a - b
@@ -321,7 +321,7 @@ def expand_features(y: Sequence[float], weighting: Weighting) -> np.ndarray:
     LINEAR keeps the scores; MULTIPLICATIVE emits the N*(N-1)/2 pairwise
     products y_i * y_j for i < j; COMBINED concatenates both.
     """
-    row = np.asarray(y, dtype=np.float64).ravel()
+    row = _finite_array(y, "normalized scores").ravel()
     return expand_matrix(row[None, :], weighting)[0]
 
 

@@ -41,11 +41,11 @@ class GroupedScores:
     ) -> "GroupedScores":
         groups: dict[str, dict[tuple[str, str], tuple[float, float]]] = {}
         for eid, metric_score, human_score in examples:
-            eid = ExampleId(*eid)
-            cells = groups.setdefault(eid.dataset, {})
-            key = (eid.system, eid.segment)
+            dataset, system, segment = eid
+            cells = groups.setdefault(dataset, {})
+            key = (system, segment)
             if key in cells:
-                raise MetacalError(f"duplicate cell {key} in dataset {eid.dataset!r}")
+                raise MetacalError(f"duplicate cell {key} in dataset {dataset!r}")
             cells[key] = (float(metric_score), float(human_score))
         return cls(groups)
 

@@ -5,17 +5,30 @@ pairwise preference records, and JSON carries metric specs, models, and
 reports.  Every numeric value in an output file is serialized with 17
 significant digits, which round-trips float64 exactly and makes repeated
 runs byte-identical.  Every output file is written whole or not at all.
+
+Score files are read and written by columns.  The CSV readers take rows a
+block at a time (`_BLOCK_ROWS`): each number column of a block is parsed
+in one `float` pass and the block's values are checked finite at once.
+The JSONL reader checks each record's structure as it reads it, and the
+JSON types and finiteness of all its metric values once per file.  Only a
+block or file that fails its check is rescanned, value by value in
+reading order, and the rescan raises the first error met: the error, line
+and column that a row-by-row read names.  The writers check finiteness
+once and format each row from one template string.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from contextlib import contextmanager
+from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -125,20 +138,6 @@ def dumps_canonical(obj: Any) -> str:
     parts: list[str] = []
     _emit(obj, parts, 0)
     parts.append("\n")
-    return "".join(parts)
-
-
-def dumps_compact(obj: Any) -> str:
-    """Single-line variant of the canonical encoding (for JSONL records)."""
-    if isinstance(obj, dict):
-        inner = ", ".join(
-            f"{json.dumps(str(k))}: {dumps_compact(v)}" for k, v in obj.items()
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_compact(v) for v in obj) + "]"
-    parts: list[str] = []
-    _emit(obj, parts, 0)
     return "".join(parts)
 
 
@@ -265,52 +264,142 @@ def _parse_value(text: str | float, line: int, column: str) -> float:
     return value
 
 
-def _read_table(
-    path: str, columns: Sequence[str], parse: Callable[[int, tuple[str, ...]], Any]
-) -> tuple[list[ExampleId], list, PreferenceTarget | None]:
-    """Read a CSV table: the id columns, `columns`, and an optional human
-    column.  Other columns are ignored and may repeat; a column read here
-    may not.  Blank rows are skipped; a UTF-8 byte-order mark is dropped.
+# Rows per block of the CSV readers and writers: each block is checked in
+# one pass, and only one block's strings are held at a time.
+_BLOCK_ROWS = 2048
 
-    Returns the example ids, `parse(line, fields)` of each row, where
-    `fields` holds the row's `columns` in order, and a pointwise target
-    when the human column is present.
+# `ExampleId(*fields)` for a 3-tuple of fields, without the named tuple's
+# Python-level `__new__`.
+_new_id = partial(tuple.__new__, ExampleId)
+
+
+def _tuple_getter(keys: Sequence) -> Callable[[Any], tuple]:
+    """`itemgetter(*keys)`, returning a tuple for one key or none too."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda obj: tuple(obj[key] for key in keys)
+
+
+def _record_blocks(reader: Iterator[list[str]]) -> Iterator[list[list[str]]]:
+    """The reader's records, `_BLOCK_ROWS` at a time.  When reading fails
+    mid-block, the records read before the failure come out first, so
+    their own errors are reported ahead of it, as a row-by-row read would."""
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            yield block
+            if isinstance(exc, csv.Error):  # e.g. a field over the csv module's size limit
+                raise ParseError(reader.line_num, str(exc)) from exc
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _parse_block(
+    records: list[list[str]], width: int, pick: Callable, first_number: int
+) -> tuple[list[tuple[str, ...]], np.ndarray] | None:
+    """A block of non-blank records as its used columns, picked by `pick`,
+    and its number columns (those from `first_number` on) parsed into one
+    float64 array of shape (columns, rows).  None if a record does not
+    have `width` fields, or a number does not parse or is not finite."""
+    if set(map(len, records)) != {width}:
+        return None
+    columns = list(zip(*map(pick, records)))
+    try:
+        values = np.array([list(map(float, c)) for c in columns[first_number:]], dtype=np.float64)
+    except ValueError:
+        return None
+    values = values.reshape(len(columns) - first_number, len(records))  # no number columns: (0, rows)
+    return (columns, values) if np.isfinite(values).all() else None
+
+
+def _raise_first_error(
+    block: list[list[str]],
+    first_line: int,
+    width: int,
+    pick: Callable,
+    first_number: int,
+    numeric: Sequence[str],
+) -> NoReturn:
+    """Rescan a block that failed `_parse_block`, whose first record is on
+    `first_line`, row by row and each row column by column, and raise the
+    first error met: the error, line and column that a row-by-row read
+    names.  The picked columns from `first_number` on are `numeric`."""
+    for line, record in enumerate(block, start=first_line):
+        if not record:
+            continue
+        if len(record) != width:
+            raise ParseError(line, f"{len(record)} fields, header has {width}")
+        for text, column in zip(pick(record)[first_number:], numeric):
+            _parse_value(text, line, column)
+    raise AssertionError("a block failed its check, but none of its rows did")
+
+
+def _read_table(
+    path: str, text_columns: Sequence[str], number_columns: Sequence[str]
+) -> tuple[list[ExampleId], list[list[str]], np.ndarray, PreferenceTarget | None]:
+    """Read a CSV table: the id columns, `text_columns`, `number_columns`,
+    and an optional human column.  Other columns are ignored and may
+    repeat; a column read here may not.  Blank rows are skipped; a UTF-8
+    byte-order mark is dropped.
+
+    Rows are read `_BLOCK_ROWS` at a time, and each block is checked as a
+    whole (`_parse_block`): every row has the header's field count, and
+    each number column, parsed with `float` in one pass, is finite by one
+    `np.isfinite` check.  A block that fails is rescanned row by row only
+    to raise its first error, naming the line and column that a row-by-row
+    read names (`_raise_first_error`).
+
+    Returns the example ids, one list of strings per text column, a float64
+    array with one column per number column, and a pointwise target when
+    the human column is present.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None:
-                raise ParseError(1, "empty file")
-            used = [*ID_COLUMNS, *columns]
-            missing = [c for c in used if c not in header]
-            if missing:
-                raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
-            has_human = HUMAN_COLUMN in header
-            if has_human:
-                used.append(HUMAN_COLUMN)
-            repeated = [c for c in used if header.count(c) > 1]
-            if repeated:
-                raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
-            pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
-            end = len(ID_COLUMNS) + len(columns)
-
-            ids: list[ExampleId] = []
-            rows: list = []
-            zs: list[float] = []
-            for line, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != len(header):
-                    raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
-                fields = pick(record)
-                ids.append(ExampleId(fields[0], fields[1], fields[2]))
-                rows.append(parse(line, fields[3:end]))
-                if has_human:
-                    zs.append(_parse_value(fields[end], line, HUMAN_COLUMN))
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        except csv.Error as exc:
             raise ParseError(reader.line_num, str(exc)) from exc
-    return ids, rows, (PreferenceTarget.from_pointwise(zs) if has_human else None)
+        if header is None:
+            raise ParseError(1, "empty file")
+        used = [*ID_COLUMNS, *text_columns, *number_columns]
+        missing = [c for c in used if c not in header]
+        if missing:
+            raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
+        numeric = list(number_columns)
+        if HUMAN_COLUMN in header:
+            used.append(HUMAN_COLUMN)
+            numeric.append(HUMAN_COLUMN)
+        repeated = [c for c in used if header.count(c) > 1]
+        if repeated:
+            raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
+        pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
+        width, first_number = len(header), len(used) - len(numeric)
+
+        ids: list[ExampleId] = []
+        texts: list[list[str]] = [[] for _ in text_columns]
+        numbers: list[np.ndarray] = []
+        line = 2
+        for block in _record_blocks(reader):
+            records = [r for r in block if r]
+            if records:
+                parsed = _parse_block(records, width, pick, first_number)
+                if parsed is None:
+                    _raise_first_error(block, line, width, pick, first_number, numeric)
+                columns, values = parsed
+                ids.extend(map(_new_id, zip(columns[0], columns[1], columns[2])))
+                for text, column in zip(texts, columns[len(ID_COLUMNS):first_number]):
+                    text.extend(column)
+                numbers.append(values)
+            line += len(block)
+    table = np.concatenate(numbers, axis=1) if numbers else np.empty((len(numeric), 0))
+    target = None
+    if len(numeric) > len(number_columns):
+        target = PreferenceTarget.from_pointwise(table[-1])
+    return ids, texts, table[:len(number_columns)].T, target
 
 
 def load_scores_csv(
@@ -321,13 +410,9 @@ def load_scores_csv(
     Extra columns are ignored so a wide score file can serve narrower metric
     subsets.  Returns a pointwise target when the human column is present.
     """
-    names = [s.name for s in specs]
-    ids, rows, target = _read_table(
-        path, names,
-        lambda line, fields: [_parse_value(v, line, m) for v, m in zip(fields, names)],
-    )
-    values = np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names))
-    return ScoreMatrix(tuple(names), tuple(ids), values), target
+    names = tuple(s.name for s in specs)
+    ids, _, values, target = _read_table(path, (), names)
+    return ScoreMatrix(names, tuple(ids), values), target
 
 
 def load_corpus_csv(
@@ -336,38 +421,71 @@ def load_corpus_csv(
     """Read a text corpus: id columns, hypothesis, reference, optional human.
     Returns the ids, the segment pairs and a pointwise target when the human
     column is present."""
-    return _read_table(
-        path, ("hypothesis", "reference"), lambda line, fields: SegmentPair(*fields)
-    )
+    ids, (hypotheses, references), _, target = _read_table(path, ("hypothesis", "reference"), ())
+    return ids, list(map(SegmentPair, hypotheses, references)), target
+
+
+def _write_rows(
+    fh: TextIO, header: Sequence[str], example_ids: Sequence[ExampleId], values: np.ndarray
+) -> None:
+    """Write a CSV table: the header, then per row its id fields and its
+    `values` row.  The csv module writes the header and the id fields,
+    quoting them as needed; each value is written with 17 significant
+    digits, `format_float`'s text, after one finiteness check of all values
+    (a non-finite value raises `format_float`'s error).  Rows are formatted
+    a block at a time."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(values[~finite][0])
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    # The id fields of a block's rows, one line each, quoted as the csv
+    # module quotes them inside a whole row: same dialect, same line end.
+    id_lines: list[str] = []
+    ids_writer = csv.writer(SimpleNamespace(write=id_lines.append), lineterminator="\n")
+    row_format = "%s" + ",%.17g" * values.shape[1] + "\n"
+    for start in range(0, len(example_ids), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        ids_writer.writerows(example_ids[start:stop])
+        fh.writelines(
+            row_format % (ids[:-1], *row) for ids, row in zip(id_lines, values[start:stop].tolist())
+        )
+        id_lines.clear()
 
 
 def save_scores_csv(
     matrix: ScoreMatrix, path: str, target: PreferenceTarget | None = None
 ) -> None:
     header = [*ID_COLUMNS, *matrix.metric_names]
-    zs = None
+    values = matrix.values
     if target is not None:
-        zs = pointwise_z(matrix, target)
+        values = np.column_stack([values, pointwise_z(matrix, target)])
         header.append(HUMAN_COLUMN)
     with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, (eid, row) in enumerate(zip(matrix.example_ids, matrix.values)):
-            record = [*eid, *(format_float(v) for v in row)]
-            if zs is not None:
-                record.append(format_float(zs[i]))
-            writer.writerow(record)
+        _write_rows(fh, header, matrix.example_ids, values)
 
 
 def save_meta_scores(
     example_ids: Sequence[ExampleId], scores: np.ndarray, path: str
 ) -> None:
     """Write one meta-score per example as CSV: id columns, meta_score."""
+    values = np.asarray(scores, dtype=np.float64)
+    if values.shape != (len(example_ids),):
+        raise MetacalError(f"meta-scores of shape {values.shape} for {len(example_ids)} examples")
     with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*ID_COLUMNS, "meta_score"])
-        for eid, value in zip(example_ids, scores):
-            writer.writerow([*eid, format_float(value)])
+        _write_rows(fh, [*ID_COLUMNS, "meta_score"], example_ids, values[:, None])
+
+
+def _raise_first_value_error(raw: list, lines: list[int], names: Sequence[str]) -> None:
+    """Check the metric values read so far, one side's values per entry of
+    `lines`, in the order a record-by-record read checks them, and raise
+    the first error met."""
+    k = len(names)
+    for i, line in enumerate(lines):
+        try:
+            for value, name in zip(raw[i * k:(i + 1) * k], names):
+                _parse_value(_json_number(value, name), line, name)
+        except TypeError as exc:
+            raise ParseError(line, str(exc)) from None
 
 
 def load_scores_jsonl(
@@ -381,59 +499,89 @@ def load_scores_jsonl(
     Metric values must be finite JSON numbers, and `group` and `category`
     JSON strings; nothing is coerced.  Returns the stacked member matrix
     (chosen at row 2i, rejected at 2i+1) and the pairwise target.
+
+    Each record's structure is checked as it is read; its metric values
+    are checked once per file (their JSON types, then their finiteness),
+    and only a failed check rescans them in reading order to name the
+    first bad value's line.
     """
-    names = [s.name for s in specs]
+    names = tuple(s.name for s in specs)
+    pick = _tuple_getter(names)
     pairs: list[PreferencePair] = []
-    ids: list[ExampleId] = []
-    rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = _parse_json(raw, lambda reason: ParseError(line, reason))
-            if not isinstance(record, dict) or "chosen" not in record or "rejected" not in record:
-                raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
-            try:
-                group = _json_str(record["group"], "group") if "group" in record else str(line - 1)
-                category = _json_str(record.get("category", "-"), "category")
+    raw: list = []  # every side's values, in reading order
+    lines: list[int] = []  # the line of each side
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line, text in enumerate(fh, start=1):
+                text = text.strip()
+                if not text:
+                    continue
+                record = _parse_json(text, lambda reason: ParseError(line, reason))
+                if not isinstance(record, dict) or "chosen" not in record or "rejected" not in record:
+                    raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
+                try:
+                    group = _json_str(record["group"], "group") if "group" in record else str(line - 1)
+                    category = _json_str(record.get("category", "-"), "category")
+                except TypeError as exc:
+                    raise ParseError(line, str(exc)) from None
                 for side in ("chosen", "rejected"):
                     scores = record[side]
                     if not isinstance(scores, dict):
                         raise ParseError(line, f"{side!r} must be an object of metric scores")
-                    missing = [m for m in names if m not in scores]
-                    if missing:
+                    try:
+                        raw.extend(pick(scores))
+                    except KeyError:
+                        missing = [m for m in names if m not in scores]
                         raise HeaderMismatch(
                             f"line {line}: {side} record missing metrics: {', '.join(missing)}"
-                        )
-                    rows.append([_parse_value(_json_number(scores[m], m), line, m) for m in names])
-                    ids.append(ExampleId("-", group, f"{len(pairs)}:{side}"))
-            except TypeError as exc:
-                raise ParseError(line, str(exc)) from None
-            pairs.append(PreferencePair(group_id=group, category=category))
+                        ) from None
+                    lines.append(line)
+                pairs.append(PreferencePair(group_id=group, category=category))
+    except Exception:
+        # A record-by-record read would have met any bad value read before
+        # this error first.
+        _raise_first_value_error(raw, lines, names)
+        raise
     if not pairs:
         raise ParseError(1, "no pairwise records")
-    matrix = ScoreMatrix(tuple(names), tuple(ids), np.asarray(rows, dtype=np.float64))
+    types = set(map(type, raw))
+    numbers = types <= {float, int} and (
+        int not in types or all(abs(v) <= _EXACT_INT for v in raw if type(v) is int)
+    )
+    values = np.array(raw, dtype=np.float64).reshape(len(lines), len(names)) if numbers else None
+    if values is None or not np.isfinite(values).all():
+        _raise_first_value_error(raw, lines, names)
+        raise AssertionError("the metric values failed their check, but none of them did")
+    ids = [
+        _new_id(("-", pair.group_id, f"{i}:{side}"))
+        for i, pair in enumerate(pairs)
+        for side in ("chosen", "rejected")
+    ]
+    matrix = ScoreMatrix(names, tuple(ids), values)
     return matrix, PreferenceTarget.from_pairs(pairs)
 
 
 def save_scores_jsonl(target: PreferenceTarget, path: str, matrix: ScoreMatrix) -> None:
     """Write one pairwise record per pair; member scores come from the
-    stacked matrix rows."""
+    stacked matrix rows.  A line is the record
+
+        {"group": ..., "category": ..., "chosen": {metric: value, ...},
+         "rejected": {metric: value, ...}}
+
+    on one line, with ", " and ": " separators and every value written
+    with 17 significant digits (the matrix's values are finite by
+    construction).  Lines are formatted from one template."""
     if target.kind is not TargetKind.PAIRWISE:
         raise MetacalError("JSONL score files carry pairwise targets only")
     validate_alignment(matrix, target)
-    names = matrix.metric_names
+    side = ", ".join(json.dumps(name).replace("%", "%%") + ": %.17g" for name in matrix.metric_names)
+    line = f'{{"group": %s, "category": %s, "chosen": {{{side}}}, "rejected": {{{side}}}}}\n'
     chosen, rejected = unstack_pairs(matrix.values.tolist())
     with _replacing(path) as fh:
-        for pair, c, r in zip(target.pairwise, chosen, rejected):
-            record = {
-                "group": pair.group_id,
-                "category": pair.category,
-                "chosen": dict(zip(names, c)),
-                "rejected": dict(zip(names, r)),
-            }
-            fh.write(dumps_compact(record) + "\n")
+        fh.writelines(
+            line % (json.dumps(pair.group_id), json.dumps(pair.category), *c, *r)
+            for pair, c, r in zip(target.pairwise, chosen, rejected)
+        )
 
 
 def load_scores(

@@ -3,17 +3,21 @@ invert lower-is-better metrics.
 
 The steps run in exactly that order.  Clipping absorbs out-of-range values
 (neural metrics routinely overshoot their nominal range), so normalization
-never fails on real inputs.  Range metadata is user-supplied configuration:
-ranges are metric knowledge, not something estimated from data.
+never fails on real inputs.  A NaN or infinite raw score is refused with
+`NonFiniteInput`, never clipped into a plausible one.  Range metadata is
+user-supplied configuration: ranges are metric knowledge, not something
+estimated from data.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .core import MetacalError, MetricSpec, ScoreMatrix
+from .objectives import NonFiniteInput
 
 
 class SpecMismatch(MetacalError):
@@ -23,7 +27,10 @@ class SpecMismatch(MetacalError):
 def normalize_score(raw: float, spec: MetricSpec) -> float:
     """Clip `raw` into [spec.min, spec.max], rescale to [0, 1], and invert
     when lower raw scores mean better quality."""
-    clipped = min(max(float(raw), spec.min), spec.max)
+    raw = float(raw)
+    if not math.isfinite(raw):
+        raise NonFiniteInput(f"{spec.name}: raw score must be finite, got {raw!r}")
+    clipped = min(max(raw, spec.min), spec.max)
     scaled = (clipped - spec.min) / (spec.max - spec.min)
     return scaled if spec.higher_is_better else 1.0 - scaled
 
@@ -35,6 +42,8 @@ def normalize_values(values: np.ndarray, specs: Sequence[MetricSpec]) -> np.ndar
         raise SpecMismatch(
             f"value shape {arr.shape} does not match {len(specs)} specs"
         )
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("raw scores must be finite")
     out = np.empty_like(arr)
     for j, spec in enumerate(specs):
         col = np.clip(arr[:, j], spec.min, spec.max)

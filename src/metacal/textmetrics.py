@@ -20,6 +20,7 @@ order, so a score does not depend on which other pairs share its corpus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -163,14 +164,20 @@ def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in values.ravel().tolist()], dtype=np.float64).reshape(values.shape)
 
 
+def _check_order(value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise MetacalError(f"{name} must be a positive integer, got {value!r}")
+
+
 def bleu(pairs: Sequence[SegmentPair], max_n: int = 4) -> np.ndarray:
     """Sentence BLEU per pair: geometric mean of clipped n-gram precisions
     times the brevity penalty, with add-one smoothing on orders above 1.
 
     An empty hypothesis scores 0, and so does one with no unigram match.
     Orders the hypothesis is too short to produce contribute a smoothed
-    precision of 1.
+    precision of 1.  `max_n` must be a positive integer.
     """
+    _check_order(max_n, "max_n")
     matched, hyp_len, ref_len = _clipped_matches(pairs, max_n, _tokens, _token_ids)
     total = _totals(hyp_len, max_n)
     scored = matched[:, 0] > 0
@@ -208,8 +215,12 @@ def chrf(pairs: Sequence[SegmentPair], char_n: int = 6, beta: float = 2.0) -> np
 
     Whitespace is removed before extracting character n-grams.  Orders where
     a side has no n-grams are skipped in that side's average.  Two empty
-    sides score 1, one empty side 0.
+    sides score 1, one empty side 0.  `char_n` must be a positive integer
+    and `beta` finite and positive.
     """
+    _check_order(char_n, "char_n")
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0 < beta < math.inf:
+        raise MetacalError(f"beta must be finite and positive, got {beta!r}")
     matched, hyp_len, ref_len = _clipped_matches(pairs, char_n, _no_space, _code_points)
     hyp_total, ref_total = _totals(hyp_len, char_n), _totals(ref_len, char_n)
     avg_p = _average(_ratio(matched, hyp_total), hyp_total > 0)

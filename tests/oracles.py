@@ -6,13 +6,18 @@ dense linear algebra by plain solves, n-gram metrics by direct enumeration.
 The per-pair text metrics are the package's first scalar forms: `Counter`
 n-gram overlap per segment and the O(|a|·|b|) LCS table.  The boosted-tree references are the direct forms of the package's faster
 searches: a split scan one feature at a time, and cross-validation that
-trains a separate model for every ensemble size.
+trains a separate model for every ensemble size.  The score-file loaders are
+the package's first row-by-row forms: every value parsed and checked on its
+own, in reading order, so their errors name the first bad line and column.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 
@@ -428,3 +433,101 @@ def retrain_cv_curve(features, target, objective, config, sizes):
                 values.append(score_or_worst(objective, preds, y[hold]))
         curve.append(float(np.mean(values)))
     return curve
+
+
+def row_read_table(path, columns, parse):
+    """The row-by-row CSV table reader: (ids, parse(line, fields) per row,
+    human z or None), checking each row, then each value, as it is read."""
+    from metacal.core import ExampleId
+    from metacal.io import HUMAN_COLUMN, ID_COLUMNS, HeaderMismatch, ParseError, _parse_value
+
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, "empty file")
+            used = [*ID_COLUMNS, *columns]
+            missing = [c for c in used if c not in header]
+            if missing:
+                raise HeaderMismatch(f"missing columns: {', '.join(missing)}")
+            has_human = HUMAN_COLUMN in header
+            if has_human:
+                used.append(HUMAN_COLUMN)
+            repeated = [c for c in used if header.count(c) > 1]
+            if repeated:
+                raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
+            pick = itemgetter(*(header.index(c) for c in used))
+            end = len(ID_COLUMNS) + len(columns)
+            ids, rows, zs = [], [], []
+            for line, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(header):
+                    raise ParseError(line, f"{len(record)} fields, header has {len(header)}")
+                fields = pick(record)
+                ids.append(ExampleId(fields[0], fields[1], fields[2]))
+                rows.append(parse(line, fields[3:end]))
+                if has_human:
+                    zs.append(_parse_value(fields[end], line, HUMAN_COLUMN))
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from exc
+    return ids, rows, (zs if has_human else None)
+
+
+def row_load_scores_csv(path, names):
+    """(ids, values as a list of rows, z or None) of a score table."""
+    from metacal.io import _parse_value
+
+    return row_read_table(
+        path, names, lambda line, fields: [_parse_value(v, line, m) for v, m in zip(fields, names)]
+    )
+
+
+def row_load_scores_jsonl(path, names):
+    """(ids, values as a list of rows, [(group, category)]) of a pairwise
+    JSONL file, checking each record, then each value, as it is read."""
+    from metacal.core import ExampleId
+    from metacal.io import (
+        HeaderMismatch, ParseError, _json_number, _json_str, _parse_json, _parse_value,
+    )
+
+    pairs, ids, rows = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            record = _parse_json(raw, lambda reason: ParseError(line, reason))
+            if not isinstance(record, dict) or "chosen" not in record or "rejected" not in record:
+                raise ParseError(line, "record needs 'chosen' and 'rejected' objects")
+            try:
+                group = _json_str(record["group"], "group") if "group" in record else str(line - 1)
+                category = _json_str(record.get("category", "-"), "category")
+                for side in ("chosen", "rejected"):
+                    scores = record[side]
+                    if not isinstance(scores, dict):
+                        raise ParseError(line, f"{side!r} must be an object of metric scores")
+                    missing = [m for m in names if m not in scores]
+                    if missing:
+                        raise HeaderMismatch(
+                            f"line {line}: {side} record missing metrics: {', '.join(missing)}"
+                        )
+                    rows.append([_parse_value(_json_number(scores[m], m), line, m) for m in names])
+                    ids.append(ExampleId("-", group, f"{len(pairs)}:{side}"))
+            except TypeError as exc:
+                raise ParseError(line, str(exc)) from None
+            pairs.append((group, category))
+    if not pairs:
+        raise ParseError(1, "no pairwise records")
+    return ids, rows, pairs
+
+
+def compact_json(obj) -> str:
+    """One JSONL record as the package first wrote it: ", " and ": "
+    separators, floats with 17 significant digits, strings as `json.dumps`."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {compact_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    return json.dumps(obj)

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
+import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from metacal.core import (
     ScoreMatrix,
     Weighting,
 )
+from metacal import io as metacal_io
 from metacal.gbt import GbtConfig, gbt_train
 from metacal.io import (
     ColumnMismatch,
@@ -35,6 +40,7 @@ from metacal.io import (
     model_from_obj,
     model_to_obj,
     report_model,
+    save_meta_scores,
     save_model,
     save_scores_csv,
     save_scores_jsonl,
@@ -43,6 +49,8 @@ from metacal.io import (
     split_matrix,
     split_train_test,
 )
+from metacal.textmetrics import SegmentPair
+from oracles import compact_json, row_load_scores_csv, row_load_scores_jsonl, row_read_table
 
 
 def _random_matrix(rng, n=12, metrics=("alpha", "beta", "gamma")):
@@ -257,6 +265,259 @@ class TestScoresJsonlRoundTrip:
         path.write_text("\n" + json.dumps(record) + "\n")
         _, target = load_scores_jsonl(str(path), _specs())
         assert [(p.group_id, p.category) for p in target.pairwise] == [("1", "-")]
+
+
+def _outcome(load, *args):
+    """A loader's result, or the type and message of the error it raises."""
+    try:
+        return load(*args)
+    except MetacalError as exc:
+        return type(exc), str(exc)
+
+
+def _column_csv(path, names):
+    try:
+        matrix, target = load_scores_csv(path, _specs(names))
+    except MetacalError as exc:
+        return type(exc), str(exc)
+    return list(matrix.example_ids), matrix.values.tolist(), None if target is None else target.z.tolist()
+
+
+def _column_jsonl(path, names):
+    try:
+        matrix, target = load_scores_jsonl(path, _specs(names))
+    except MetacalError as exc:
+        return type(exc), str(exc)
+    pairs = [(p.group_id, p.category) for p in target.pairwise]
+    return list(matrix.example_ids), matrix.values.tolist(), pairs
+
+
+# Field texts that are not finite numbers, plus some that `float` reads.
+_BAD_FIELDS = ("oops", "nan", "inf", "-Infinity", "true", '"0.5"', str(2**53 + 1), "", " 0.5 ", "1_0")
+_DROP = "<one field fewer>"
+
+
+@st.composite
+def _corrupted_table(draw):
+    """CSV text of a score table (3 metrics, maybe human) with one or two
+    fields replaced, maybe a row one field short, maybe blank rows."""
+    n_rows = draw(st.integers(1, 9))
+    width = 3 + draw(st.integers(0, 1))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [["d", f"s{i % 3}", f"seg{i}", *(format_float(v) for v in draw(st.lists(finite, min_size=width, max_size=width)))]
+            for i in range(n_rows)]
+    for _ in range(draw(st.integers(1, 2))):
+        row, column = draw(st.integers(0, n_rows - 1)), draw(st.integers(3, 2 + width))
+        column = min(column, len(rows[row]) - 1)  # the row may be a field short already
+        text = draw(st.sampled_from(_BAD_FIELDS + (_DROP,)))
+        if text == _DROP:
+            del rows[row][column]
+        else:
+            rows[row][column] = text
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    header = ["dataset", "system", "segment", "alpha", "beta", "gamma", "human"][: 3 + width]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+@st.composite
+def _corrupted_jsonl(draw):
+    """JSONL text of pairwise records with one or two values or records
+    replaced, maybe blank lines."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(1, 6))
+    records = [
+        {"group": f"g{i}", "category": "c",
+         **{side: dict(zip(("alpha", "beta", "gamma"), draw(st.lists(finite, min_size=3, max_size=3))))
+            for side in ("chosen", "rejected")}}
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(1, 2))):
+        record = records[draw(st.integers(0, n - 1))]
+        side = draw(st.sampled_from(("chosen", "rejected")))
+        metric = draw(st.sampled_from(("alpha", "beta", "gamma")))
+        edit = draw(st.sampled_from(("value", "value", "value", "missing", "group", "side")))
+        if edit == "group":
+            record["group"] = 7
+        elif edit == "side":
+            record[side] = [1]
+        elif not isinstance(record[side], dict):
+            continue
+        elif edit == "missing":
+            record[side].pop(metric, None)
+        else:
+            record[side][metric] = draw(st.sampled_from(
+                (math.nan, math.inf, -math.inf, "<1e999>", True, "0.5", 2**53 + 1, 2**53 - 1, None, "oops")))
+    lines = [json.dumps(r).replace('"<1e999>"', "1e999") for r in records]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, n - 1))] = "{not json"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnLoadersMatchRowLoaders:
+    """The block-checked loaders raise the error of the row-by-row loaders
+    in `tests/oracles.py`: same type, line, column and message, whichever
+    block size splits the rows."""
+
+    @staticmethod
+    def _write(work, name, text):
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_corrupted_table(), block=st.sampled_from((1, 2, 3, 2048)))
+    def test_score_table(self, text, block):
+        names = ("alpha", "beta", "gamma")
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(metacal_io, "_BLOCK_ROWS", block):
+            path = self._write(work, "t.csv", text)
+            assert _column_csv(path, names) == _outcome(row_load_scores_csv, path, names)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_corrupted_table(), block=st.sampled_from((1, 2, 2048)))
+    def test_corpus_table(self, text, block):
+        text = text.replace("alpha,beta,gamma", "hypothesis,reference,note", 1)
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(metacal_io, "_BLOCK_ROWS", block):
+            path = self._write(work, "c.csv", text)
+            expected = _outcome(row_read_table, path, ("hypothesis", "reference"),
+                                lambda line, fields: SegmentPair(*fields))
+            got = _outcome(load_corpus_csv, path)
+            if isinstance(got, tuple) and len(got) == 3:
+                got = (got[0], got[1], None if got[2] is None else got[2].z.tolist())
+            assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_corrupted_jsonl())
+    def test_jsonl(self, text):
+        names = ("alpha", "beta", "gamma")
+        with tempfile.TemporaryDirectory() as work:
+            path = self._write(work, "p.jsonl", text)
+            assert _column_jsonl(path, names) == _outcome(row_load_scores_jsonl, path, names)
+
+    @pytest.mark.parametrize("late", ["field", "bytes"])
+    def test_a_bad_row_comes_before_a_later_read_error(self, tmp_path, late):
+        header = "dataset,system,segment,alpha,beta,gamma\n"
+        late_row = ("d,s,3,0.5,0.5," + "9" * 200_000 + "\n").encode() if late == "field" else (
+            b"d,s,3,0.5,0.5,0.5\n" * 3000 + b"d,s,x,\xff\n")
+        path = tmp_path / "t.csv"
+        path.write_bytes(header.encode() + b"d,s,2,0.5,oops,0.5\n" + late_row)
+        with pytest.raises(ParseError, match="line 2: cannot parse 'oops' in column 'beta'"):
+            load_scores_csv(str(path), _specs())
+        path.write_bytes(header.encode() + b"d,s,2,0.5,0.5,0.5\n" + late_row)
+        error = ParseError if late == "field" else UnicodeDecodeError
+        with pytest.raises(error, match="line 3: field larger than field limit" if late == "field" else None):
+            load_scores_csv(str(path), _specs())
+
+    def test_error_in_a_late_block(self, tmp_path):
+        rows = "".join(f"d,s,{i},0.5,0.5,0.5\n" for i in range(5000))
+        path = tmp_path / "t.csv"
+        path.write_text("dataset,system,segment,alpha,beta,gamma\n" + rows + "d,s,x,0.5,nan,0.5\n" + rows)
+        with pytest.raises(NonFiniteValue, match="line 5002: non-finite value in column 'beta'"):
+            load_scores_csv(str(path), _specs())
+
+
+# Id texts the csv module must quote, and non-ASCII ones.  A bare carriage
+# return is left out: written unquoted under a "\n" line end, it reads back
+# as a line break.
+_ID_TEXT = st.text(alphabet=st.sampled_from(list(',"\n aé中\U0001f600 -')), max_size=6)
+
+
+class TestScoreFileBytes:
+    """The column writers write what the csv module writes row by row with
+    `format_float` values, and loading a written file and saving it again
+    gives the same bytes."""
+
+    @staticmethod
+    def _row_text(rows):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.tuples(_ID_TEXT, _ID_TEXT, _ID_TEXT), min_size=1, max_size=8, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_quoted_ids_round_trip(self, ids, seed):
+        rng = np.random.default_rng(seed)
+        eids = tuple(ExampleId(*e) for e in ids)
+        matrix = ScoreMatrix(("alpha", "beta", "gamma"), eids, rng.normal(0, 1e3, (len(ids), 3)))
+        target = PreferenceTarget.from_pointwise(rng.normal(size=len(ids)))
+        with tempfile.TemporaryDirectory() as work:
+            scores, meta = os.path.join(work, "s.csv"), os.path.join(work, "m.csv")
+            save_scores_csv(matrix, scores, target)
+            with open(scores, encoding="utf-8", newline="") as fh:
+                first = fh.read()
+            z = target.z.tolist()
+            assert first == self._row_text(
+                [["dataset", "system", "segment", "alpha", "beta", "gamma", "human"]]
+                + [[*e, *map(format_float, row), format_float(z[i])]
+                   for i, (e, row) in enumerate(zip(eids, matrix.values.tolist()))])
+            back, back_target = load_scores_csv(scores, _specs())
+            assert back.example_ids == eids
+            save_scores_csv(back, scores, back_target)
+            with open(scores, encoding="utf-8", newline="") as fh:
+                assert fh.read() == first
+
+            save_meta_scores(back.example_ids, back.values[:, 1], meta)
+            with open(meta, encoding="utf-8", newline="") as fh:
+                assert fh.read() == self._row_text(
+                    [["dataset", "system", "segment", "meta_score"]]
+                    + [[*e, format_float(v)] for e, v in zip(eids, matrix.values[:, 1].tolist())])
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=st.lists(st.tuples(_ID_TEXT, _ID_TEXT), min_size=1, max_size=5),
+           names=st.lists(st.text(alphabet=st.sampled_from(list('%s"\\ aé\U0001f600')), min_size=1,
+                                  max_size=4), min_size=1, max_size=3, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_jsonl_records(self, groups, names, seed):
+        rng = np.random.default_rng(seed)
+        n = len(groups)
+        target = PreferenceTarget.from_pairs(PreferencePair(g, c) for g, c in groups)
+        values = rng.normal(0, 1e3, (2 * n, len(names)))
+        matrix = ScoreMatrix(tuple(names), tuple(ExampleId("-", "g", str(i)) for i in range(2 * n)), values)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "p.jsonl")
+            save_scores_jsonl(target, path, matrix)
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            rows = values.tolist()
+            assert text == "".join(
+                compact_json({"group": g, "category": c, "chosen": dict(zip(names, rows[2 * i])),
+                              "rejected": dict(zip(names, rows[2 * i + 1]))}) + "\n"
+                for i, (g, c) in enumerate(groups))
+            back, back_target = load_scores_jsonl(path, _specs(names))
+            assert back_target == target
+            np.testing.assert_array_equal(back.values, values)
+
+    def test_hundred_thousand_rows_load_and_save_to_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 100_000
+        values = np.column_stack([rng.normal(0, 10, (n, 3)), np.round(rng.uniform(1, 5, n), 1)])
+        lines = ["dataset,system,segment,alpha,beta,gamma,human\n"]
+        lines += [f"ds{i % 4},sys{i % 20},seg{i}," + ",".join(map(format_float, row)) + "\n"
+                  for i, row in enumerate(values.tolist())]
+        text = "".join(lines)
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        matrix, target = load_scores_csv(str(path), _specs())
+        assert matrix.n_examples == n
+        np.testing.assert_array_equal(matrix.values, values[:, :3])
+        np.testing.assert_array_equal(target.z, values[:, 3])
+        save_scores_csv(matrix, str(path), target)
+        assert path.read_text() == text
+
+    def test_non_finite_meta_score_raises_the_formatter_error(self, tmp_path):
+        eids = (ExampleId("d", "s", "1"), ExampleId("d", "s", "2"))
+        path = tmp_path / "m.csv"
+        with pytest.raises(MetacalError, match="cannot serialize non-finite value"):
+            save_meta_scores(eids, np.array([0.5, np.inf]), str(path))
+        assert not path.exists() and not os.listdir(tmp_path)
+        with pytest.raises(MetacalError, match=r"meta-scores of shape \(1,\) for 2 examples"):
+            save_meta_scores(eids, np.array([0.5]), str(path))
 
 
 @pytest.mark.parametrize("field, value", [
