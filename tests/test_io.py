@@ -275,19 +275,22 @@ def _outcome(load, *args):
         return type(exc), str(exc)
 
 
+def _z(target):
+    return None if target is None else target.z.tolist()
+
+
 def _column_csv(path, names):
-    try:
-        matrix, target = load_scores_csv(path, _specs(names))
-    except MetacalError as exc:
-        return type(exc), str(exc)
-    return list(matrix.example_ids), matrix.values.tolist(), None if target is None else target.z.tolist()
+    matrix, target = load_scores_csv(path, _specs(names))
+    return list(matrix.example_ids), matrix.values.tolist(), _z(target)
+
+
+def _column_corpus(path):
+    ids, pairs, target = load_corpus_csv(path)
+    return ids, pairs, _z(target)
 
 
 def _column_jsonl(path, names):
-    try:
-        matrix, target = load_scores_jsonl(path, _specs(names))
-    except MetacalError as exc:
-        return type(exc), str(exc)
+    matrix, target = load_scores_jsonl(path, _specs(names))
     pairs = [(p.group_id, p.category) for p in target.pairwise]
     return list(matrix.example_ids), matrix.values.tolist(), pairs
 
@@ -376,7 +379,7 @@ class TestColumnLoadersMatchRowLoaders:
         names = ("alpha", "beta", "gamma")
         with tempfile.TemporaryDirectory() as work, mock.patch.object(metacal_io, "_BLOCK_ROWS", block):
             path = self._write(work, "t.csv", text)
-            assert _column_csv(path, names) == _outcome(row_load_scores_csv, path, names)
+            assert _outcome(_column_csv, path, names) == _outcome(row_load_scores_csv, path, names)
 
     @settings(max_examples=100, deadline=None)
     @given(text=_corrupted_table(), block=st.sampled_from((1, 2, 2048)))
@@ -384,12 +387,8 @@ class TestColumnLoadersMatchRowLoaders:
         text = text.replace("alpha,beta,gamma", "hypothesis,reference,note", 1)
         with tempfile.TemporaryDirectory() as work, mock.patch.object(metacal_io, "_BLOCK_ROWS", block):
             path = self._write(work, "c.csv", text)
-            expected = _outcome(row_read_table, path, ("hypothesis", "reference"),
-                                lambda line, fields: SegmentPair(*fields))
-            got = _outcome(load_corpus_csv, path)
-            if isinstance(got, tuple) and len(got) == 3:
-                got = (got[0], got[1], None if got[2] is None else got[2].z.tolist())
-            assert got == expected
+            assert _outcome(_column_corpus, path) == _outcome(
+                row_read_table, path, ("hypothesis", "reference"), lambda line, fields: SegmentPair(*fields))
 
     @settings(max_examples=300, deadline=None)
     @given(text=_corrupted_jsonl())
@@ -397,7 +396,7 @@ class TestColumnLoadersMatchRowLoaders:
         names = ("alpha", "beta", "gamma")
         with tempfile.TemporaryDirectory() as work:
             path = self._write(work, "p.jsonl", text)
-            assert _column_jsonl(path, names) == _outcome(row_load_scores_jsonl, path, names)
+            assert _outcome(_column_jsonl, path, names) == _outcome(row_load_scores_jsonl, path, names)
 
     @pytest.mark.parametrize("late", ["field", "bytes"])
     def test_a_bad_row_comes_before_a_later_read_error(self, tmp_path, late):
