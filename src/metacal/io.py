@@ -537,21 +537,21 @@ def load_scores_jsonl(
                         ) from None
                     lines.append(line)
                 pairs.append(PreferencePair(group_id=group, category=category))
+        if not pairs:
+            raise ParseError(1, "no pairwise records")
+        types = set(map(type, raw))
+        if not types <= {float, int} or (
+            int in types and any(abs(v) > _EXACT_INT for v in raw if type(v) is int)
+        ):
+            raise ValueError("a metric value is not a JSON number a float64 holds exactly")
+        values = np.array(raw, dtype=np.float64).reshape(len(lines), len(names))
+        if not np.isfinite(values).all():
+            raise ValueError("a metric value is not finite")
     except Exception:
-        # A record-by-record read would have met any bad value read before
-        # this error first.
+        # The error a record-by-record read meets first: a bad value read
+        # before this error, else this error.
         _raise_first_value_error(raw, lines, names)
         raise
-    if not pairs:
-        raise ParseError(1, "no pairwise records")
-    types = set(map(type, raw))
-    numbers = types <= {float, int} and (
-        int not in types or all(abs(v) <= _EXACT_INT for v in raw if type(v) is int)
-    )
-    values = np.array(raw, dtype=np.float64).reshape(len(lines), len(names)) if numbers else None
-    if values is None or not np.isfinite(values).all():
-        _raise_first_value_error(raw, lines, names)
-        raise AssertionError("the metric values failed their check, but none of them did")
     ids = [
         _new_id(("-", pair.group_id, f"{i}:{side}"))
         for i, pair in enumerate(pairs)
