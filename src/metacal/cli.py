@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import io
 from .core import (
@@ -22,7 +21,6 @@ from .core import (
     Weighting,
     pointwise_z,
     unstack_pairs,
-    validate_alignment,
 )
 from .gbt import GbtConfig, GbtLoss, calibrate_gbt
 from .gp import GpConfig, LengthscalePolicy, calibrate_gp, select_top_k
@@ -35,32 +33,6 @@ from .harness import (
 from .objectives import ObjectiveKind
 from .preprocess import normalize_matrix
 from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
-
-_OBJECTIVES = {o.value: o for o in ObjectiveKind}
-_WEIGHTINGS = {w.value: w for w in Weighting}
-_LOSSES = {l.value: l for l in GbtLoss}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated calibrate-command settings."""
-
-    method: str
-    objective: ObjectiveKind
-    weighting: Weighting
-    top_k: int | None
-    prune_iterations: int | None
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.method not in ("gp", "gbt"):
-            raise MetacalError(f"unknown method {self.method!r}")
-        if self.prune_iterations is not None and self.method != "gbt":
-            raise MetacalError("--prune-iterations is only valid with --method gbt")
-        if self.weighting is not Weighting.LINEAR and self.method != "gp":
-            raise MetacalError("--weighting is only valid with --method gp")
-        if self.top_k is not None and self.top_k < 1:
-            raise MetacalError("--top-k must be >= 1")
 
 
 def _default_seed(value: int | None) -> int:
@@ -93,27 +65,23 @@ def _require_target(target: PreferenceTarget | None, path: str) -> PreferenceTar
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
-    run = RunConfig(
-        method=args.method,
-        objective=_OBJECTIVES[args.objective],
-        weighting=_WEIGHTINGS[args.weighting],
-        top_k=args.top_k,
-        prune_iterations=args.prune_iterations,
-        seed=seed,
-    )
+    if args.prune_iterations is not None and args.method != "gbt":
+        raise MetacalError("--prune-iterations is only valid with --method gbt")
+    if args.weighting != Weighting.LINEAR.value and args.method != "gp":
+        raise MetacalError("--weighting is only valid with --method gp")
+    if args.top_k is not None and args.top_k < 1:
+        raise MetacalError("--top-k must be >= 1")
+    objective = ObjectiveKind(args.objective)
     specs = io.load_specs(args.specs)
     matrix, target = io.load_scores(args.scores, args.format, specs)
     target = _require_target(target, args.scores)
-    validate_alignment(matrix, target)
-
-    if run.top_k is not None:
-        normalized = normalize_matrix(matrix, specs)
-        keep = select_top_k(normalized, target, run.objective, run.top_k)
-        matrix = matrix.take_columns(keep)
+    normalized = normalize_matrix(matrix, specs)
+    if args.top_k is not None:
+        keep = select_top_k(normalized, target, objective, args.top_k)
+        normalized = normalized.take_columns(keep)
         specs = tuple(specs[i] for i in keep)
 
-    normalized = normalize_matrix(matrix, specs)
-    if run.method == "gp":
+    if args.method == "gp":
         config = GpConfig(
             init_points=args.init_points,
             n_iter=args.n_iter,
@@ -124,11 +92,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 else LengthscalePolicy.FIXED_ONE
             ),
             seed=seed,
-            weighting=run.weighting,
+            weighting=Weighting(args.weighting),
         )
-        model = calibrate_gp(normalized, target, run.objective, config, specs=specs)
+        model = calibrate_gp(normalized, target, objective, config, specs=specs)
     else:
-        loss = _LOSSES[args.loss] if args.loss else (
+        loss = GbtLoss(args.loss) if args.loss else (
             GbtLoss.PAIRWISE_RANK
             if target.kind is TargetKind.PAIRWISE
             else GbtLoss.SQUARED_ERROR
@@ -148,13 +116,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         model, _ = calibrate_gbt(
             normalized.values,
             target,
-            run.objective,
+            objective,
             config,
             specs,
-            prune_iterations=run.prune_iterations,
+            prune_iterations=args.prune_iterations,
         )
     io.save_model(model, args.output)
-    print(f"calibrated {run.method} model over {len(model.metric_specs)} metrics -> {args.output}")
+    print(f"calibrated {args.method} model over {len(model.metric_specs)} metrics -> {args.output}")
     return 0
 
 
@@ -257,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True, help="metric spec JSON file")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--method", choices=("gp", "gbt"), default="gp")
-    p.add_argument("--objective", choices=tuple(_OBJECTIVES), default="kendall")
-    p.add_argument("--weighting", choices=tuple(_WEIGHTINGS), default="linear")
+    p.add_argument("--objective", choices=[o.value for o in ObjectiveKind], default="kendall")
+    p.add_argument("--weighting", choices=[w.value for w in Weighting], default="linear")
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--prune-iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -268,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=gp.kappa)
     p.add_argument("--fit-lengthscale", action="store_true",
                    help="refit the GP lengthscale by marginal likelihood")
-    p.add_argument("--loss", choices=tuple(_LOSSES), default=None,
+    p.add_argument("--loss", choices=[l.value for l in GbtLoss], default=None,
                    help="gbt loss (default: squarederror, or pairwise for jsonl data)")
     p.add_argument("--max-depth", type=int, default=gbt.max_depth)
     p.add_argument("--learning-rate", type=float, default=gbt.learning_rate)

@@ -16,6 +16,7 @@ the matrix rows [i * m, (i + 1) * m) for m members per unit:
   that row order into its (chosen, rejected) halves.
 
 `validate_alignment` checks that rule, and `unit_rows` maps units to rows.
+A linear model holds one weight per name of `expanded_feature_names`.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class MetricSpec:
             raise InvalidSpec(
                 f"{self.name}: min must be strictly below max, got [{self.min}, {self.max}]"
             )
-
-
-def _check_unique_names(specs: Sequence[MetricSpec]) -> None:
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.name in seen:
-            raise InvalidSpec(f"duplicate metric name {spec.name!r}")
-        seen.add(spec.name)
 
 
 @dataclass(frozen=True)
@@ -243,13 +236,17 @@ class Weighting(Enum):
     COMBINED = "combined"
 
 
-def expected_weight_count(n_metrics: int, weighting: Weighting) -> int:
-    pairs = n_metrics * (n_metrics - 1) // 2
+def expanded_feature_names(names: Sequence[str], weighting: Weighting) -> tuple[str, ...]:
+    """Labels of the features a linear model's weights act on: the metric
+    names, the products "a*b" of each pair a before b, or both in turn."""
+    base = tuple(names)
+    ii, jj = np.triu_indices(len(base), k=1)
+    pairs = tuple(f"{base[i]}*{base[j]}" for i, j in zip(ii.tolist(), jj.tolist()))
     if weighting is Weighting.LINEAR:
-        return n_metrics
+        return base
     if weighting is Weighting.MULTIPLICATIVE:
         return pairs
-    return n_metrics + pairs
+    return base + pairs
 
 
 @dataclass(frozen=True)
@@ -265,14 +262,17 @@ class CalibratedModel:
     metric_specs: tuple[MetricSpec, ...]
     objective_used: str
     seed: int
-    version: int = 1
     weighting: Weighting | None = None
     weights: tuple[float, ...] | None = None
     trees: "TreeEnsemble | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metric_specs", tuple(self.metric_specs))
-        _check_unique_names(self.metric_specs)
+        seen: set[str] = set()
+        for name in self.metric_names:
+            if name in seen:
+                raise InvalidSpec(f"duplicate metric name {name!r}")
+            seen.add(name)
         n = len(self.metric_specs)
         if self.kind is ModelKind.LINEAR:
             if self.weighting is None or self.weights is None:
@@ -281,7 +281,7 @@ class CalibratedModel:
                 raise MetacalError("linear model must not carry trees")
             weights = tuple(float(w) for w in self.weights)
             object.__setattr__(self, "weights", weights)
-            expected = expected_weight_count(n, self.weighting)
+            expected = len(expanded_feature_names(self.metric_names, self.weighting))
             if len(weights) != expected:
                 raise MetacalError(
                     f"{self.weighting.value} weighting over {n} metrics needs "

@@ -61,6 +61,7 @@ from .objectives import (
     pairwise_accuracy,
     prepare,
     score_or_worst,
+    scored_by,
 )
 
 _MIN_HESSIAN = 1e-6
@@ -442,12 +443,7 @@ def _group_folds(
 ) -> list[np.ndarray]:
     """Fold assignment over units that keeps each group's units together:
     the sorted units of each chunk of a shuffle of the distinct groups."""
-    unique: list[Hashable] = []
-    seen: set[Hashable] = set()
-    for g in groups:
-        if g not in seen:
-            seen.add(g)
-            unique.append(g)
+    unique = list(dict.fromkeys(groups))
     if folds > len(unique):
         raise TooFewExamples(f"{folds} folds over {len(unique)} unit groups")
     order = rng.permutation(len(unique))
@@ -587,11 +583,7 @@ def iterative_prune(
     model = CalibratedModel(
         kind=ModelKind.GBT,
         metric_specs=retained_specs,
-        objective_used=(
-            ObjectiveKind.PAIRWISE_ACCURACY.value
-            if target.kind is TargetKind.PAIRWISE
-            else objective.value
-        ),
+        objective_used=scored_by(objective, target).value,
         seed=config.seed,
         trees=ensemble,
     )

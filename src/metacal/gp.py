@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    expanded_feature_names,  # re-exported: the feature labels of `expand_matrix`
     pointwise_z,
     unstack_pairs,
     validate_alignment,
@@ -40,6 +41,7 @@ from .objectives import (
     pairwise_accuracy,
     prepare,
     score_or_worst,
+    scored_by,
 )
 from .preprocess import unit_specs
 
@@ -342,19 +344,6 @@ def expand_matrix(values: np.ndarray, weighting: Weighting) -> np.ndarray:
     return np.hstack([arr, products])
 
 
-def expanded_feature_names(names: Sequence[str], weighting: Weighting) -> tuple[str, ...]:
-    """Feature labels matching `expand_features` output order."""
-    base = tuple(names)
-    pairs = tuple(
-        f"{base[i]}*{base[j]}" for i in range(len(base)) for j in range(i + 1, len(base))
-    )
-    if weighting is Weighting.LINEAR:
-        return base
-    if weighting is Weighting.MULTIPLICATIVE:
-        return pairs
-    return base + pairs
-
-
 def _injected_starts(dim: int) -> list[np.ndarray]:
     """Uniform-weight and one-hot vectors, so the calibrated result can never
     score below the uniform ensemble or any single metric on the tuning set."""
@@ -362,6 +351,19 @@ def _injected_starts(dim: int) -> list[np.ndarray]:
     if dim > 1:
         starts.extend(np.eye(dim))
     return starts
+
+
+def _scorer(
+    features: np.ndarray, matrix: ScoreMatrix, target: PreferenceTarget, objective: ObjectiveKind
+) -> Callable[[Callable[[np.ndarray], np.ndarray]], float]:
+    """`score(meta)`: the alignment with the target of the meta-scores
+    `meta(x)` of feature rows x (-1 if degenerate).  Pairs are split before
+    `meta`: a stacked product's halves can differ in the last bit."""
+    if target.kind is TargetKind.POINTWISE:
+        z = prepare(objective, pointwise_z(matrix, target))
+        return lambda meta: score_or_worst(objective, meta(features), z)
+    chosen, rejected = unstack_pairs(features)
+    return lambda meta: pairwise_accuracy(meta(chosen), meta(rejected))
 
 
 def calibrate_gp(
@@ -388,25 +390,13 @@ def calibrate_gp(
     if tuple(s.name for s in specs) != matrix.metric_names:
         raise MetacalError("specs must match matrix columns by name and order")
 
-    if target.kind is TargetKind.POINTWISE:
-        features = expand_matrix(matrix.values, config.weighting)
-        z = prepare(objective, pointwise_z(matrix, target))
+    features = expand_matrix(matrix.values, config.weighting)
+    score = _scorer(features, matrix, target, objective)
 
-        def evaluate(w: np.ndarray) -> float:
-            return score_or_worst(objective, features @ w, z)
+    def evaluate(w: np.ndarray) -> float:
+        return score(lambda x: x @ w)
 
-        dim = features.shape[1]
-        objective_used = objective.value
-    else:
-        # Split before the product: halves of the stacked product can differ
-        # in the last bit from each half's own product.
-        chosen, rejected = unstack_pairs(expand_matrix(matrix.values, config.weighting))
-
-        def evaluate(w: np.ndarray) -> float:
-            return pairwise_accuracy(chosen @ w, rejected @ w)
-
-        dim = chosen.shape[1]
-        objective_used = ObjectiveKind.PAIRWISE_ACCURACY.value
+    dim = features.shape[1]
 
     rng = np.random.default_rng(config.seed)
     observed: list[np.ndarray] = list(_injected_starts(dim))
@@ -429,7 +419,7 @@ def calibrate_gp(
     return CalibratedModel(
         kind=ModelKind.LINEAR,
         metric_specs=specs,
-        objective_used=objective_used,
+        objective_used=scored_by(objective, target).value,
         seed=config.seed,
         weighting=config.weighting,
         weights=tuple(float(v) for v in observed[best]),
@@ -447,14 +437,7 @@ def select_top_k(
     n = matrix.n_metrics
     if not 1 <= k <= n:
         raise MetacalError(f"k must be in [1, {n}], got {k}")
-    scores = np.empty(n)
-    if target.kind is TargetKind.POINTWISE:
-        z = prepare(objective, pointwise_z(matrix, target))
-        for j in range(n):
-            scores[j] = score_or_worst(objective, matrix.values[:, j], z)
-    else:
-        chosen, rejected = unstack_pairs(matrix.values)
-        for j in range(n):
-            scores[j] = pairwise_accuracy(chosen[:, j], rejected[:, j])
+    score = _scorer(matrix.values, matrix, target, objective)
+    scores = np.array([score(lambda x: x[:, j]) for j in range(n)])
     ranked = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in ranked[:k]))

@@ -16,7 +16,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import ExampleId, MetacalError
-from .objectives import DegenerateInput, EmptyInput, LengthMismatch, pairwise_accuracy, pearson_r
+from .objectives import (
+    DegenerateInput,
+    EmptyInput,
+    LengthMismatch,
+    NonFiniteInput,
+    pairwise_accuracy,
+    pearson_r,
+)
 
 TIE_POLICIES = ("strict", "half")
 
@@ -130,10 +137,12 @@ class DatasetStats:
 
 
 def avg_corr(parts: Mapping[str, DatasetStats]) -> float:
-    """Unweighted mean over every (dataset x statistic) value."""
+    """Unweighted mean over every (dataset x statistic) value; all finite."""
     if not parts:
         raise EmptyInput("no dataset statistics to aggregate")
     values = [v for stats in parts.values() for v in stats.as_triple()]
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("dataset statistics must be finite")
     return float(np.mean(values))
 
 
@@ -144,7 +153,6 @@ class EvalReport:
 
     datasets: dict[str, DatasetStats] = field(default_factory=dict)
     avg_corr: float | None = None
-    avg_corr_aggregation: str = "unweighted"
     tie_policy: str = "strict"
     category_accuracy: dict[str, float] | None = None
     overall_accuracy: float | None = None

@@ -13,8 +13,10 @@ The JSONL reader checks each record's structure as it reads it, and the
 JSON types and finiteness of all its metric values once per file.  Only a
 block or file that fails its check is rescanned, value by value in
 reading order, and the rescan raises the first error met: the error, line
-and column that a row-by-row read names.  The writers check finiteness
-once and format each row from one template string.
+and column that a row-by-row read names.  A CSV number is a text that
+`float` reads and that holds only ASCII and no "_" (`_plain`).  The
+writers check finiteness once and format each row from one template
+string.
 """
 
 from __future__ import annotations
@@ -43,19 +45,20 @@ from .core import (
     ScoreMatrix,
     TargetKind,
     Weighting,
+    expanded_feature_names,
     pointwise_z,
     unit_rows,
     unstack_pairs,
     validate_alignment,
 )
 from .gbt import Tree, TreeEnsemble, feature_importance
-from .gp import expand_matrix, expanded_feature_names
+from .gp import expand_matrix
 from .harness import EvalReport
 from .preprocess import normalize_values
 from .textmetrics import SegmentPair
 
 MODEL_SCHEMA_VERSION = 1
-ID_COLUMNS = ("dataset", "system", "segment")
+ID_COLUMNS = ExampleId._fields
 HUMAN_COLUMN = "human"
 
 
@@ -254,8 +257,15 @@ def save_specs(specs: Sequence[MetricSpec], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _plain(text: str) -> bool:
+    """Whether `float` may read a CSV number field: only ASCII, no "_"."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_value(text: str | float, line: int, column: str) -> float:
     try:
+        if isinstance(text, str) and not _plain(text):
+            raise ValueError("not a plain ASCII number")
         value = float(text)
     except ValueError as exc:
         raise ParseError(line, f"cannot parse {text!r} in column {column!r}") from exc
@@ -304,10 +314,12 @@ def _parse_block(
     """A block of non-blank records as its used columns, picked by `pick`,
     and its number columns (those from `first_number` on) parsed into one
     float64 array of shape (columns, rows).  None if a record does not
-    have `width` fields, or a number does not parse or is not finite."""
+    have `width` fields, or a number is not one `_parse_value` takes."""
     if set(map(len, records)) != {width}:
         return None
     columns = list(zip(*map(pick, records)))
+    if not all(map(_plain, map("".join, columns[first_number:]))):
+        return None
     try:
         values = np.array([list(map(float, c)) for c in columns[first_number:]], dtype=np.float64)
     except ValueError:
@@ -437,19 +449,20 @@ def _write_rows(
     finite = np.isfinite(values)
     if not finite.all():
         format_float(values[~finite][0])
-    csv.writer(fh, lineterminator="\n").writerow(header)
-    # The id fields of a block's rows, one line each, quoted as the csv
-    # module quotes them inside a whole row: same dialect, same line end.
-    id_lines: list[str] = []
-    ids_writer = csv.writer(SimpleNamespace(write=id_lines.append), lineterminator="\n")
+    # The header and the id fields of a block's rows, one line each, ended
+    # in "\r\n" so that the csv module quotes a bare "\r" as well as "\n".
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    fh.write(lines.pop()[:-2] + "\n")
     row_format = "%s" + ",%.17g" * values.shape[1] + "\n"
     for start in range(0, len(example_ids), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        ids_writer.writerows(example_ids[start:stop])
+        writer.writerows(example_ids[start:stop])
         fh.writelines(
-            row_format % (ids[:-1], *row) for ids, row in zip(id_lines, values[start:stop].tolist())
+            row_format % (ids[:-2], *row) for ids, row in zip(lines, values[start:stop].tolist())
         )
-        id_lines.clear()
+        lines.clear()
 
 
 def save_scores_csv(
@@ -629,7 +642,7 @@ def _node_fields(obj: Any) -> tuple:
 
 def model_to_obj(model: CalibratedModel) -> dict:
     obj: dict[str, Any] = {
-        "version": model.version,
+        "version": MODEL_SCHEMA_VERSION,
         "kind": model.kind.value,
         "metrics": specs_to_obj(model.metric_specs),
     }
@@ -670,7 +683,6 @@ def model_from_obj(obj: Any) -> CalibratedModel:
             metric_specs=specs_from_obj(obj["metrics"]),
             objective_used=_json_str(obj["objective_used"], "objective_used"),
             seed=_json_int(obj["seed"], "seed"),
-            version=version,
         )
         if kind == "linear":
             return CalibratedModel(
@@ -820,7 +832,7 @@ def report_to_obj(report: EvalReport) -> dict:
         obj["categories"] = {k: float(v) for k, v in report.category_accuracy.items()}
         return obj
     obj["avg_corr"] = report.avg_corr
-    obj["avg_corr_aggregation"] = report.avg_corr_aggregation
+    obj["avg_corr_aggregation"] = "unweighted"
     obj["tie_policy"] = report.tie_policy
     obj["datasets"] = {
         name: {

@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import MetacalError
+from .core import MetacalError, PreferenceTarget, TargetKind
 
 
 class LengthMismatch(MetacalError):
@@ -63,6 +63,12 @@ class ObjectiveKind(Enum):
     SPEARMAN = "spearman"
     PEARSON = "pearson"
     PAIRWISE_ACCURACY = "pairwise"
+
+
+def scored_by(objective: ObjectiveKind, target: PreferenceTarget) -> ObjectiveKind:
+    """The objective a model fit to `target` is scored by: pairwise accuracy
+    on a pairwise target, else `objective`."""
+    return ObjectiveKind.PAIRWISE_ACCURACY if target.kind is TargetKind.PAIRWISE else objective
 
 
 def _runs(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

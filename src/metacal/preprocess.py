@@ -25,18 +25,16 @@ class SpecMismatch(MetacalError):
 
 
 def normalize_score(raw: float, spec: MetricSpec) -> float:
-    """Clip `raw` into [spec.min, spec.max], rescale to [0, 1], and invert
-    when lower raw scores mean better quality."""
+    """`normalize_values` of one raw score."""
     raw = float(raw)
     if not math.isfinite(raw):
         raise NonFiniteInput(f"{spec.name}: raw score must be finite, got {raw!r}")
-    clipped = min(max(raw, spec.min), spec.max)
-    scaled = (clipped - spec.min) / (spec.max - spec.min)
-    return scaled if spec.higher_is_better else 1.0 - scaled
+    return float(normalize_values(np.array([[raw]]), [spec])[0, 0])
 
 
 def normalize_values(values: np.ndarray, specs: Sequence[MetricSpec]) -> np.ndarray:
-    """Vectorized `normalize_score` over the columns of a raw (M, N) array."""
+    """Clip each column of a raw (M, N) array into its spec's [min, max],
+    rescale it to [0, 1], and invert it when lower raw scores are better."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(specs):
         raise SpecMismatch(
@@ -53,7 +51,7 @@ def normalize_values(values: np.ndarray, specs: Sequence[MetricSpec]) -> np.ndar
 
 
 def normalize_matrix(matrix: ScoreMatrix, specs: Sequence[MetricSpec]) -> ScoreMatrix:
-    """Apply `normalize_score` element-wise; example ids pass through.
+    """`normalize_values` of the matrix values; example ids pass through.
     `specs` name the matrix columns in order."""
     names = tuple(s.name for s in specs)
     if names != matrix.metric_names:

@@ -141,6 +141,26 @@ class TestCalibrateAndScore:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--method", "gbt", "--weighting", "multiplicative"], None,
+         "error: --weighting is only valid with --method gp"),
+        (["--top-k", "0"], None, "error: --top-k must be >= 1"),
+        ([], "abc", "error: METACAL_SEED must be an integer, got 'abc'"),
+    ])
+    def test_flag_rules_are_checked_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, flags, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv("METACAL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("METACAL_SEED", env)
+        rc = main(["calibrate", "--scores", str(tmp_path / "absent.csv"),
+                   "--specs", str(tmp_path / "absent.json"), "--output", str(tmp_path / "m.json"),
+                   *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_human_column_is_validation_error(self, tmp_path, specs_path, scores_path):
         stripped = str(tmp_path / "nohuman.csv")
         with open(scores_path) as fh:

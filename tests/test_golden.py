@@ -3,13 +3,15 @@
 Runs `basemetrics` on the bundled desk corpus and compares the sha256 of
 its score CSV with the value pinned below, so a drift in a text metric
 fails here even where the models downstream do not move.  Then runs
-`split` at seed 0, then a short-grid pruned GBT calibration and a default
-GP calibration (Kendall on the CSV path) through `metacal.cli.main`, on the
-CSV path and on a pairwise JSONL path, plus the short-grid pruned GBT under
+`split` at seed 0, then a short-grid pruned GBT calibration, a default
+GP calibration (Kendall on the CSV path) and a default GP calibration over
+the 3 metrics that align best on their own (`--top-k 3`) through
+`metacal.cli.main`, on the CSV path and on a pairwise JSONL path, plus the short-grid pruned GBT under
 the absolute-error and squared-log-error losses on the CSV path, and
 compares the sha256 of each model file and of its `report` output with the
 values pinned below.  The splits, the pairs and the GP runs are those of
-`tools/artifact_digests.py --seed 0`.  The GBT trainer calls no BLAS
+`tools/artifact_digests.py --seed 0`, which has no `--top-k` run on the
+pairs.  The GBT trainer calls no BLAS
 routine, so its pins do not depend on BLAS threading.  The GP surrogate
 does (matrix products, Cholesky, inverse); its pins held with OpenBLAS at 1
 thread and at 2 threads.  A change that moves a pin changes what users get
@@ -63,6 +65,16 @@ GP_PINNED = {
     "jsonl": {
         "model": "88263a631b99ed6eecbbb0c9ce30a40ae998f0d20d748a254c2caa9d20ce8b8d",
         "report": "c49300cccb1661d4db4eb361920c8fc4d520ea901041670705f8dc22707965ac",
+    },
+}
+TOP3_PINNED = {
+    "csv": {
+        "model": "79dc1ed4cdc58de60daf93a8b6fe2f7dde0ee2f79cc64e92ca770906671a8979",
+        "report": "bf1fa559d091766cba18651b598620305a8930d95ebe554a1a4c1cf142547e67",
+    },
+    "jsonl": {
+        "model": "911807c561faedefc40514a4c528c67982ecf6ccfa402d935fb8ef54b2de6c08",
+        "report": "08e82cdc3366b92c7cc4ed1d9c70457da9a2a1f1bf9a638b0fa3e120e7cf5b24",
     },
 }
 
@@ -120,3 +132,9 @@ def test_regression_loss_gbt_model_bytes_are_pinned(work, loss):
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_gp_model_bytes_are_pinned(work, fmt):
     assert _calibrate_digests(work, fmt, "gp", GP_FLAGS[fmt]) == GP_PINNED[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_top_k_gp_model_bytes_are_pinned(work, fmt):
+    digests = _calibrate_digests(work, fmt, "gp_top3", ["--method", "gp", "--top-k", "3"])
+    assert digests == TOP3_PINNED[fmt]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import metacal.core as core
 import metacal.gp as gp_mod
 from metacal.core import (
     ExampleId,
@@ -312,6 +313,14 @@ class TestExpandFeatures:
     def test_feature_names_align(self):
         names = expanded_feature_names(("a", "b", "c"), Weighting.COMBINED)
         assert names == ("a", "b", "c", "a*b", "a*c", "b*c")
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_feature_names_label_the_expanded_columns(self, weighting):
+        primes = dict(zip("abcdef", (2.0, 3.0, 5.0, 7.0, 11.0, 13.0)))
+        columns = expand_features(list(primes.values()), weighting).tolist()
+        labels = expanded_feature_names(tuple(primes), weighting)
+        assert columns == [math.prod(primes[p] for p in label.split("*")) for label in labels]
+        assert expanded_feature_names is core.expanded_feature_names  # re-exported from core
 
 
 class TestCalibrateGp:

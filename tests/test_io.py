@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -143,6 +144,20 @@ class TestScoresCsvRoundTrip:
             fh.write("d,s,1,0.5,inf,0.1\n")
         with pytest.raises(NonFiniteValue, match="line 2"):
             load_scores_csv(path, _specs())
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "0.\u0665", "\u00a00.5", "\uff11"])
+    def test_numbers_are_ascii_without_underscores(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text("dataset,system,segment,alpha,beta,gamma,human\n"
+                        f"d,s,1,0.5,0.5,0.1,1\nd,s,2,0.5,0.5,0.1,{text}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"line 3: cannot parse {text!r} in column 'human'")):
+            load_scores_csv(str(path), _specs())
+
+    def test_ascii_padding_around_a_number_is_read(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("dataset,system,segment,alpha,beta,gamma\nd,s,1, 0.5 ,\t1e-3,-2\n")
+        matrix, _ = load_scores_csv(str(path), _specs())
+        assert matrix.values.tolist() == [[0.5, 1e-3, -2.0]]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = str(tmp_path / "wide.csv")
@@ -296,7 +311,8 @@ def _column_jsonl(path, names):
 
 
 # Field texts that are not finite numbers, plus some that `float` reads.
-_BAD_FIELDS = ("oops", "nan", "inf", "-Infinity", "true", '"0.5"', str(2**53 + 1), "", " 0.5 ", "1_0")
+_BAD_FIELDS = ("oops", "nan", "inf", "-Infinity", "true", '"0.5"', str(2**53 + 1), "", " 0.5 ", "1_0",
+               "\u0661", "\u0660.\u0665", "\u00a00.5", "\uff11", "1e1_0")
 _DROP = "<one field fewer>"
 
 
@@ -491,6 +507,25 @@ class TestScoreFileBytes:
             back, back_target = load_scores_jsonl(path, _specs(names))
             assert back_target == target
             np.testing.assert_array_equal(back.values, values)
+
+    def test_carriage_returns_are_quoted_and_read_back(self, tmp_path):
+        eids = (ExampleId("d", "r\rs", "1"), ExampleId("d\r", "s", "2\r\n3"), ExampleId("d", "s", "\r"))
+        matrix = ScoreMatrix(("a\rb", "beta"), eids, np.array([[0.25, 1.0], [0.5, 2.0], [0.75, 3.0]]))
+        target = PreferenceTarget.from_pointwise([1.0, 2.0, 3.0])
+        scores, meta = tmp_path / "s.csv", tmp_path / "m.csv"
+        save_scores_csv(matrix, str(scores), target)
+        specs = (MetricSpec("a\rb", 0.0, 1.0), MetricSpec("beta", 0.0, 5.0))
+        back, back_target = load_scores_csv(str(scores), specs)
+        assert back.example_ids == eids and back_target == target
+        np.testing.assert_array_equal(back.values, matrix.values)
+        assert scores.read_bytes().startswith(b'dataset,system,segment,"a\rb",beta,human\nd,"r\rs",1,')
+
+        save_meta_scores(eids, np.array([0.1, 0.2, 0.3]), str(meta))
+        with open(meta, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["dataset", "system", "segment", "meta_score"],
+                        *([*e, format_float(v)] for e, v in zip(eids, (0.1, 0.2, 0.3)))]
+        assert meta.read_bytes().count(b"\n") == 5  # four line ends, one "\n" inside a quoted id
 
     def test_hundred_thousand_rows_load_and_save_to_the_same_bytes(self, tmp_path):
         rng = np.random.default_rng(11)
