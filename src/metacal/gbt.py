@@ -12,6 +12,14 @@ on the lowest feature index, then the lowest threshold.  No histogramming,
 subsampling, or early stopping; feature counts here are small and exactness
 keeps the arithmetic auditable.
 
+Splits sort dense-rank keys, not values: each training call ranks every
+feature column once (equal values, -0.0 and 0.0 among them, share a rank)
+in the smallest unsigned dtype that holds the ranks, and numpy sorts 8- and
+16-bit keys by radix.  Ranks keep the order of the values, so a stable sort
+of the keys is the permutation a stable sort of the values gives, and every
+sum, gain, threshold and child is bit for bit the same.  Values are read
+only for the two sides of the chosen boundary.
+
 A `Tree` is five parallel node arrays in pre-order: `feature`, `threshold`,
 `gain`, `value` and `right`.  A split's left child is the next node and its
 right child is node `right[i]`, with i + 1 < right[i] < tree size; the root
@@ -177,14 +185,16 @@ class TreeEnsemble:
     base_score: float
     learning_rate: float
 
-    def validate(self, n_features: int) -> None:
-        """Reject split features outside [0, n_features), a split whose right
-        child is not in (i + 1, tree size), and a non-finite base score,
-        learning rate, threshold, gain or leaf value."""
+    def __post_init__(self) -> None:
         if not math.isfinite(self.base_score):
             raise MetacalError("non-finite base_score")
         if not math.isfinite(self.learning_rate):
             raise MetacalError("non-finite learning_rate")
+
+    def validate(self, n_features: int) -> None:
+        """Reject split features outside [0, n_features), a split whose right
+        child is not in (i + 1, tree size), and a non-finite threshold, gain
+        or leaf value."""
         feature, threshold, gain, value, right = (_stacked(self.trees, f.name) for f in fields(Tree))
         split = right != 0
         bad = feature[split & ((feature < 0) | (feature >= n_features))]
@@ -287,28 +297,37 @@ def _pairwise_grad_hess(preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Each column's dense ranks as a (features, rows) C-contiguous array in
+    the smallest unsigned dtype that holds them: equal values share a rank
+    (-0.0 and 0.0 too) and ranks keep the order of the values."""
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in x.T])
+    return np.ascontiguousarray(ranks, dtype=np.min_scalar_type(int(ranks.max())))
+
+
 def _best_split(
-    x: np.ndarray, grad: np.ndarray, hess: np.ndarray, idx: np.ndarray,
-    reg_lambda: float, gamma: float,
+    x: np.ndarray, ranks: np.ndarray, grad: np.ndarray, hess: np.ndarray, idx: np.ndarray,
+    g_total: float, h_total: float, reg_lambda: float, gamma: float,
 ) -> tuple[float, int, float, np.ndarray, np.ndarray] | None:
     """Best (gain, feature, threshold, left rows, right rows) over every
     boundary between distinct values of every feature, or None when all
-    features are constant on `idx`.
+    features are constant on `idx`.  `ranks` is `_dense_ranks(x)`, and
+    `g_total`, `h_total` are the sums of `grad[idx]` and `hess[idx]`.
 
-    All features are searched at once: one stable sort per column and one
+    All features are searched at once: one stable sort of each column's
+    rank keys, which numpy sorts by radix for 8- and 16-bit keys and which
+    gives the permutation a stable sort of the values gives, then one
     running sum along each sorted column, the same additions in the same
     order as a scan of one feature at a time.  Gains are laid out feature
     by feature, boundaries in ascending order, so the first maximum is the
     lowest feature and, within it, the lowest threshold."""
     g = grad[idx]
     h = hess[idx]
-    g_total = float(g.sum())
-    h_total = float(h.sum())
     parent = g_total * g_total / (h_total + reg_lambda) if h_total + reg_lambda > 0 else 0.0
-    cols = x[idx].T
-    order = np.argsort(cols, axis=1, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=1)
-    boundary = xs[:, 1:] > xs[:, :-1]
+    keys = ranks[:, idx]
+    order = np.argsort(keys, axis=1, kind="stable")
+    rs = np.take_along_axis(keys, order, axis=1)
+    boundary = rs[:, 1:] != rs[:, :-1]
     gl = np.cumsum(g[order], axis=1)[:, :-1][boundary]
     if gl.size == 0:
         return None
@@ -322,32 +341,33 @@ def _best_split(
     gains[(dl <= 0) | (dr <= 0)] = -np.inf
     best = int(np.argmax(gains))
     feature, b = divmod(int(np.flatnonzero(boundary)[best]), boundary.shape[1])
-    lo, hi = float(xs[feature, b]), float(xs[feature, b + 1])
+    left = idx[order[feature, : b + 1]]
+    right = idx[order[feature, b + 1 :]]
+    lo, hi = float(x[left[-1], feature]), float(x[right[0], feature])
     threshold = 0.5 * (lo + hi)
     if not lo < threshold <= hi:
         threshold = hi
-    left = idx[order[feature, : b + 1]]
-    right = idx[order[feature, b + 1 :]]
     return float(gains[best]), feature, threshold, left, right
 
 
 def _build_tree(
-    x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+    x: np.ndarray, ranks: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     reg_lambda: float, gamma: float, max_depth: int,
 ) -> tuple[Tree, np.ndarray]:
     """The tree, and its output on each training row: the builder routes
     every row to its leaf (x <= lo, hence x < threshold, goes left), so the
-    rows need no second walk of the finished tree."""
+    rows need no second walk of the finished tree.  `ranks` is
+    `_dense_ranks(x)`."""
     out = np.empty(x.shape[0], dtype=np.float64)
 
     def visit(node: tuple[np.ndarray, int]) -> tuple:
         idx, depth = node
+        g = float(grad[idx].sum())
+        h = float(hess[idx].sum())
         found = None
         if depth < max_depth and idx.size >= 2:
-            found = _best_split(x, grad, hess, idx, reg_lambda, gamma)
+            found = _best_split(x, ranks, grad, hess, idx, g, h, reg_lambda, gamma)
         if found is None or found[0] <= 0.0:
-            g = float(grad[idx].sum())
-            h = float(hess[idx].sum())
             value = -g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0
             out[idx] = value
             return (value,)
@@ -404,6 +424,7 @@ def gbt_train(
     if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(target.z <= -1.0):
         raise InvalidTarget("squared log error requires targets > -1")
 
+    ranks = _dense_ranks(x)
     preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
     trees: list[Tree] = []
     for _ in range(n_estimators):
@@ -412,7 +433,7 @@ def gbt_train(
         else:
             grad, hess = _regression_grad_hess(config.loss, preds, target.z)
         tree, tree_preds = _build_tree(
-            x, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
+            x, ranks, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
         trees.append(tree)
         preds += config.learning_rate * tree_preds
         if config.loss is GbtLoss.SQUARED_LOG_ERROR:

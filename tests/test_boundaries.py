@@ -182,7 +182,8 @@ REFUSED = [
     ("PreferenceTarget nan z", lambda: PreferenceTarget.from_pointwise([math.nan]), MetacalError),
     ("GbtConfig learning_rate nan", lambda: GbtConfig(learning_rate=math.nan), MetacalError),
     ("GpConfig kappa nan", lambda: GpConfig(kappa=math.nan), MetacalError),
-    ("TreeEnsemble.validate nan base", lambda: TreeEnsemble((), math.nan, 0.1).validate(1), MetacalError),
+    ("TreeEnsemble nan base_score", lambda: TreeEnsemble((), math.nan, 0.1), MetacalError),
+    ("TreeEnsemble inf learning_rate", lambda: TreeEnsemble((), 0.5, math.inf), MetacalError),
 ]
 
 # Public callables with nothing to refuse, and why.

@@ -487,6 +487,38 @@ def _tied_problem(loss, seed, n=36):
     return x, PreferenceTarget.from_pointwise(x[:, 0] + rng.integers(0, 3, n))
 
 
+def _float_split(x, ranks, grad, hess, idx, g_total, h_total, reg_lambda, gamma):
+    """The float-valued oracle under `_best_split`'s signature: it sorts the
+    values of x and sums the node totals itself."""
+    return per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma)
+
+
+def _rank_split(x, grad, hess, idx, reg_lambda, gamma):
+    totals = float(grad[idx].sum()), float(hess[idx].sum())
+    return gbt_mod._best_split(x, gbt_mod._dense_ranks(x), grad, hess, idx, *totals, reg_lambda, gamma)
+
+
+def _assert_same_split(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got[1] == want[1]
+    assert [float(v).hex() for v in (got[0], got[2])] == [float(v).hex() for v in (want[0], want[2])]
+    np.testing.assert_array_equal(got[3], want[3])
+    np.testing.assert_array_equal(got[4], want[4])
+
+
+def _key_stress_features(rng, n):
+    """Columns that stress the rank keys: coarse-grid ties, a constant,
+    signed zeros beside their subnormal neighbours, and continuous values."""
+    return np.column_stack([
+        rng.integers(0, 3, n) / 2.0,
+        np.full(n, 0.25),
+        rng.choice(np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0]), n),
+        rng.normal(size=n),
+    ])
+
+
 class TestOracleParity:
     """The staged CV curve and the all-features split search give exactly
     the bits of the retrain-per-size and per-feature references."""
@@ -500,14 +532,69 @@ class TestOracleParity:
             grad = rng.integers(-3, 4, n) / 2.0
             hess = rng.integers(0, 4, n) / 2.0  # zero hessians mask boundaries at lambda 0
             idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
-            got = gbt_mod._best_split(x, grad, hess, idx, reg_lambda, 0.0)
-            want = per_feature_best_split(x, grad, hess, idx, reg_lambda, 0.0)
-            if want is None:
-                assert got is None
-                continue
-            assert got[:3] == want[:3]
-            np.testing.assert_array_equal(got[3], want[3])
-            np.testing.assert_array_equal(got[4], want[4])
+            _assert_same_split(_rank_split(x, grad, hess, idx, reg_lambda, 0.0),
+                               per_feature_best_split(x, grad, hess, idx, reg_lambda, 0.0))
+
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_split_search_matches_on_key_stress_columns(self, reg_lambda):
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            x = _key_stress_features(rng, n)[:, rng.permutation(4)[: int(rng.integers(1, 5))]]
+            grad = rng.integers(-3, 4, n) / 2.0
+            hess = rng.integers(0, 4, n) / 2.0
+            idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+            _assert_same_split(_rank_split(x, grad, hess, idx, reg_lambda, 0.0),
+                               per_feature_best_split(x, grad, hess, idx, reg_lambda, 0.0))
+
+    def test_signed_zeros_share_a_key(self):
+        x = np.array([[0.0], [-0.0], [1.0], [-0.0], [0.0]])
+        assert gbt_mod._dense_ranks(x).tolist() == [[0, 0, 1, 0, 0]]
+        grad = np.array([1.0, -1.0, 2.0, 0.5, -0.5])
+        idx = np.array([4, 3, 2, 1, 0])
+        got = _rank_split(x, grad, np.ones(5), idx, 1.0, 0.0)
+        _assert_same_split(got, per_feature_best_split(x, grad, np.ones(5), idx, 1.0, 0.0))
+        np.testing.assert_array_equal(got[3], [4, 3, 1, 0])
+
+    def test_builder_matches_float_oracle_on_key_stress_columns(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            x = _key_stress_features(rng, n)
+            grad = rng.normal(size=n)
+            hess = rng.integers(0, 3, n) / 2.0
+            args = (x, gbt_mod._dense_ranks(x), grad, hess, 0.5, 0.0, int(rng.integers(1, 5)))
+            tree, out = gbt_mod._build_tree(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(gbt_mod, "_best_split", _float_split)
+                want_tree, want_out = gbt_mod._build_tree(*args)
+            assert tree == want_tree
+            assert out.tobytes() == want_out.tobytes()
+
+    def test_wide_keys_match_float_oracle(self, monkeypatch):
+        # More than 65,535 distinct values need uint32 keys, which numpy
+        # sorts by timsort instead of radix sort.
+        rng = np.random.default_rng(24)
+        n = 70_000
+        x = np.column_stack([rng.normal(size=n), _key_stress_features(rng, n)[:, :3]])
+        ranks = gbt_mod._dense_ranks(x)
+        assert ranks.dtype == np.uint32 and ranks.flags.c_contiguous and ranks.shape == (4, n)
+        grad = rng.integers(-3, 4, n) / 2.0
+        hess = rng.integers(1, 4, n) / 2.0
+        idx = rng.permutation(n)[: n - 7]
+        _assert_same_split(_rank_split(x, grad, hess, idx, 1.0, 0.0),
+                           per_feature_best_split(x, grad, hess, idx, 1.0, 0.0))
+        tree, out = gbt_mod._build_tree(x, ranks, grad, hess, 1.0, 0.0, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(gbt_mod, "_best_split", _float_split)
+            want_tree, want_out = gbt_mod._build_tree(x, ranks, grad, hess, 1.0, 0.0, 2)
+        assert tree == want_tree
+        assert out.tobytes() == want_out.tobytes()
+
+    def test_narrow_keys_are_bytes(self):
+        x = np.column_stack([np.arange(300.0), np.zeros(300)])
+        assert gbt_mod._dense_ranks(x).dtype == np.uint16
+        assert gbt_mod._dense_ranks(x[:256]).dtype == np.uint8
 
     def test_builder_outputs_match_a_walk_of_the_tree(self):
         rng = np.random.default_rng(21)
@@ -516,7 +603,8 @@ class TestOracleParity:
             x = rng.integers(0, 4, (n, int(rng.integers(1, 4)))) / 3.0
             grad = rng.normal(size=n)
             hess = rng.integers(0, 3, n) / 2.0
-            tree, out = gbt_mod._build_tree(x, grad, hess, 1.0, 0.0, int(rng.integers(1, 5)))
+            tree, out = gbt_mod._build_tree(
+                x, gbt_mod._dense_ranks(x), grad, hess, 1.0, 0.0, int(rng.integers(1, 5)))
             assert out.tobytes() == gbt_mod._predict_tree(tree, x).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -536,7 +624,7 @@ class TestOracleParity:
             return dumps_canonical(model_to_obj(model))
 
         with monkeypatch.context() as patch:
-            patch.setattr(gbt_mod, "_best_split", per_feature_best_split)
+            patch.setattr(gbt_mod, "_best_split", _float_split)
             want_curve = retrain_cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid)
             want_model = run()
         assert gbt_mod._cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid) == want_curve
