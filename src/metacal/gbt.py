@@ -315,10 +315,9 @@ def _best_split(
     `g_total`, `h_total` are the sums of `grad[idx]` and `hess[idx]`.
 
     All features are searched at once: one stable sort of each column's
-    rank keys, which numpy sorts by radix for 8- and 16-bit keys and which
-    gives the permutation a stable sort of the values gives, then one
-    running sum along each sorted column, the same additions in the same
-    order as a scan of one feature at a time.  Gains are laid out feature
+    rank keys (see the module docstring) and one running sum along each
+    sorted column, the same additions in the same order as a scan of one
+    feature at a time.  Gains are laid out feature
     by feature, boundaries in ascending order, so the first maximum is the
     lowest feature and, within it, the lowest threshold."""
     g = grad[idx]
