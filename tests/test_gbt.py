@@ -508,6 +508,16 @@ def _assert_same_split(got, want):
     np.testing.assert_array_equal(got[4], want[4])
 
 
+def _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, reg_lambda, max_depth):
+    args = (x, gbt_mod._dense_ranks(x), grad, hess, reg_lambda, 0.0, max_depth)
+    tree, out = gbt_mod._build_tree(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(gbt_mod, "_best_split", _float_split)
+        want_tree, want_out = gbt_mod._build_tree(*args)
+    assert tree == want_tree
+    assert out.tobytes() == want_out.tobytes()
+
+
 def _key_stress_features(rng, n):
     """Columns that stress the rank keys: coarse-grid ties, a constant,
     signed zeros beside their subnormal neighbours, and continuous values."""
@@ -552,13 +562,7 @@ class TestOracleParity:
             x = _key_stress_features(rng, n)
             grad = rng.normal(size=n)
             hess = rng.integers(0, 3, n) / 2.0
-            args = (x, gbt_mod._dense_ranks(x), grad, hess, 0.5, 0.0, int(rng.integers(1, 5)))
-            tree, out = gbt_mod._build_tree(*args)
-            with monkeypatch.context() as patch:
-                patch.setattr(gbt_mod, "_best_split", _float_split)
-                want_tree, want_out = gbt_mod._build_tree(*args)
-            assert tree == want_tree
-            assert out.tobytes() == want_out.tobytes()
+            _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, 0.5, int(rng.integers(1, 5)))
 
     def test_wide_keys_match_float_oracle(self, monkeypatch):
         # More than 65,535 distinct values need uint32 keys, which numpy
@@ -573,12 +577,7 @@ class TestOracleParity:
         idx = rng.permutation(n)[: n - 7]
         _assert_same_split(_rank_split(x, grad, hess, idx, 1.0, 0.0),
                            per_feature_best_split(x, grad, hess, idx, 1.0, 0.0))
-        tree, out = gbt_mod._build_tree(x, ranks, grad, hess, 1.0, 0.0, 2)
-        with monkeypatch.context() as patch:
-            patch.setattr(gbt_mod, "_best_split", _float_split)
-            want_tree, want_out = gbt_mod._build_tree(x, ranks, grad, hess, 1.0, 0.0, 2)
-        assert tree == want_tree
-        assert out.tobytes() == want_out.tobytes()
+        _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, 1.0, 2)
 
     def test_builder_outputs_match_a_walk_of_the_tree(self):
         rng = np.random.default_rng(21)
