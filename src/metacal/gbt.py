@@ -218,8 +218,9 @@ class TreeEnsemble:
     def staged_predict(self, features: np.ndarray) -> Iterator[np.ndarray]:
         """Yield the predictions of the first 0, 1, 2, ... trees, bit for bit
         what `predict` returns for the truncated ensemble.  The yielded
-        array is updated in place by the next step."""
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        array is updated in place by the next step.  Non-finite features are
+        refused: a NaN compares false at every split, so it would route right."""
+        x = _as_features(features)
         out = np.full(x.shape[0], self.base_score, dtype=np.float64)
         yield out
         for tree in self.trees:

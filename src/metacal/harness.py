@@ -6,12 +6,16 @@ of human-rankable system pairs the metric orders the same way.  The overall
 avg-corr is an unweighted mean over every per-dataset statistic; that
 aggregation is a documented local convention, not a reimplementation of any
 shared-task script, so reports label it explicitly.
+
+Each dataset is grouped once into the arrays the statistics read (see
+`GroupedScores`): labels sort as Python strings, and a system's mean adds its
+cells in first-seen row order with numpy's pairwise sum over one 1-D array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,68 +36,73 @@ class NoRankablePairs(MetacalError):
     """Every system pair is tied on human means; acc-t is undefined."""
 
 
-@dataclass(frozen=True)
-class GroupedScores:
-    """dataset -> (system, segment) -> (metric_score, human_score).
+class DatasetScores(NamedTuple):
+    """One dataset's scores as the statistics read them: each cell's metric
+    and human score in (system, segment) key order, then each system's mean
+    metric and mean human score, systems in sorted order."""
 
-    The system x segment grid may be ragged; statistics only ever use the
-    cells present.
-    """
-
-    groups: Mapping[str, Mapping[tuple[str, str], tuple[float, float]]]
+    cell_metric: np.ndarray
+    cell_human: np.ndarray
+    system_metric: np.ndarray
+    system_human: np.ndarray
 
     @classmethod
-    def from_examples(
-        cls, examples: Iterable[tuple[ExampleId, float, float]]
-    ) -> "GroupedScores":
-        groups: dict[str, dict[tuple[str, str], tuple[float, float]]] = {}
-        for eid, metric_score, human_score in examples:
-            dataset, system, segment = eid
-            cells = groups.setdefault(dataset, {})
-            key = (system, segment)
-            if key in cells:
-                raise MetacalError(f"duplicate cell {key} in dataset {dataset!r}")
-            cells[key] = (float(metric_score), float(human_score))
-        return cls(groups)
+    def of(cls, cells: Mapping[tuple[str, str], int], scores: np.ndarray) -> "DatasetScores":
+        """`cells` maps (system, segment) to its column of `scores` (metric, human rows)."""
+        rows: dict[str, list[int]] = {}
+        for (system, _), i in cells.items():
+            rows.setdefault(system, []).append(i)
+        by_key = [cells[key] for key in sorted(cells)]
+        means = [[row[rows[system]].mean() for system in sorted(rows)] for row in scores]
+        return cls(*(row[by_key] for row in scores), *np.array(means))
+
+
+@dataclass(frozen=True)
+class GroupedScores:
+    """dataset -> `DatasetScores`: cell scores in (system, segment) key order
+    and per-system means, each over one contiguous array of the system's cells
+    in first-seen row order.  The system x segment grid may be ragged;
+    statistics only ever use the cells present."""
+
+    groups: Mapping[str, DatasetScores]
+
+    @classmethod
+    def from_examples(cls, examples: Iterable[tuple[ExampleId, float, float]]) -> "GroupedScores":
+        cells: dict[str, dict[tuple[str, str], int]] = {}
+        metric, human = [], []
+        for (dataset, system, segment), metric_score, human_score in examples:
+            dataset_cells = cells.setdefault(dataset, {})
+            if (system, segment) in dataset_cells:
+                raise MetacalError(f"duplicate cell {(system, segment)} in dataset {dataset!r}")
+            dataset_cells[system, segment] = len(metric)
+            metric.append(metric_score)
+            human.append(human_score)
+        scores = np.array([metric, human], dtype=np.float64)
+        return cls({dataset: DatasetScores.of(c, scores) for dataset, c in cells.items()})
 
     def datasets(self) -> tuple[str, ...]:
         return tuple(self.groups)
 
-    def _cells(self, dataset: str) -> Mapping[tuple[str, str], tuple[float, float]]:
+    def _scores(self, dataset: str) -> DatasetScores:
         if dataset not in self.groups:
             raise MetacalError(f"unknown dataset {dataset!r}")
         return self.groups[dataset]
 
 
-def _system_means(
-    cells: Mapping[tuple[str, str], tuple[float, float]]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    per_system: dict[str, list[tuple[float, float]]] = {}
-    for (system, _), scores in cells.items():
-        per_system.setdefault(system, []).append(scores)
-    systems = sorted(per_system)
-    metric = np.asarray([np.mean([s[0] for s in per_system[name]]) for name in systems])
-    human = np.asarray([np.mean([s[1] for s in per_system[name]]) for name in systems])
-    return systems, metric, human
-
-
 def sys_pearson(grouped: GroupedScores, dataset: str) -> float:
     """Pearson between per-system mean metric and mean human scores."""
-    _, metric, human = _system_means(grouped._cells(dataset))
-    if metric.size < 2:
+    scores = grouped._scores(dataset)
+    if scores.system_metric.size < 2:
         raise DegenerateInput(f"dataset {dataset!r} has fewer than 2 systems")
-    return pearson_r(metric, human)
+    return pearson_r(scores.system_metric, scores.system_human)
 
 
 def seg_pearson(grouped: GroupedScores, dataset: str) -> float:
     """Pearson over the flattened (system, segment) cells."""
-    cells = grouped._cells(dataset)
-    keys = sorted(cells)
-    metric = np.asarray([cells[k][0] for k in keys])
-    human = np.asarray([cells[k][1] for k in keys])
-    if metric.size < 2:
+    scores = grouped._scores(dataset)
+    if scores.cell_metric.size < 2:
         raise DegenerateInput(f"dataset {dataset!r} has fewer than 2 cells")
-    return pearson_r(metric, human)
+    return pearson_r(scores.cell_metric, scores.cell_human)
 
 
 def acc_t(grouped: GroupedScores, dataset: str, tie_policy: str = "strict") -> float:
@@ -101,29 +110,25 @@ def acc_t(grouped: GroupedScores, dataset: str, tie_policy: str = "strict") -> f
 
     Pairs whose human means tie are excluded from the denominator.  A
     metric-mean tie earns 0 under the default "strict" policy and 0.5 under
-    "half" (a sensitivity-check alternative).
+    "half" (a sensitivity-check alternative).  Non-finite means are refused.
     """
     if tie_policy not in TIE_POLICIES:
         raise MetacalError(f"tie_policy must be one of {TIE_POLICIES}")
-    _, metric, human = _system_means(grouped._cells(dataset))
+    _, _, metric, human = grouped._scores(dataset)
     if metric.size < 2:
         raise NoRankablePairs(f"dataset {dataset!r} has fewer than 2 systems")
-    rankable = 0
-    credit = 0.0
-    for i in range(metric.size):
-        for j in range(i + 1, metric.size):
-            dh = human[i] - human[j]
-            if dh == 0.0:
-                continue
-            rankable += 1
-            dm = metric[i] - metric[j]
-            if dm == 0.0:
-                credit += 0.5 if tie_policy == "half" else 0.0
-            elif (dh > 0.0) == (dm > 0.0):
-                credit += 1.0
+    if not (np.isfinite(metric).all() and np.isfinite(human).all()):
+        raise NonFiniteInput(f"system mean scores of {dataset!r} must be finite")
+    i, j = np.triu_indices(metric.size, 1)
+    dh = np.sign(human[i] - human[j])
+    dm = np.sign(metric[i] - metric[j])
+    rankable = int(np.count_nonzero(dh))
     if rankable == 0:
         raise NoRankablePairs(f"all system pairs tie on human means in {dataset!r}")
-    return credit / rankable
+    wins = int(np.count_nonzero(dh * dm > 0))
+    ties = int(np.count_nonzero(dh[dm == 0])) if tie_policy == "half" else 0
+    # Whole and half credits add exactly, as a pair-by-pair sum would.
+    return (wins + 0.5 * ties) / rankable
 
 
 @dataclass(frozen=True)
@@ -160,18 +165,12 @@ class EvalReport:
 
 def build_report(grouped: GroupedScores, tie_policy: str = "strict") -> EvalReport:
     """Compute all per-dataset statistics and the unweighted aggregate."""
-    stats: dict[str, DatasetStats] = {}
-    for dataset in grouped.datasets():
-        stats[dataset] = DatasetStats(
-            sys_pearson=sys_pearson(grouped, dataset),
-            seg_pearson=seg_pearson(grouped, dataset),
-            acc_t=acc_t(grouped, dataset, tie_policy),
-        )
-    return EvalReport(
-        datasets=stats,
-        avg_corr=avg_corr(stats),
-        tie_policy=tie_policy,
-    )
+    stats = {
+        dataset: DatasetStats(sys_pearson(grouped, dataset), seg_pearson(grouped, dataset),
+                              acc_t(grouped, dataset, tie_policy))
+        for dataset in grouped.datasets()
+    }
+    return EvalReport(datasets=stats, avg_corr=avg_corr(stats), tie_policy=tie_policy)
 
 
 def grouped_pairwise_accuracy(

@@ -9,6 +9,8 @@ searches: a split scan one feature at a time, and cross-validation that
 trains a separate model for every ensemble size.  The score-file loaders are
 the package's first row-by-row forms: every value parsed and checked on its
 own, in reading order, so their errors name the first bad line and column.
+The harness reference is its first dict form: cells keyed by (system,
+segment), per-system score lists, and acc-t by a loop over system pairs.
 """
 
 from __future__ import annotations
@@ -433,6 +435,68 @@ def retrain_cv_curve(features, target, objective, config, sizes):
                 values.append(score_or_worst(objective, preds, y[hold]))
         curve.append(float(np.mean(values)))
     return curve
+
+
+def dict_grouping(examples):
+    """dataset -> (system, segment) -> (metric, human), cells in row order."""
+    groups = {}
+    for (dataset, system, segment), metric, human in examples:
+        cells = groups.setdefault(dataset, {})
+        assert (system, segment) not in cells
+        cells[system, segment] = (float(metric), float(human))
+    return groups
+
+
+def dict_system_means(cells):
+    """Per-system mean metric and human scores, systems in sorted order."""
+    per_system = {}
+    for (system, _), scores in cells.items():
+        per_system.setdefault(system, []).append(scores)
+    systems = sorted(per_system)
+    metric = np.asarray([np.mean([s[0] for s in per_system[name]]) for name in systems])
+    human = np.asarray([np.mean([s[1] for s in per_system[name]]) for name in systems])
+    return metric, human
+
+
+def dict_sys_pearson(cells):
+    from metacal.objectives import pearson_r
+
+    return pearson_r(*dict_system_means(cells))
+
+
+def dict_seg_pearson(cells):
+    from metacal.objectives import pearson_r
+
+    keys = sorted(cells)
+    return pearson_r(np.asarray([cells[k][0] for k in keys]), np.asarray([cells[k][1] for k in keys]))
+
+
+def loop_acc_t(cells, tie_policy="strict"):
+    """acc-t by visiting every system pair; raises ZeroDivisionError when
+    every pair ties on human means."""
+    metric, human = dict_system_means(cells)
+    rankable = 0
+    credit = 0.0
+    for i in range(metric.size):
+        for j in range(i + 1, metric.size):
+            dh = human[i] - human[j]
+            if dh == 0.0:
+                continue
+            rankable += 1
+            dm = metric[i] - metric[j]
+            if dm == 0.0:
+                credit += 0.5 if tie_policy == "half" else 0.0
+            elif (dh > 0.0) == (dm > 0.0):
+                credit += 1.0
+    return credit / rankable
+
+
+def dict_avg_corr(groups, tie_policy="strict"):
+    """Unweighted mean of every dataset's (sys, seg, acc-t) triple."""
+    return float(np.mean([
+        value for cells in groups.values()
+        for value in (dict_sys_pearson(cells), dict_seg_pearson(cells), loop_acc_t(cells, tie_policy))
+    ]))
 
 
 def row_read_table(path, columns, parse):

@@ -88,6 +88,8 @@ ONE_CELL = GroupedScores.from_examples([(ExampleId("d", "s", "1"), 0.1, 1.0)])
 NAN_CELL = GroupedScores.from_examples(
     (ExampleId("d", f"s{i}", str(j)), math.nan if i == j == 0 else i + j / 2, 2.0 * i + j)
     for i in range(3) for j in range(2))
+INF_HUMAN = GroupedScores.from_examples(
+    (ExampleId("d", f"s{i}", "1"), float(i), math.inf if i == 0 else float(i)) for i in range(3))
 
 
 def _one_split_model(feature: int) -> TreeEnsemble:
@@ -163,6 +165,8 @@ REFUSED = [
      lambda: score_with_model(LINEAR, ScoreMatrix(("x",), MATRIX.example_ids, MATRIX.values)), MetacalError),
     ("split_train_test fraction 0", lambda: split_train_test([1, 2, 3], 0.0), MetacalError),
     ("acc_t tie policy", lambda: acc_t(ONE_CELL, "d", "nope"), MetacalError),
+    ("acc_t nan metric", lambda: acc_t(NAN_CELL, "d"), NonFiniteInput),
+    ("acc_t inf human", lambda: acc_t(INF_HUMAN, "d"), NonFiniteInput),
     ("seg_pearson unknown dataset", lambda: seg_pearson(ONE_CELL, "x"), MetacalError),
     ("sys_pearson one system", lambda: sys_pearson(ONE_CELL, "d"), DegenerateInput),
     ("build_report nan", lambda: build_report(NAN_CELL), NonFiniteInput),
@@ -184,6 +188,7 @@ REFUSED = [
     ("GpConfig kappa nan", lambda: GpConfig(kappa=math.nan), MetacalError),
     ("TreeEnsemble nan base_score", lambda: TreeEnsemble((), math.nan, 0.1), MetacalError),
     ("TreeEnsemble inf learning_rate", lambda: TreeEnsemble((), 0.5, math.inf), MetacalError),
+    ("TreeEnsemble.predict nan", lambda: _one_split_model(0).predict([[math.nan]]), NonFiniteInput),
 ]
 
 # Public callables with nothing to refuse, and why.

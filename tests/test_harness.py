@@ -3,6 +3,7 @@ import pytest
 
 from metacal.core import ExampleId, MetacalError
 from metacal.harness import (
+    TIE_POLICIES,
     DatasetStats,
     GroupedScores,
     NoRankablePairs,
@@ -15,7 +16,15 @@ from metacal.harness import (
 )
 from metacal.objectives import DegenerateInput, EmptyInput, LengthMismatch
 
-from oracles import naive_pairwise_accuracy, naive_pearson
+from oracles import (
+    dict_avg_corr,
+    dict_grouping,
+    dict_seg_pearson,
+    dict_sys_pearson,
+    loop_acc_t,
+    naive_pairwise_accuracy,
+    naive_pearson,
+)
 
 
 def _grouped(cells):
@@ -261,3 +270,68 @@ def test_duplicate_cell_rejected():
     eid = ExampleId("d", "A", "1")
     with pytest.raises(MetacalError, match="duplicate"):
         GroupedScores.from_examples([(eid, 0.1, 1.0), (eid, 0.2, 2.0)])
+
+
+# Labels that sort differently as Python strings and as numpy '<U' arrays,
+# which drop trailing NULs: "a" and "a\x00" are two systems here.
+DATASETS = ("wmt", "wmt\x00", "ünï")
+SYSTEMS = ("a", "a\x00", "b", "é", "Ω", "z\x00\x00", "系统")
+SEGMENTS = ("1", "1\x00", "2", "ü", "10", "段", *(f"g{k}" for k in range(60)))
+
+
+def _pick(rng, labels, low, high):
+    return [labels[i] for i in rng.permutation(len(labels))[: rng.integers(low, high + 1)]]
+
+
+def _scores(rng, n, tied):
+    """`n` scores on a coarse grid (ties) or continuous."""
+    return rng.integers(0, 4, n) * 0.25 if tied else rng.normal(size=n)
+
+
+def _random_table(rng):
+    """A ragged table in shuffled row order: one-cell systems, systems of up
+    to 60 cells, score ties, non-ASCII and trailing-NUL labels."""
+    rows = []
+    for dataset in _pick(rng, DATASETS, 1, len(DATASETS)):
+        tied_metric, tied_human = rng.random(2) < 0.3
+        for system in _pick(rng, SYSTEMS, 2, len(SYSTEMS)):
+            segments = _pick(rng, SEGMENTS, 1, 1 if rng.random() < 0.25 else 60)
+            metric = _scores(rng, len(segments), tied_metric)
+            human = _scores(rng, len(segments), tied_human)
+            rows += [(ExampleId(dataset, system, g), m, h) for g, m, h in zip(segments, metric, human)]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _outcome(call):
+    """The value's exact bits, or "refused".  Every statistic is a Python float."""
+    try:
+        value = call()
+    except (MetacalError, ZeroDivisionError):
+        return "refused"
+    assert type(value) is float
+    return value.hex()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_statistics_match_the_dict_harness_bit_for_bit(seed):
+    """Same bits as the dict-of-cells harness: each system mean adds its
+    cells in row order with numpy's pairwise sum, and labels sort as
+    Python strings."""
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(25):
+        rows = _random_table(rng)
+        grouped, groups = _grouped(rows), dict_grouping(rows)
+        assert grouped.datasets() == tuple(groups)
+        for dataset, cells in groups.items():
+            pairs = [(lambda: sys_pearson(grouped, dataset), lambda: dict_sys_pearson(cells)),
+                     (lambda: seg_pearson(grouped, dataset), lambda: dict_seg_pearson(cells))]
+            pairs += [(lambda p=p: acc_t(grouped, dataset, p), lambda p=p: loop_acc_t(cells, p))
+                      for p in TIE_POLICIES]
+            for new, old in pairs:
+                outcomes.append(_outcome(old))
+                assert _outcome(new) == outcomes[-1], dataset
+        for policy in TIE_POLICIES:
+            outcomes.append(_outcome(lambda: dict_avg_corr(groups, policy)))
+            assert _outcome(lambda: build_report(grouped, policy).avg_corr) == outcomes[-1]
+    assert outcomes.count("refused") < len(outcomes) // 10
