@@ -36,15 +36,17 @@ from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
 
 
 def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("METACAL_SEED")
-    if env is not None:
+    """--seed, else METACAL_SEED, else 0; a negative seed is refused."""
+    name = "--seed"
+    if value is None:
+        name, env = "METACAL_SEED", os.environ.get("METACAL_SEED", "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise MetacalError(f"METACAL_SEED must be an integer, got {env!r}") from None
-    return 0
+    if value < 0:
+        raise MetacalError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _cmd_basemetrics(args: argparse.Namespace) -> int:
@@ -71,6 +73,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise MetacalError("--weighting is only valid with --method gp")
     if args.top_k is not None and args.top_k < 1:
         raise MetacalError("--top-k must be >= 1")
+    if args.prune_iterations is not None and args.prune_iterations < 1:
+        raise MetacalError("--prune-iterations must be >= 1")
     objective = ObjectiveKind(args.objective)
     specs = io.load_specs(args.specs)
     matrix, target = io.load_scores(args.scores, args.format, specs)
@@ -184,17 +188,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
+    outputs = [args.train_output, args.test_output]
+    if os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
+        raise MetacalError("--train-output and --test-output must be different files")
     specs = io.load_specs(args.specs)
     matrix, target = io.load_scores(args.scores, args.format, specs)
-    (train_m, train_t), (test_m, test_t) = io.split_matrix(
-        matrix, target, fraction=args.train_fraction, seed=seed
-    )
-    if args.format == "jsonl":
-        io.save_scores_jsonl(train_t, args.train_output, train_m)
-        io.save_scores_jsonl(test_t, args.test_output, test_m)
-    else:
-        io.save_scores_csv(train_m, args.train_output, train_t)
-        io.save_scores_csv(test_m, args.test_output, test_t)
+    sides = io.split_matrix(matrix, target, fraction=args.train_fraction, seed=seed)
+    with io.staged(outputs) as paths:
+        for (side_m, side_t), path in zip(sides, paths):
+            if args.format == "jsonl":
+                io.save_scores_jsonl(side_t, path, side_m)
+            else:
+                io.save_scores_csv(side_m, path, side_t)
     print(
         f"split {matrix.n_examples if args.format == 'csv' else len(target.pairwise)} "
         f"-> train {args.train_output}, test {args.test_output}"
@@ -231,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.add_argument("--init-points", type=int, default=gp.init_points)
+    p.add_argument("--init-points", type=int, default=gp.init_points,
+                   help="probes before the first GP fit: the uniform and one-hot starts, "
+                        "topped up with random ones to this count")
     p.add_argument("--n-iter", type=int, default=gp.n_iter)
     p.add_argument("--kappa", type=float, default=gp.kappa)
     p.add_argument("--fit-lengthscale", action="store_true",

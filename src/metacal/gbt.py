@@ -34,13 +34,14 @@ array is read as a pointwise z.  Non-finite features or targets raise
 pairs, whose members are the stacked rows of each pair.
 
 On top of the trainer sit k-fold cross-validation over target units, a grid
-search over the ensemble size, and iterative pruning: repeatedly drop the
-feature with the least total-gain importance, track CV performance, and
-keep the model of the best-scoring feature subset; `calibrate_gbt` without
-pruning is one such round.  Boosting has no randomness, so an n-tree model
-is exactly the first n trees of a longer run: the whole size grid is scored
-from one boosting run per fold, adding held-out predictions tree by tree
-(the staged-prediction idea of XGBoost's `iteration_range`).
+search over the ensemble size, and `calibrate_gbt`, the one entry point
+for iterative pruning: repeatedly drop the feature with the least
+total-gain importance, track CV performance, and keep the model of the
+best-scoring feature subset; without pruning it runs one such round.
+Boosting has no randomness, so an n-tree model is exactly the first n
+trees of a longer run: the whole size grid is scored from one boosting run
+per fold, adding held-out predictions tree by tree (the staged-prediction
+idea of XGBoost's `iteration_range`).
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ class GbtConfig:
             raise MetacalError("reg_lambda and gamma must be finite and non-negative")
         if self.cv_folds < 2:
             raise MetacalError("cv_folds must be >= 2")
+        if self.seed < 0:
+            raise MetacalError("seed must be >= 0")
 
     def n_estimators_grid(self) -> list[int]:
         return list(
@@ -230,24 +233,24 @@ class TreeEnsemble:
 
 @dataclass(frozen=True)
 class PruneTrace:
-    """Record of one iterative-pruning run.
+    """Record of one pruned `calibrate_gbt` run.
 
-    `performances[i]` is the CV objective on the feature set of iteration i
-    (0-based); `pruned_features[i]` is the feature removed after it.
-    `best_features` is the full set minus everything pruned before
-    `best_iteration`.
+    `performances[i]` is the CV objective on the feature set of round i
+    (0-based); `pruned_features[i]` is the feature removed after it.  The
+    returned model's `metric_names` are the features of `best_iteration`.
     """
 
     performances: tuple[float, ...]
     pruned_features: tuple[str, ...]
-    best_iteration: int
-    best_features: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.performances) != len(self.pruned_features):
-            raise MetacalError("prune trace lengths disagree")
-        if not 0 <= self.best_iteration < len(self.performances):
-            raise MetacalError("best_iteration outside recorded trace")
+        if not self.performances or len(self.performances) != len(self.pruned_features):
+            raise MetacalError("a prune trace needs a round, and one pruned feature per round")
+
+    @property
+    def best_iteration(self) -> int:
+        """The best-scoring round; the earliest on ties."""
+        return int(np.argmax(self.performances))
 
 
 def _predict_tree(tree: Tree, x: np.ndarray) -> np.ndarray:
@@ -548,69 +551,6 @@ def search_n_estimators(
     return grid[best], curve[best]
 
 
-def iterative_prune(
-    features: np.ndarray,
-    target: PreferenceTarget | np.ndarray,
-    objective: ObjectiveKind,
-    config: GbtConfig,
-    k: int,
-    specs: Sequence[MetricSpec],
-) -> tuple[CalibratedModel, PruneTrace]:
-    """Iterative feature pruning (k rounds):
-
-    each round searches the ensemble size with CV on the surviving features,
-    records that CV objective, trains that size on all data to measure
-    total-gain importance, and removes the least-important feature.  The
-    full-data model of the best-scoring round (the earliest on ties) is the
-    returned model.
-    """
-    x = _as_features(features)
-    target = _as_target(target)
-    specs = tuple(specs)
-    n_features = x.shape[1]
-    if len(specs) != n_features:
-        raise MetacalError(f"{len(specs)} specs for {n_features} feature columns")
-    if not 1 <= k <= n_features:
-        raise MetacalError(f"k must be in [1, {n_features}], got {k}")
-
-    active = list(range(n_features))
-    performances: list[float] = []
-    pruned: list[str] = []
-    best_iteration = 0
-    best: tuple[TreeEnsemble, tuple[MetricSpec, ...]] | None = None
-    for iteration in range(k):
-        round_specs = tuple(specs[i] for i in active)
-        round_x = x[:, active]
-        n_trees, value = search_n_estimators(round_x, target, objective, config)
-        ensemble = gbt_train(round_x, target, config, n_trees)
-        if best is None or value > performances[best_iteration]:
-            best_iteration, best = iteration, (ensemble, round_specs)
-        performances.append(value)
-        gains = feature_importance(ensemble, len(active))
-        least = int(np.argmin(gains))  # ties: earliest (lowest column order)
-        pruned.append(round_specs[least].name)
-        del active[least]
-        if not active:
-            break
-
-    assert best is not None
-    ensemble, retained_specs = best
-    trace = PruneTrace(
-        performances=tuple(performances),
-        pruned_features=tuple(pruned),
-        best_iteration=best_iteration,
-        best_features=tuple(s.name for s in retained_specs),
-    )
-    model = CalibratedModel(
-        kind=ModelKind.GBT,
-        metric_specs=retained_specs,
-        objective_used=scored_by(objective, target).value,
-        seed=config.seed,
-        trees=ensemble,
-    )
-    return model, trace
-
-
 def calibrate_gbt(
     features: np.ndarray,
     target: PreferenceTarget | np.ndarray,
@@ -619,13 +559,46 @@ def calibrate_gbt(
     specs: Sequence[MetricSpec],
     prune_iterations: int | None = None,
 ) -> tuple[CalibratedModel, PruneTrace | None]:
-    """Train a boosted-tree calibrated model on normalized metric features.
+    """Train a boosted-tree calibrated model on normalized metric features,
+    with `prune_iterations` rounds of iterative feature pruning (one round
+    when it is None).
 
-    This is `iterative_prune` with `prune_iterations` rounds, or with one
-    round (a CV grid search over the ensemble size, then a full-data train
-    of the chosen size) when `prune_iterations` is None; the prune trace is
-    returned only for a pruned run.
+    Each round searches the ensemble size with CV on the surviving features,
+    records that CV objective, trains that size on all data to measure
+    total-gain importance, and removes the least-important feature.  The
+    full-data model of the best-scoring round (the earliest on ties) is the
+    returned model; the prune trace is returned only for a pruned run.
     """
+    x = _as_features(features)
+    target = _as_target(target)
+    specs = tuple(specs)
+    n_features = x.shape[1]
+    if len(specs) != n_features:
+        raise MetacalError(f"{len(specs)} specs for {n_features} feature columns")
     rounds = 1 if prune_iterations is None else prune_iterations
-    model, trace = iterative_prune(features, target, objective, config, rounds, specs)
+    if not 1 <= rounds <= n_features:
+        raise MetacalError(f"prune_iterations must be in [1, {n_features}], got {prune_iterations}")
+
+    active = list(range(n_features))
+    performances: list[float] = []
+    pruned: list[str] = []
+    for _ in range(rounds):
+        round_specs, round_x = tuple(specs[i] for i in active), x[:, active]
+        n_trees, value = search_n_estimators(round_x, target, objective, config)
+        ensemble = gbt_train(round_x, target, config, n_trees)
+        if not performances or value > max(performances):
+            best, retained_specs = ensemble, round_specs
+        performances.append(value)
+        least = int(np.argmin(feature_importance(ensemble, len(active))))  # ties: the earliest column
+        pruned.append(round_specs[least].name)
+        del active[least]
+
+    model = CalibratedModel(
+        kind=ModelKind.GBT,
+        metric_specs=retained_specs,
+        objective_used=scored_by(objective, target).value,
+        seed=config.seed,
+        trees=best,
+    )
+    trace = PruneTrace(tuple(performances), tuple(pruned))
     return model, (None if prune_iterations is None else trace)

@@ -71,9 +71,13 @@ class LengthscalePolicy(Enum):
 class GpConfig:
     """Budget and surrogate settings for the weight search.
 
-    The default budget (5 initial probes + 100 optimization steps) and the
-    UCB exploration constant are the stock settings this calibrator ships
-    with.
+    The first phase evaluates the injected starts, uniform weights and (for
+    D > 1 weights) each one-hot vector, topped up with random probes up to
+    `init_points`; `n_iter` optimization steps follow.  A run over D > 1
+    weights thus makes max(init_points, D + 1) + n_iter objective
+    evaluations: 106 at the defaults for five linear weights.  The default
+    budget and the UCB exploration constant are the stock settings this
+    calibrator ships with.
     """
 
     init_points: int = 5
@@ -93,6 +97,8 @@ class GpConfig:
             raise MetacalError("kappa must be finite and >= 0")
         if not 0 < self.noise_jitter < math.inf:
             raise MetacalError("noise_jitter must be finite and positive")
+        if self.seed < 0:
+            raise MetacalError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ CSV carries text corpora, tabular scores and meta-scores, JSONL carries
 pairwise preference records, and JSON carries metric specs, models, and
 reports.  Every numeric value in an output file is serialized with 17
 significant digits, which round-trips float64 exactly and makes repeated
-runs byte-identical.  Every output file is written whole or not at all.
+runs byte-identical.  Every output file is written whole or not at all,
+and `staged` moves several outputs into place together or not at all.
 
 Score files are read and written by columns.  The CSV readers take rows a
 block at a time (`_BLOCK_ROWS`): each number column of a block is parsed
@@ -145,19 +146,30 @@ def dumps_canonical(obj: Any) -> str:
 
 
 @contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """Write `path` through a temp file in the same directory, moved into
-    place only once writing succeeds; on any failure the temp file is
-    removed, so no command leaves a partial artifact behind."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def staged(paths: Sequence[str]) -> Iterator[list[str]]:
+    """A temp path in the directory of each of `paths`, each moved into
+    place only once the block succeeds; on any failure every temp file is
+    removed, so no command leaves a partial artifact behind, and one with
+    several outputs writes all of them or none."""
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        yield tmps
+        for path in paths:  # a move onto a directory fails: fail before the first move
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory")
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Write `path` through a temp file (see `staged`)."""
+    with staged([path]) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _parse_json(text: str, error: Callable[[str], MetacalError]) -> Any:
@@ -747,6 +759,8 @@ def split_train_test(
     """Seeded shuffle-then-split; the train side takes floor(fraction * n)."""
     if not 0.0 < fraction < 1.0:
         raise MetacalError(f"train fraction must be in (0, 1), got {fraction}")
+    if seed < 0:
+        raise MetacalError(f"seed must be >= 0, got {seed}")
     items = list(rows)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(items))

@@ -13,7 +13,7 @@ import pytest
 import metacal.gbt as gbt_mod
 from metacal.cli import main
 from metacal.core import ExampleId, MetricSpec, PreferenceTarget, ScoreMatrix
-from metacal.gbt import GbtConfig, gbt_train, iterative_prune, search_n_estimators
+from metacal.gbt import GbtConfig, calibrate_gbt, gbt_train, search_n_estimators
 from metacal.gp import GpConfig, calibrate_gp, expand_features, gp_fit, gp_predict
 from metacal.harness import GroupedScores, acc_t, seg_pearson, sys_pearson
 from metacal.core import Weighting
@@ -156,7 +156,7 @@ def test_criterion_05_iterative_pruning_behavior():
             n_estimators_low=20, n_estimators_high=20, n_estimators_step=1,
             max_depth=3, cv_folds=3, seed=seed,
         )
-        model, trace = iterative_prune(x, z, ObjectiveKind.KENDALL, cfg, 3, specs)
+        model, trace = calibrate_gbt(x, z, ObjectiveKind.KENDALL, cfg, specs, prune_iterations=3)
         if trace.pruned_features[0] == "noise":
             noise_first += 1
         retained = [j for j, s in enumerate(specs) if s.name in model.metric_names]

@@ -48,7 +48,6 @@ from metacal import (
     gp_fit,
     gp_predict,
     grouped_pairwise_accuracy,
-    iterative_prune,
     kendall_tau,
     load_model,
     load_scores,
@@ -142,10 +141,9 @@ REFUSED = [
     ("gbt_train zero trees", lambda: gbt_train(np.eye(3), Z3, GbtConfig(), 0), MetacalError),
     ("cross_validate nan", lambda: cross_validate(X_NAN, Z3, KENDALL, FOLDS, 1), NonFiniteInput),
     ("search_n_estimators nan", lambda: search_n_estimators(X_NAN, Z3, KENDALL, FOLDS), NonFiniteInput),
-    ("iterative_prune nan", lambda: iterative_prune(X_NAN, Z3, KENDALL, FOLDS, 1, [SPEC]), NonFiniteInput),
-    ("iterative_prune k=0", lambda: iterative_prune(np.eye(3)[:, :1], Z3, KENDALL, FOLDS, 0, [SPEC]),
-     MetacalError),
     ("calibrate_gbt nan", lambda: calibrate_gbt(X_NAN, Z3, KENDALL, FOLDS, [SPEC]), NonFiniteInput),
+    ("calibrate_gbt prune_iterations=0",
+     lambda: calibrate_gbt(np.eye(3)[:, :1], Z3, KENDALL, FOLDS, [SPEC], prune_iterations=0), MetacalError),
     ("calibrate_gp misaligned", lambda: calibrate_gp(MATRIX, PreferenceTarget.from_pointwise(Z3), KENDALL,
                                                      GpConfig()), MissingTarget),
     ("select_top_k k=0", lambda: select_top_k(MATRIX, PreferenceTarget.from_pointwise(Z3[:2]), KENDALL, 0),
@@ -164,6 +162,7 @@ REFUSED = [
     ("score_with_model columns",
      lambda: score_with_model(LINEAR, ScoreMatrix(("x",), MATRIX.example_ids, MATRIX.values)), MetacalError),
     ("split_train_test fraction 0", lambda: split_train_test([1, 2, 3], 0.0), MetacalError),
+    ("split_train_test seed -1", lambda: split_train_test([1, 2, 3], seed=-1), MetacalError),
     ("acc_t tie policy", lambda: acc_t(ONE_CELL, "d", "nope"), MetacalError),
     ("acc_t nan metric", lambda: acc_t(NAN_CELL, "d"), NonFiniteInput),
     ("acc_t inf human", lambda: acc_t(INF_HUMAN, "d"), NonFiniteInput),
@@ -185,7 +184,9 @@ REFUSED = [
     ("ScoreMatrix nan", lambda: ScoreMatrix(("m",), MATRIX.example_ids[:1], [[math.nan]]), MetacalError),
     ("PreferenceTarget nan z", lambda: PreferenceTarget.from_pointwise([math.nan]), MetacalError),
     ("GbtConfig learning_rate nan", lambda: GbtConfig(learning_rate=math.nan), MetacalError),
+    ("GbtConfig seed -1", lambda: GbtConfig(seed=-1), MetacalError),
     ("GpConfig kappa nan", lambda: GpConfig(kappa=math.nan), MetacalError),
+    ("GpConfig seed -1", lambda: GpConfig(seed=-1), MetacalError),
     ("TreeEnsemble nan base_score", lambda: TreeEnsemble((), math.nan, 0.1), MetacalError),
     ("TreeEnsemble inf learning_rate", lambda: TreeEnsemble((), 0.5, math.inf), MetacalError),
     ("TreeEnsemble.predict nan", lambda: _one_split_model(0).predict([[math.nan]]), NonFiniteInput),

@@ -33,6 +33,21 @@ def scores_path(tmp_path):
     return out
 
 
+def _write_pairs_jsonl(path):
+    """Twelve pairs over METRICS, each chosen member above its rejected one
+    on every metric; returns the path as a string."""
+    rng = np.random.default_rng(0)
+    with open(path, "w") as fh:
+        for i in range(12):
+            chosen = {m: float(v) for m, v in zip(METRICS, rng.uniform(0.5, 1, 5))}
+            rejected = {m: float(v) for m, v in zip(METRICS, rng.uniform(0, 0.5, 5))}
+            fh.write(json.dumps({
+                "group": f"g{i}", "category": "chat" if i % 2 else "safety",
+                "chosen": chosen, "rejected": rejected,
+            }) + "\n")
+    return str(path)
+
+
 def _tiny_gbt_flags():
     return [
         "--max-depth", "2", "--cv-folds", "3",
@@ -133,6 +148,19 @@ class TestCalibrateAndScore:
         assert rc == 0
         assert len(load_model(model_path).metric_specs) == 2
 
+    def test_more_prune_iterations_than_metrics_is_validation_error(
+        self, tmp_path, specs_path, scores_path, capsys
+    ):
+        model_path = tmp_path / "gbt.json"
+        rc = main([
+            "calibrate", "--scores", scores_path, "--specs", specs_path,
+            "--method", "gbt", "--prune-iterations", "6", *_tiny_gbt_flags(),
+            "--output", str(model_path),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: prune_iterations must be in [1, 5], got 6\n"
+        assert not model_path.exists()
+
     def test_prune_with_gp_is_validation_error(self, tmp_path, specs_path, scores_path):
         rc = main([
             "calibrate", "--scores", scores_path, "--specs", specs_path,
@@ -145,7 +173,10 @@ class TestCalibrateAndScore:
         (["--method", "gbt", "--weighting", "multiplicative"], None,
          "error: --weighting is only valid with --method gp"),
         (["--top-k", "0"], None, "error: --top-k must be >= 1"),
+        (["--method", "gbt", "--prune-iterations", "0"], None, "error: --prune-iterations must be >= 1"),
+        (["--seed", "-1"], None, "error: --seed must be >= 0, got -1"),
         ([], "abc", "error: METACAL_SEED must be an integer, got 'abc'"),
+        ([], "-2", "error: METACAL_SEED must be >= 0, got -2"),
     ])
     def test_flag_rules_are_checked_before_any_file_is_read(
         self, tmp_path, capsys, monkeypatch, flags, env, message
@@ -229,16 +260,7 @@ class TestEvaluate:
         assert rc == 2
 
     def test_pairwise_jsonl(self, tmp_path, specs_path):
-        rng = np.random.default_rng(0)
-        jsonl = str(tmp_path / "pairs.jsonl")
-        with open(jsonl, "w") as fh:
-            for i in range(12):
-                chosen = {m: float(v) for m, v in zip(METRICS, rng.uniform(0.5, 1, 5))}
-                rejected = {m: float(v) for m, v in zip(METRICS, rng.uniform(0, 0.5, 5))}
-                fh.write(json.dumps({
-                    "group": f"g{i}", "category": "chat" if i % 2 else "safety",
-                    "chosen": chosen, "rejected": rejected,
-                }) + "\n")
+        jsonl = _write_pairs_jsonl(tmp_path / "pairs.jsonl")
         model_path = str(tmp_path / "gp.json")
         assert main(["calibrate", "--scores", jsonl, "--specs", specs_path,
                      "--format", "jsonl", "--method", "gp", "--seed", "0",
@@ -322,6 +344,53 @@ class TestSplit:
         assert train_m.n_examples == 60
         assert test_m.n_examples == 140
         assert not set(train_m.example_ids) & set(test_m.example_ids)
+
+    @pytest.fixture(params=["csv", "jsonl"])
+    def split_argv(self, request, tmp_path, specs_path):
+        """A split command over a score file of each format, without its
+        output flags."""
+        if request.param == "csv":
+            scores = request.getfixturevalue("scores_path")
+        else:
+            scores = _write_pairs_jsonl(tmp_path / "pairs.jsonl")
+        return ["split", "--format", request.param, "--scores", scores, "--specs", specs_path]
+
+    def test_negative_seed_is_refused(self, tmp_path, capsys, split_argv):
+        before = set(tmp_path.iterdir())
+        rc = main([*split_argv, "--seed", "-1", "--train-output", str(tmp_path / "tr"),
+                   "--test-output", str(tmp_path / "te")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("test_output", ["missing/te", "a_directory"])
+    def test_unwritable_test_output_leaves_no_file(self, tmp_path, split_argv, test_output):
+        (tmp_path / "a_directory").mkdir()
+        before = set(tmp_path.iterdir())
+        rc = main([*split_argv, "--train-output", str(tmp_path / "tr"),
+                   "--test-output", str(tmp_path / test_output)])
+        assert rc == 2
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("second", ["out", "./out"])
+    def test_one_path_for_both_outputs_is_refused(self, tmp_path, capsys, split_argv, second):
+        before = set(tmp_path.iterdir())
+        rc = main([*split_argv, "--train-output", str(tmp_path / "out"),
+                   "--test-output", f"{tmp_path}/{second}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --train-output and --test-output must be different files\n")
+        assert set(tmp_path.iterdir()) == before
+
+    def test_failed_test_write_keeps_previous_train_file(self, tmp_path, split_argv):
+        train = tmp_path / "tr"
+        train.write_text("previous\n")
+        before = set(tmp_path.iterdir())
+        rc = main([*split_argv, "--train-output", str(train),
+                   "--test-output", str(tmp_path / "missing" / "te")])
+        assert rc == 2
+        assert train.read_text() == "previous\n"
+        assert set(tmp_path.iterdir()) == before
 
 
 def test_byte_identical_artifacts_across_runs(tmp_path, specs_path, scores_path):

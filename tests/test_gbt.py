@@ -21,7 +21,6 @@ from metacal.gbt import (
     cross_validate,
     feature_importance,
     gbt_train,
-    iterative_prune,
     search_n_estimators,
 )
 from metacal.io import dumps_canonical, model_to_obj
@@ -379,10 +378,9 @@ class TestIterativePrune:
         x = rng.uniform(0, 1, (60, 3))
         y = x[:, 0] + rng.normal(0, 0.1, 60)
         cfg = _single_round(n_estimators_low=10, n_estimators_high=10, max_depth=2, cv_folds=3, seed=0)
-        model, trace = iterative_prune(
-            x, y, ObjectiveKind.KENDALL, cfg, 1, self._specs(("a", "b", "c"))
+        model, trace = calibrate_gbt(
+            x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "c")), prune_iterations=1
         )
-        assert trace.best_features == ("a", "b", "c")
         assert len(trace.performances) == 1
         assert model.metric_names == ("a", "b", "c")
 
@@ -391,8 +389,8 @@ class TestIterativePrune:
         x = rng.uniform(0, 1, (60, 3))
         y = x[:, 1] + rng.normal(0, 0.1, 60)
         cfg = _single_round(n_estimators_low=10, n_estimators_high=10, max_depth=2, cv_folds=3, seed=0)
-        _, trace = iterative_prune(
-            x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
+        _, trace = calibrate_gbt(
+            x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "c")), prune_iterations=3
         )
         assert len(trace.performances) == len(trace.pruned_features) == 3
 
@@ -401,12 +399,14 @@ class TestIterativePrune:
         x = rng.uniform(0, 1, (80, 4))
         y = x[:, 0] + 0.7 * x[:, 1] + rng.normal(0, 0.1, 80)
         cfg = _single_round(n_estimators_low=15, n_estimators_high=15, max_depth=2, cv_folds=3, seed=0)
-        _, trace = iterative_prune(
-            x, y, ObjectiveKind.KENDALL, cfg, 4, self._specs(("a", "b", "c", "d"))
+        model, trace = calibrate_gbt(
+            x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "c", "d")), prune_iterations=4
         )
         best = trace.performances[trace.best_iteration]
         assert best == max(trace.performances)
         assert best >= trace.performances[0]
+        dropped = trace.pruned_features[:trace.best_iteration]
+        assert model.metric_names == tuple(n for n in ("a", "b", "c", "d") if n not in dropped)
 
     def test_final_model_cv_equals_trace_max_exactly(self):
         rng = np.random.default_rng(14)
@@ -414,8 +414,8 @@ class TestIterativePrune:
         y = 1.2 * x[:, 0] + 0.6 * x[:, 1] + rng.normal(0, 0.1, 90)
         cfg = _single_round(n_estimators_low=10, n_estimators_high=20, n_estimators_step=10,
                             max_depth=2, cv_folds=3, seed=7)
-        model, trace = iterative_prune(
-            x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
+        model, trace = calibrate_gbt(
+            x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "c")), prune_iterations=3
         )
         retained = [i for i, n in enumerate(("a", "b", "c")) if n in model.metric_names]
         _, best_cv = search_n_estimators(x[:, retained], y, ObjectiveKind.KENDALL, cfg)
@@ -429,8 +429,8 @@ class TestIterativePrune:
             y = 1.5 * x[:, 0] + 0.8 * x[:, 1] + rng.normal(0, 0.1, 150)
             cfg = _single_round(n_estimators_low=20, n_estimators_high=20,
                                 max_depth=3, cv_folds=3, seed=seed)
-            _, trace = iterative_prune(
-                x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "noise"))
+            _, trace = calibrate_gbt(
+                x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "noise")), prune_iterations=3
             )
             hits += trace.pruned_features[0] == "noise"
         assert hits >= 9
@@ -440,9 +440,8 @@ class TestIterativePrune:
         rng = np.random.default_rng(16)
         x = rng.uniform(0, 1, (30, 3))
         cfg = _single_round(n_estimators_low=2, n_estimators_high=2, max_depth=2, cv_folds=3)
-        model, trace = iterative_prune(
-            x, np.full(30, 0.5), ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
-        )
+        model, trace = calibrate_gbt(x, np.full(30, 0.5), ObjectiveKind.KENDALL, cfg,
+                                     self._specs(("a", "b", "c")), prune_iterations=3)
         assert trace.performances == (-1.0, -1.0, -1.0)
         assert trace.best_iteration == 0
         assert model.metric_names == ("a", "b", "c")
@@ -453,8 +452,8 @@ class TestIterativePrune:
         x = rng.uniform(0, 1, (70, 3))
         y = x[:, 2] + rng.normal(0, 0.05, 70)
         cfg = _single_round(n_estimators_low=10, n_estimators_high=10, max_depth=2, cv_folds=3, seed=3)
-        model, _ = iterative_prune(
-            x, y, ObjectiveKind.KENDALL, cfg, 3, self._specs(("a", "b", "c"))
+        model, _ = calibrate_gbt(
+            x, y, ObjectiveKind.KENDALL, cfg, self._specs(("a", "b", "c")), prune_iterations=3
         )
         model.trees.validate(len(model.metric_specs))  # raises on an index out of range
 
@@ -473,6 +472,13 @@ class TestCalibrateGbt:
         assert model.kind is ModelKind.GBT
         assert trace is None
         assert model.trees is not None
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_out_of_range_prune_iterations_is_refused_by_name(self, rounds):
+        specs = (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))
+        with pytest.raises(MetacalError, match=rf"^prune_iterations must be in \[1, 2\], got {rounds}$"):
+            calibrate_gbt(np.eye(4)[:, :2], np.arange(4.0), ObjectiveKind.KENDALL, _single_round(cv_folds=2),
+                          specs, prune_iterations=rounds)
 
 
 def _tied_problem(loss, seed, n=36):
@@ -621,8 +627,8 @@ class TestOracleParity:
             max_depth=2, cv_folds=3, seed=5,
         )
         specs = tuple(MetricSpec(name, 0, 3) for name in ("a", "b", "c"))
-        model, trace = iterative_prune(x, target, ObjectiveKind.KENDALL, cfg, 3, specs)
-        retained = [i for i, s in enumerate(specs) if s.name in trace.best_features]
+        model, _ = calibrate_gbt(x, target, ObjectiveKind.KENDALL, cfg, specs, prune_iterations=3)
+        retained = [i for i, s in enumerate(specs) if s.name in model.metric_names]
         best_n, _ = search_n_estimators(x[:, retained], target, ObjectiveKind.KENDALL, cfg)
         expected = gbt_train(x[:, retained], target, cfg, best_n)
         assert model.trees == expected
@@ -632,8 +638,6 @@ _ENTRY_POINTS = {
     "gbt_train": lambda x, y, cfg: gbt_train(x, y, cfg, 1),
     "cross_validate": lambda x, y, cfg: cross_validate(x, y, ObjectiveKind.KENDALL, cfg, 1),
     "search_n_estimators": lambda x, y, cfg: search_n_estimators(x, y, ObjectiveKind.KENDALL, cfg),
-    "iterative_prune": lambda x, y, cfg: iterative_prune(
-        x, y, ObjectiveKind.KENDALL, cfg, 1, (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))),
     "calibrate_gbt": lambda x, y, cfg: calibrate_gbt(
         x, y, ObjectiveKind.KENDALL, cfg, (MetricSpec("a", 0, 1), MetricSpec("b", 0, 1))),
 }
