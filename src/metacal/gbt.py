@@ -12,20 +12,31 @@ on the lowest feature index, then the lowest threshold.  No histogramming,
 subsampling, or early stopping; feature counts here are small and exactness
 keeps the arithmetic auditable.
 
-Splits sort dense-rank keys, not values: each training call ranks every
-feature column once (equal values, -0.0 and 0.0 among them, share a rank)
-in the smallest unsigned dtype that holds the ranks, and numpy sorts 8- and
-16-bit keys by radix.  Ranks keep the order of the values, so a stable sort
-of the keys is the permutation a stable sort of the values gives, and every
-sum, gain, threshold and child is bit for bit the same.  Values are read
-only for the two sides of the chosen boundary.
+Trees grow a level at a time, exact-greedy depth-wise growth (Chen &
+Guestrin, XGBoost, KDD 2016, section 3.1, Algorithm 1), and every tree of a
+boosting round grows in the same pass: the members of one run, such as the
+k fold models of cross-validation, are rows side by side, and one call
+searches every node of a level of every member.  A node keeps its rows in
+its parent's stable order on the winning feature, so each node's sums, and
+every tie after them, are what growing the node on its own gives.
+
+Splits sort dense-rank keys, not values: every feature column is ranked
+once per run (equal values, -0.0 and 0.0 among them, share a rank) in the
+smallest unsigned dtype that holds the ranks, and numpy sorts 8- and 16-bit
+keys by radix.  Ranks keep the order of the values, on any subset of the
+rows, so a stable sort of the keys is the permutation a stable sort of the
+values gives, and every sum, gain, threshold and child is bit for bit the
+same.  The nodes of a level sort in blocks, by one argsort of composite
+(node, rank) keys each (see `_blocks`).  Values are read only for the two
+sides of the chosen boundary.
 
 A `Tree` is five parallel node arrays in pre-order: `feature`, `threshold`,
 `gain`, `value` and `right`.  A split's left child is the next node and its
 right child is node `right[i]`, with i + 1 < right[i] < tree size; the root
 is never a right child, so `right[i] == 0` marks a leaf.  Leaves hold 0 in
-`feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer and the
-model-file reader both build trees through `Tree.grow`.
+`feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer writes
+them from its levels; the model-file reader builds trees through
+`Tree.grow`.
 
 Every entry point takes features in matrix row order and a
 `PreferenceTarget` aligned with them as `metacal.core` lays it out; a 1-D
@@ -40,16 +51,18 @@ total-gain importance, track CV performance, and keep the model of the
 best-scoring feature subset; without pruning it runs one such round.
 Boosting has no randomness, so an n-tree model is exactly the first n
 trees of a longer run: the whole size grid is scored from one boosting run
-per fold, adding held-out predictions tree by tree (the staged-prediction
-idea of XGBoost's `iteration_range`).
+of all folds in lockstep, routing each fold's held-out rows down its tree
+of every round and adding the leaf values (the staged-prediction idea of
+XGBoost's `iteration_range`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,79 +318,265 @@ def _dense_ranks(x: np.ndarray) -> np.ndarray:
     """Each column's dense ranks as a (features, rows) C-contiguous array in
     the smallest unsigned dtype that holds them: equal values share a rank
     (-0.0 and 0.0 too) and ranks keep the order of the values."""
-    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in x.T])
-    return np.ascontiguousarray(ranks, dtype=np.min_scalar_type(int(ranks.max())))
+    ranks = np.array([np.unique(col, return_inverse=True)[1] for col in x.T], dtype=np.intp)
+    ranks = ranks.reshape(x.shape[1], x.shape[0])
+    return np.ascontiguousarray(ranks, dtype=np.min_scalar_type(int(ranks.max(initial=0))))
 
 
-def _best_split(
-    x: np.ndarray, ranks: np.ndarray, grad: np.ndarray, hess: np.ndarray, idx: np.ndarray,
-    g_total: float, h_total: float, reg_lambda: float, gamma: float,
-) -> tuple[float, int, float, np.ndarray, np.ndarray] | None:
-    """Best (gain, feature, threshold, left rows, right rows) over every
-    boundary between distinct values of every feature, or None when all
-    features are constant on `idx`.  `ranks` is `_dense_ranks(x)`, and
-    `g_total`, `h_total` are the sums of `grad[idx]` and `hess[idx]`.
+# A level's nodes are searched in blocks (see `_blocks`): each block is one
+# stable argsort of composite (node, rank) keys, which numpy sorts by radix
+# below _KEY_LIMIT, and one padded array per quantity.  Small nodes share
+# blocks to save calls; padding and large temporaries cost per cell, so long
+# nodes share less and the longest are searched alone, like the per-node
+# search.  The cut-offs come from desk, scale and prefs runs on 2 vCPUs.
+_KEY_LIMIT = 1 << 16
+_BATCH_ROWS = 128
+_SOLO_ROWS = 512
+_BLOCK_CELLS = 1 << 14
 
-    All features are searched at once: one stable sort of each column's
-    rank keys (see the module docstring) and one running sum along each
-    sorted column, the same additions in the same order as a scan of one
-    feature at a time.  Gains are laid out feature
-    by feature, boundaries in ascending order, so the first maximum is the
-    lowest feature and, within it, the lowest threshold."""
-    g = grad[idx]
-    h = hess[idx]
-    parent = g_total * g_total / (h_total + reg_lambda) if h_total + reg_lambda > 0 else 0.0
-    keys = ranks[:, idx]
-    order = np.argsort(keys, axis=1, kind="stable")
-    rs = np.take_along_axis(keys, order, axis=1)
-    boundary = rs[:, 1:] != rs[:, :-1]
-    gl = np.cumsum(g[order], axis=1)[:, :-1][boundary]
-    if gl.size == 0:
-        return None
-    hl = np.cumsum(h[order], axis=1)[:, :-1][boundary]
-    gr = g_total - gl
-    hr = h_total - hl
+
+class _Level(NamedTuple):
+    """One depth of the trees grown by `_grow`, one entry per node.  A split
+    node's children are nodes child[j] (left) and child[j] + 1 (right) of
+    the next level.  Leaves hold 0 in `feature`, `threshold`, `gain` and
+    `child`, splits 0.0 in `value`."""
+
+    split: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    value: np.ndarray
+    child: np.ndarray
+
+
+def _padded(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
+    """(nodes, width): each node's rows, rows[starts[j]:][:sizes[j]], then
+    copies of the padding row, rows[-1] (see `_grow`)."""
+    if starts.size == 1 and sizes[0] == width:
+        return rows[starts[0]:starts[0] + width][None]
+    at = starts[:, None] + np.arange(width)
+    return rows[np.where(at < (starts + sizes)[:, None], at, -1)]
+
+
+def _node_totals(gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(2, nodes) totals of grad and hess (the rows of `gh`) over each
+    node's rows, rows[starts[j]:][:sizes[j]]: one `.sum()` per node over its
+    values in their order, since numpy's pairwise summation rounds by length
+    and order.  The values lie in C-contiguous rows, which numpy sums as it
+    sums a 1-D array."""
+    values = np.take(gh, rows, axis=1)
+    ends = (starts + sizes).tolist()
+    return np.array([values[:, a:b].sum(axis=1) for a, b in zip(starts.tolist(), ends)]).T
+
+
+def _search(
+    x: np.ndarray, ranks: np.ndarray, gh: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+    totals: np.ndarray, reg_lambda: float, gamma: float,
+) -> tuple[np.ndarray, ...]:
+    """The best split of each of a block of nodes: (gain, feature, boundary,
+    threshold, rows sorted on the feature).
+
+    Node j's rows are rows[j, :sizes[j]], then padding rows (see `_grow`),
+    whose rank key is the largest.  Each feature sorts stably, node by node,
+    in one argsort of the keys `node * n_ranks + rank`, so padding sorts
+    after the node's rows.  Running sums along a row are sequential, so
+    padding at the end leaves each node's sums bit for bit the same.  Gains
+    are laid out feature by feature, boundaries in ascending order, so each
+    node's first maximum is the lowest feature and, within it, the lowest
+    threshold; a node with no boundary between distinct values gets gain
+    -inf.  The left child takes positions 0..boundary of the sorted rows."""
+    nodes, width = rows.shape
+    n_features = ranks.shape[0]
+    keys = ranks[:, rows]
+    if nodes > 1:
+        n_ranks = int(ranks[0, -1]) + 1
+        offsets = np.arange(0, nodes * n_ranks, n_ranks)
+        keys = keys + offsets.astype(np.min_scalar_type(offsets[-1] + n_ranks - 1))[:, None]
+    keys = keys.reshape(n_features, -1)
+    # Positions into the block's rows, node by node, then feature by feature.
+    order = np.argsort(keys, axis=1, kind="stable").reshape(n_features, nodes, width).transpose(1, 0, 2)
+    keys = keys[np.arange(n_features)[:, None], order]
+    candidate = np.zeros(order.shape, dtype=bool)  # boundaries after each sorted position
+    candidate[..., :-1] = keys[..., 1:] != keys[..., :-1]
+    if nodes > 1:
+        candidate[..., :-1] &= (np.arange(1, width) < sizes[:, None])[:, None, :]
+    gl, hl = (np.cumsum(np.take(v[rows], order), axis=-1)[candidate] for v in gh)
+    h_total = totals[1] + reg_lambda
+    per_node = np.concatenate([totals, np.where(h_total > 0, totals[0] * totals[0] / h_total, 0.0)[None]])
+    if nodes == 1:  # floats, which numpy adds faster than a broadcast array
+        g, h, parent = per_node[:, 0].tolist()
+    else:
+        g, h, parent = np.repeat(per_node, candidate.reshape(nodes, -1).sum(axis=1), axis=1)
+    gr = g - gl
+    hr = h - hl
     dl = hl + reg_lambda
     dr = hr + reg_lambda
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
+    gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
     gains[(dl <= 0) | (dr <= 0)] = -np.inf
-    best = int(np.argmax(gains))
-    feature, b = divmod(int(np.flatnonzero(boundary)[best]), boundary.shape[1])
-    left = idx[order[feature, : b + 1]]
-    right = idx[order[feature, b + 1 :]]
-    lo, hi = float(x[left[-1], feature]), float(x[right[0], feature])
-    threshold = 0.5 * (lo + hi)
-    if not lo < threshold <= hi:
-        threshold = hi
-    return float(gains[best]), feature, threshold, left, right
+    every = np.arange(nodes)
+    if nodes == 1 and gains.size:
+        best = np.argmax(gains, keepdims=True)
+        found = gains[best]
+        best = np.flatnonzero(candidate)[best]
+    else:  # the first maximum of each row, the candidates of a node
+        dense = np.full(candidate.shape, -np.inf)
+        dense[candidate] = gains
+        best = np.argmax(dense.reshape(nodes, -1), axis=1)
+        found = dense.reshape(nodes, -1)[every, best]
+    feature, boundary = np.divmod(best, width)
+    chosen = rows.reshape(-1)[order[every, feature]]
+    lo = x[chosen[every, boundary], feature]
+    hi = x[chosen[every, boundary + 1], feature]
+    mid = 0.5 * (lo + hi)
+    threshold = np.where((lo < mid) & (mid <= hi), mid, hi)
+    if nodes > 1:
+        chosen = chosen[np.arange(width) < sizes[:, None]]
+    return found, feature, boundary, threshold, chosen.reshape(-1)
 
 
-def _build_tree(
-    x: np.ndarray, ranks: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+def _blocks(nodes: np.ndarray, sizes: np.ndarray, n_features: int, per_batch: int) -> list[np.ndarray]:
+    """`nodes` (of `sizes` rows) in blocks to search together.  Nodes of up to
+    _BATCH_ROWS rows share blocks, longer ones only with nodes of the same
+    power-of-two length, so padding stays under half of a block, and nodes
+    of more than _SOLO_ROWS rows are searched alone.  A block holds at most
+    `per_batch` nodes, so its sort keys stay under _KEY_LIMIT, and at most
+    _BLOCK_CELLS cells a feature."""
+    solo = sizes > _SOLO_ROWS
+    bits = np.maximum(np.frexp(sizes - 1)[1], _BATCH_ROWS.bit_length() - 1)
+    blocks = list(nodes[solo].reshape(-1, 1))
+    for b in np.unique(bits[~solo]).tolist():
+        shared = ~solo & (bits == b)
+        step = max(1, min(per_batch, _BLOCK_CELLS // (n_features * int(sizes[shared].max()))))
+        blocks += [nodes[shared][i:i + step] for i in range(0, int(shared.sum()), step)]
+    return blocks
+
+
+def _grow(
+    x: np.ndarray, ranks: np.ndarray, grad: np.ndarray, hess: np.ndarray, sizes: Sequence[int],
     reg_lambda: float, gamma: float, max_depth: int,
-) -> tuple[Tree, np.ndarray]:
-    """The tree, and its output on each training row: the builder routes
-    every row to its leaf (x <= lo, hence x < threshold, goes left), so the
-    rows need no second walk of the finished tree.  `ranks` is
-    `_dense_ranks(x)`."""
+) -> tuple[list[_Level], np.ndarray]:
+    """Grow one tree per member, all of them a level at a time, and return
+    the levels and each row's leaf value.
+
+    Member m owns the next sizes[m] rows of `x` (rows, features), of its
+    `ranks` (see `_dense_ranks`) and of `grad` and `hess`.  One more row,
+    past the last, pads nodes in blocks (see `_search`): it holds the
+    largest rank and no grad or hess.
+
+    A level lays its nodes' rows out node after node.  A node keeps its rows
+    in its parent's stable order on the winning feature, the root's in row
+    order; that order fixes each node's sums and every later tie.  A node
+    above `max_depth` with 2 rows or more splits at its best positive gain
+    (`_search`).  The threshold is the midpoint of the values either side of
+    the boundary, so every left row holds x < threshold and the trees route
+    each row to the leaf the builder put it in."""
+    n_ranks = int(ranks.max(initial=0)) + 1
+    ranks = np.concatenate([ranks, np.full((ranks.shape[0], 1), n_ranks - 1, ranks.dtype)], axis=1)
+    gh = np.zeros((2, x.shape[0] + 1))
+    gh[0, :-1], gh[1, :-1] = grad, hess
+    rows = np.arange(x.shape[0] + 1)  # each level's rows, node after node, then the padding row
+    sizes = np.asarray(sizes, dtype=np.intp)
     out = np.empty(x.shape[0], dtype=np.float64)
+    levels: list[_Level] = []
+    per_batch = max(1, _KEY_LIMIT // n_ranks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for depth in range(max_depth + 1):
+            starts = np.cumsum(sizes) - sizes
+            totals = _node_totals(gh, rows, starts, sizes)
+            h = totals[1] + reg_lambda
+            value = np.where(h > 0, -totals[0] / h, 0.0)
+            out[rows[:-1]] = np.repeat(value, sizes)  # a split's rows get a deeper leaf's value
+            searched = np.flatnonzero(sizes >= 2) if depth < max_depth else sizes[:0]
+            found = [(b, *_search(x, ranks, gh, _padded(rows, starts[b], sizes[b], int(sizes[b].max())),
+                                  sizes[b], totals[:, b], reg_lambda, gamma))
+                     for b in _blocks(searched, sizes[searched], x.shape[1], per_batch)]
+            empty = np.zeros((3, sizes.size), dtype=np.intp)
+            level = _Level(empty[0].astype(bool), empty[1], *np.zeros((2, sizes.size)), value, empty[2])
+            levels.append(level)
+            if not found:
+                break
+            # Per searched node: node, gain, feature, boundary, threshold; and
+            # its rows, sorted on the feature.
+            nodes, gain, feature, boundary, threshold, chosen = map(np.concatenate, zip(*found))
+            split = ~(gain <= 0.0)
+            parents = nodes[split]
+            if not parents.size:
+                break
+            level.split[parents] = True
+            level.feature[parents] = feature[split]
+            level.threshold[parents] = threshold[split]
+            level.gain[parents] = gain[split]
+            level.value[parents] = 0.0
+            level.child[parents] = 2 * np.arange(parents.size)
+            rows = np.append(chosen[np.repeat(split, sizes[nodes])], rows[-1])
+            left = boundary[split] + 1
+            sizes = np.column_stack([left, sizes[parents] - left]).ravel()
+    return levels, out
 
-    def visit(node: tuple[np.ndarray, int]) -> tuple:
-        idx, depth = node
-        g = float(grad[idx].sum())
-        h = float(hess[idx].sum())
-        found = None
-        if depth < max_depth and idx.size >= 2:
-            found = _best_split(x, ranks, grad, hess, idx, g, h, reg_lambda, gamma)
-        if found is None or found[0] <= 0.0:
-            value = -g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0
-            out[idx] = value
-            return (value,)
-        gain, feature, threshold, left_idx, right_idx = found
-        return feature, threshold, gain, (left_idx, depth + 1), (right_idx, depth + 1)
 
-    return Tree.grow((np.arange(x.shape[0]), 0), visit), out
+def _trees(levels: Sequence[_Level]) -> list[Tree]:
+    """Each member's tree, from its root in level 0, as pre-order node arrays."""
+    subtree = []  # per level, the size of each node's subtree
+    below = np.zeros(0, dtype=np.intp)
+    for level in reversed(levels):
+        size = np.ones(level.split.size, dtype=np.intp)
+        left = level.child[level.split]
+        size[level.split] += below[left] + below[left + 1]
+        subtree.append(below := size)
+    subtree.reverse()
+    sizes = subtree[0]
+    first = np.cumsum(sizes) - sizes  # the members' trees, one after another
+    right = np.zeros(int(sizes.sum()), dtype=np.intp)
+    arrays = [np.zeros(right.size, dtype=np.intp), *(np.zeros(right.size) for _ in range(3))]
+    at = first  # each node's index in the pre-order
+    for depth, level in enumerate(levels):
+        for array, values in zip(arrays, (level.feature, level.threshold, level.gain, level.value)):
+            array[at] = values
+        if depth + 1 < len(levels):
+            left = level.child[level.split]
+            below = np.empty(levels[depth + 1].split.size, dtype=np.intp)
+            below[left] = at[level.split] + 1
+            below[left + 1] = right[at[level.split]] = below[left] + subtree[depth + 1][left]
+            at = below
+    right[right > 0] -= np.repeat(first, sizes)[right > 0]
+    return [Tree(*(a[i:i + n] for a in (*arrays, right))) for i, n in zip(first.tolist(), sizes.tolist())]
+
+
+def _route(levels: Sequence[_Level], x: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaf value of each row of `x` (rows, features) that starts at root
+    `node` of `levels`, by the trees' own rule: x < threshold goes left."""
+    value = np.empty(x.shape[0], dtype=np.float64)
+    at = np.arange(x.shape[0])
+    for level in levels:
+        split = level.split[node]
+        value[at[~split]] = level.value[node[~split]]
+        at, node = at[split], node[split]
+        node = level.child[node] + ~(x[at, level.feature[node]] < level.threshold[node])
+    return value
+
+
+def _rounds(
+    x: np.ndarray, ranks: np.ndarray, z: np.ndarray | None, config: GbtConfig, sizes: Sequence[int]
+) -> Iterator[list[_Level]]:
+    """Boost every member in lockstep, forever, and yield each round's levels.
+
+    Members are consecutive blocks of rows as `_grow` takes them; `z` holds
+    the regression targets of the rows, or is None for PAIRWISE_RANK, whose
+    pairs are the stacked rows of each member.  Gradients and prediction
+    updates are elementwise, so each member's arithmetic is what it would be
+    boosted alone."""
+    preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
+    while True:
+        if z is None:
+            grad, hess = _pairwise_grad_hess(preds)
+        else:
+            grad, hess = _regression_grad_hess(config.loss, preds, z)
+        levels, tree_preds = _grow(
+            x, ranks, grad, hess, sizes, config.reg_lambda, config.gamma, config.max_depth)
+        yield levels
+        preds += config.learning_rate * tree_preds
+        if config.loss is GbtLoss.SQUARED_LOG_ERROR:
+            np.maximum(preds, _SLE_FLOOR, out=preds)
 
 
 def _as_features(features: np.ndarray) -> np.ndarray:
@@ -397,6 +596,27 @@ def _as_target(target: PreferenceTarget | np.ndarray) -> PreferenceTarget:
     return PreferenceTarget.from_pointwise(z)
 
 
+def _check_fit(
+    shape: tuple[int, int], target: PreferenceTarget, config: GbtConfig, n_estimators: int
+) -> None:
+    """Refuse to boost `n_estimators` trees on features of `shape` against
+    `target` (see `gbt_train`)."""
+    if shape[0] == 0 or shape[1] == 0:
+        raise EmptyInput("no training data")
+    if shape[0] < 2:
+        raise EmptyInput("need at least 2 training examples")
+    if n_estimators < 1:
+        raise MetacalError("n_estimators must be >= 1")
+    pairwise = target.kind is TargetKind.PAIRWISE
+    if pairwise != (config.loss is GbtLoss.PAIRWISE_RANK):
+        raise InvalidTarget(f"the {config.loss.value} loss cannot fit a {target.kind.value} target")
+    if target.n_units * target.rows_per_unit != shape[0]:
+        raise InvalidTarget(
+            f"{target.n_units} {target.kind.value} judgments for {shape[0]} feature rows")
+    if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(target.z <= -1.0):
+        raise InvalidTarget("squared log error requires targets > -1")
+
+
 def gbt_train(
     features: np.ndarray,
     target: PreferenceTarget | np.ndarray,
@@ -412,37 +632,10 @@ def gbt_train(
     """
     x = _as_features(features)
     target = _as_target(target)
-    if x.shape[0] == 0 or x.shape[1] == 0:
-        raise EmptyInput("no training data")
-    if x.shape[0] < 2:
-        raise EmptyInput("need at least 2 training examples")
-    if n_estimators < 1:
-        raise MetacalError("n_estimators must be >= 1")
-    pairwise = target.kind is TargetKind.PAIRWISE
-    if pairwise != (config.loss is GbtLoss.PAIRWISE_RANK):
-        raise InvalidTarget(f"the {config.loss.value} loss cannot fit a {target.kind.value} target")
-    if target.n_units * target.rows_per_unit != x.shape[0]:
-        raise InvalidTarget(
-            f"{target.n_units} {target.kind.value} judgments for {x.shape[0]} feature rows")
-    if config.loss is GbtLoss.SQUARED_LOG_ERROR and np.any(target.z <= -1.0):
-        raise InvalidTarget("squared log error requires targets > -1")
-
-    ranks = _dense_ranks(x)
-    preds = np.full(x.shape[0], _BASE_SCORE, dtype=np.float64)
-    trees: list[Tree] = []
-    for _ in range(n_estimators):
-        if pairwise:
-            grad, hess = _pairwise_grad_hess(preds)
-        else:
-            grad, hess = _regression_grad_hess(config.loss, preds, target.z)
-        tree, tree_preds = _build_tree(
-            x, ranks, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
-        trees.append(tree)
-        preds += config.learning_rate * tree_preds
-        if config.loss is GbtLoss.SQUARED_LOG_ERROR:
-            np.maximum(preds, _SLE_FLOOR, out=preds)
+    _check_fit(x.shape, target, config, n_estimators)
+    rounds = _rounds(x, _dense_ranks(x), target.z, config, [x.shape[0]])
     return TreeEnsemble(
-        trees=tuple(trees),
+        trees=tuple(_trees(levels)[0] for levels in itertools.islice(rounds, n_estimators)),
         base_score=_BASE_SCORE,
         learning_rate=config.learning_rate,
     )
@@ -492,6 +685,7 @@ def _held_out_scorer(
 
 def _cv_curve(
     x: np.ndarray,
+    ranks: np.ndarray,
     target: PreferenceTarget,
     objective: ObjectiveKind,
     config: GbtConfig,
@@ -500,28 +694,40 @@ def _cv_curve(
     """Mean held-out objective at each ensemble size in `sizes`.
 
     Folds shuffle the target's units; a pair group never straddles two
-    folds, and every pointwise unit is its own group.  Each fold trains
-    `max(sizes)` trees once on the rows of the other folds' units and scores
-    its held-out rows after the first n trees for every n in `sizes`:
+    folds, and every pointwise unit is its own group.  Each fold's model
+    trains `max(sizes)` trees on the rows of the other folds' units, and all
+    fold models grow in lockstep, as the members of one boosting run.  Its
+    held-out rows are scored after the first n trees for every n in `sizes`:
     boosting is deterministic, so those are exactly the predictions of an
     n-tree model.  A fold whose held-out objective is degenerate (constant
-    predictions) scores -1.
+    predictions) scores -1.  `ranks` is `_dense_ranks(x)`: a fold's rows
+    sort on them as on their own ranks.
     """
     wanted = set(sizes)
     n_trees = max(wanted)
     units = np.arange(target.n_units)
     groups = [p.group_id for p in target.pairwise] if target.pairwise else range(target.n_units)
-    fold_scores: list[dict[int, float]] = []
+    train, held, scorers = [], [], []
     for hold in _group_folds(groups, config.cv_folds, np.random.default_rng(config.seed)):
         keep = np.setdiff1d(units, hold)
-        model = gbt_train(x[unit_rows(target, keep)], target.take_units(keep), config, n_trees)
-        score = _held_out_scorer(objective, target.take_units(hold))
-        fold_scores.append({
-            n: score(preds)
-            for n, preds in enumerate(model.staged_predict(x[unit_rows(target, hold)]))
-            if n in wanted
-        })
-    return [float(np.mean([scores[n] for scores in fold_scores])) for n in sizes]
+        train.append(unit_rows(target, keep))
+        _check_fit((train[-1].size, x.shape[1]), target.take_units(keep), config, n_trees)
+        held.append(unit_rows(target, hold))
+        scorers.append(_held_out_scorer(objective, target.take_units(hold)))
+    rows = np.concatenate(train)
+    z = None if target.z is None else target.z[rows]
+    rounds = _rounds(x[rows], ranks[:, rows], z, config, [r.size for r in train])
+    held_x = x[np.concatenate(held)]
+    root = np.repeat(np.arange(len(held)), [r.size for r in held])
+    ends = np.cumsum([r.size for r in held]).tolist()
+    preds = np.full(held_x.shape[0], _BASE_SCORE, dtype=np.float64)
+    fold_scores: dict[int, list[float]] = {}
+    for n, levels in enumerate(itertools.islice(rounds, n_trees), start=1):
+        preds += config.learning_rate * _route(levels, held_x, root)
+        if n in wanted:
+            fold_scores[n] = [
+                score(preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)]
+    return [float(np.mean(fold_scores[n])) for n in sizes]
 
 
 def cross_validate(
@@ -534,7 +740,17 @@ def cross_validate(
     """Mean held-out objective of `n_estimators`-tree models over seeded
     k-fold splits (see `_cv_curve`)."""
     x, target = _as_features(features), _as_target(target)
-    return _cv_curve(x, target, objective, config, [n_estimators])[0]
+    return _cv_curve(x, _dense_ranks(x), target, objective, config, [n_estimators])[0]
+
+
+def _best_size(
+    x: np.ndarray, ranks: np.ndarray, target: PreferenceTarget, objective: ObjectiveKind,
+    config: GbtConfig,
+) -> tuple[int, float]:
+    grid = config.n_estimators_grid()
+    curve = _cv_curve(x, ranks, target, objective, config, grid)
+    best = int(np.argmax(curve))  # the first maximum
+    return grid[best], curve[best]
 
 
 def search_n_estimators(
@@ -545,10 +761,8 @@ def search_n_estimators(
 ) -> tuple[int, float]:
     """The grid's ensemble size with the best mean CV objective, and that
     objective; ties keep the smaller, cheaper model."""
-    grid = config.n_estimators_grid()
-    curve = _cv_curve(_as_features(features), _as_target(target), objective, config, grid)
-    best = int(np.argmax(curve))  # the first maximum
-    return grid[best], curve[best]
+    x = _as_features(features)
+    return _best_size(x, _dense_ranks(x), _as_target(target), objective, config)
 
 
 def calibrate_gbt(
@@ -579,12 +793,13 @@ def calibrate_gbt(
     if not 1 <= rounds <= n_features:
         raise MetacalError(f"prune_iterations must be in [1, {n_features}], got {prune_iterations}")
 
+    ranks = _dense_ranks(x)
     active = list(range(n_features))
     performances: list[float] = []
     pruned: list[str] = []
     for _ in range(rounds):
         round_specs, round_x = tuple(specs[i] for i in active), x[:, active]
-        n_trees, value = search_n_estimators(round_x, target, objective, config)
+        n_trees, value = _best_size(round_x, ranks[active], target, objective, config)
         ensemble = gbt_train(round_x, target, config, n_trees)
         if not performances or value > max(performances):
             best, retained_specs = ensemble, round_specs

@@ -5,8 +5,9 @@ the code paths used by the package: pair counting by explicit double loops,
 dense linear algebra by plain solves, n-gram metrics by direct enumeration.
 The per-pair text metrics are the package's first scalar forms: `Counter`
 n-gram overlap per segment and the O(|a|·|b|) LCS table.  The boosted-tree references are the direct forms of the package's faster
-searches: a split scan one feature at a time, and cross-validation that
-trains a separate model for every ensemble size.  The score-file loaders are
+searches: a split scan one feature at a time, trees grown node by node on
+it, and cross-validation that trains a separate model for every ensemble
+size and every fold.  The score-file loaders are
 the package's first row-by-row forms: every value parsed and checked on its
 own, in reading order, so their errors name the first bad line and column.
 The harness reference is its first dict form: cells keyed by (system,
@@ -362,11 +363,11 @@ def rouge_l_pair(hypothesis: str, reference: str) -> float:
 
 
 def per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma):
-    """Exact greedy split search scanning one feature at a time.
-
-    Same contract as `metacal.gbt._best_split`: (gain, feature, threshold,
-    left rows, right rows), the first maximum within a feature, a strictly
-    better gain to move to a later feature, None when no feature varies.
+    """Exact greedy split search scanning one feature at a time over the rows
+    `idx`, in that order: (gain, feature, threshold, left rows, right rows),
+    the first maximum within a feature, a strictly better gain to move to a
+    later feature, None when no feature varies.  Each side keeps the rows in
+    their stable order on the feature.
     """
     g_total = float(grad[idx].sum())
     h_total = float(hess[idx].sum())
@@ -401,9 +402,57 @@ def per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma):
     return best
 
 
+def per_node_tree(x, grad, hess, reg_lambda, gamma, max_depth):
+    """The tree grown node by node, depth first, each split found by
+    `per_feature_best_split` on the node's rows in their order, and the
+    tree's output on each row; a node's totals are `.sum()` of its rows."""
+    from metacal.gbt import Tree
+
+    out = np.empty(x.shape[0], dtype=np.float64)
+
+    def visit(node):
+        idx, depth = node
+        g = float(grad[idx].sum())
+        h = float(hess[idx].sum())
+        found = None
+        if depth < max_depth and idx.size >= 2:
+            found = per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma)
+        if found is None or found[0] <= 0.0:
+            value = -g / (h + reg_lambda) if h + reg_lambda > 0 else 0.0
+            out[idx] = value
+            return (value,)
+        gain, feature, threshold, left, right = found
+        return feature, threshold, gain, (left, depth + 1), (right, depth + 1)
+
+    return Tree.grow((np.arange(x.shape[0]), 0), visit), out
+
+
+def per_node_train(features, target, config, n_estimators):
+    """`gbt_train` boosting one `per_node_tree` at a time."""
+    from metacal import gbt
+
+    x = gbt._as_features(features)
+    target = gbt._as_target(target)
+    gbt._check_fit(x.shape, target, config, n_estimators)
+    preds = np.full(x.shape[0], gbt._BASE_SCORE, dtype=np.float64)
+    trees = []
+    for _ in range(n_estimators):
+        if target.z is None:
+            grad, hess = gbt._pairwise_grad_hess(preds)
+        else:
+            grad, hess = gbt._regression_grad_hess(config.loss, preds, target.z)
+        tree, tree_preds = per_node_tree(x, grad, hess, config.reg_lambda, config.gamma, config.max_depth)
+        trees.append(tree)
+        preds += config.learning_rate * tree_preds
+        if config.loss is gbt.GbtLoss.SQUARED_LOG_ERROR:
+            np.maximum(preds, gbt._SLE_FLOOR, out=preds)
+    return gbt.TreeEnsemble(tuple(trees), gbt._BASE_SCORE, config.learning_rate)
+
+
 def retrain_cv_curve(features, target, objective, config, sizes):
-    """Mean held-out objective per ensemble size, training a fresh model of
-    each size on each fold and predicting with `TreeEnsemble.predict`.
+    """Mean held-out objective per ensemble size, training a fresh
+    `per_node_train` model of each size on each fold and predicting with
+    `TreeEnsemble.predict`.
 
     Pointwise folds are the sorted chunks of one permutation of the rows;
     pairwise folds keep each group's pairs together, and a fold's pairs are
@@ -424,14 +473,14 @@ def retrain_cv_curve(features, target, objective, config, sizes):
                 keep = np.setdiff1d(np.arange(len(groups)), hold)
                 rows = np.sort(np.concatenate([2 * keep, 2 * keep + 1]))
                 kept = PreferenceTarget.from_pairs(target.pairwise[i] for i in keep)
-                preds = gbt.gbt_train(x[rows], kept, config, n_estimators).predict(x)
+                preds = per_node_train(x[rows], kept, config, n_estimators).predict(x)
                 values.append(pairwise_accuracy(preds[2 * hold], preds[2 * hold + 1]))
         else:
             y = np.asarray(target.z if isinstance(target, PreferenceTarget) else target, float)
             for chunk in np.array_split(rng.permutation(x.shape[0]), config.cv_folds):
                 hold = np.sort(chunk)
                 keep = np.setdiff1d(np.arange(x.shape[0]), hold)
-                preds = gbt.gbt_train(x[keep], y[keep], config, n_estimators).predict(x[hold])
+                preds = per_node_train(x[keep], y[keep], config, n_estimators).predict(x[hold])
                 values.append(score_or_worst(objective, preds, y[hold]))
         curve.append(float(np.mean(values)))
     return curve

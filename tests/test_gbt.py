@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from metacal.gbt import (
 )
 from metacal.io import dumps_canonical, model_to_obj
 from metacal.objectives import EmptyInput, NonFiniteInput, ObjectiveKind, pairwise_accuracy
-from oracles import per_feature_best_split, retrain_cv_curve
+from oracles import per_node_train, per_node_tree, retrain_cv_curve
 
 
 def _pairs(groups):
@@ -287,19 +289,22 @@ class TestCrossValidate:
         value = cross_validate(x, y, ObjectiveKind.KENDALL, cfg, 10)
         assert abs(value) <= 0.2
 
-    def test_two_folds_means_two_trainings(self, monkeypatch):
-        calls = {"n": 0}
-        original = gbt_mod.gbt_train
+    def test_two_folds_grow_in_one_lockstep_run(self, monkeypatch):
+        # One tree-building call per boosting round grows both folds' trees,
+        # and CV trains no separate model per fold.
+        grown, trained = [], []
+        monkeypatch.setattr(gbt_mod, "gbt_train", lambda *a: trained.append(a))
+        original = gbt_mod._grow
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
+        def counting(x, ranks, grad, hess, sizes, *args):
+            grown.append(list(sizes))
+            return original(x, ranks, grad, hess, sizes, *args)
 
-        monkeypatch.setattr(gbt_mod, "gbt_train", counting)
+        monkeypatch.setattr(gbt_mod, "_grow", counting)
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 1.0, 2.0, 3.0])
         cross_validate(x, y, ObjectiveKind.PEARSON, _single_round(cv_folds=2, seed=1), 2)
-        assert calls["n"] == 2
+        assert grown == [[2, 2], [2, 2]] and trained == []
 
     def test_too_few_examples(self):
         x = np.zeros((3, 1))
@@ -335,25 +340,33 @@ class TestCrossValidate:
 
 
 class TestSearchNEstimators:
-    def test_one_boosting_run_per_fold(self, monkeypatch):
-        # The whole size grid is read off one n_estimators_high-tree run per fold.
-        sizes = []
-        original = gbt_mod.gbt_train
+    def test_one_lockstep_run_searches_each_level_once(self, monkeypatch):
+        # The whole size grid is read off one n_estimators_high-round run of
+        # all folds, and each round searches at most max_depth levels, each
+        # level of every fold in one call.
+        grown, searched = [], []
+        original_grow, original_search = gbt_mod._grow, gbt_mod._search
 
-        def counting(features, target, config, n_estimators, *args, **kwargs):
-            sizes.append(n_estimators)
-            return original(features, target, config, n_estimators, *args, **kwargs)
+        def grow(x, ranks, grad, hess, sizes, *args):
+            grown.append(len(sizes))
+            return original_grow(x, ranks, grad, hess, sizes, *args)
 
-        monkeypatch.setattr(gbt_mod, "gbt_train", counting)
+        def search(*args):
+            searched.append(len(grown))
+            return original_search(*args)
+
+        monkeypatch.setattr(gbt_mod, "_grow", grow)
+        monkeypatch.setattr(gbt_mod, "_search", search)
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 1, (30, 2))
         y = x[:, 0]
         cfg = GbtConfig(
             n_estimators_low=1, n_estimators_high=10, n_estimators_step=1,
-            max_depth=2, cv_folds=2, seed=0,
+            max_depth=2, cv_folds=3, seed=0,
         )
         search_n_estimators(x, y, ObjectiveKind.PEARSON, cfg)
-        assert sizes == [10, 10]
+        assert grown == [3] * 10
+        assert all(1 <= searched.count(r) <= cfg.max_depth for r in range(1, 11))
 
     def test_default_grid_size(self):
         assert len(GbtConfig().n_estimators_grid()) == 10
@@ -493,35 +506,24 @@ def _tied_problem(loss, seed, n=36):
     return x, PreferenceTarget.from_pointwise(x[:, 0] + rng.integers(0, 3, n))
 
 
-def _float_split(x, ranks, grad, hess, idx, g_total, h_total, reg_lambda, gamma):
-    """The float-valued oracle under `_best_split`'s signature: it sorts the
-    values of x and sums the node totals itself."""
-    return per_feature_best_split(x, grad, hess, idx, reg_lambda, gamma)
+def _same_tree(got, want):
+    return all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+               for f in ("feature", "threshold", "gain", "value", "right"))
 
 
-def _rank_split(x, grad, hess, idx, reg_lambda, gamma):
-    totals = float(grad[idx].sum()), float(hess[idx].sum())
-    return gbt_mod._best_split(x, gbt_mod._dense_ranks(x), grad, hess, idx, *totals, reg_lambda, gamma)
-
-
-def _assert_same_split(got, want):
-    if want is None:
-        assert got is None
-        return
-    assert got[1] == want[1]
-    assert [float(v).hex() for v in (got[0], got[2])] == [float(v).hex() for v in (want[0], want[2])]
-    np.testing.assert_array_equal(got[3], want[3])
-    np.testing.assert_array_equal(got[4], want[4])
-
-
-def _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, reg_lambda, max_depth):
-    args = (x, gbt_mod._dense_ranks(x), grad, hess, reg_lambda, 0.0, max_depth)
-    tree, out = gbt_mod._build_tree(*args)
-    with monkeypatch.context() as patch:
-        patch.setattr(gbt_mod, "_best_split", _float_split)
-        want_tree, want_out = gbt_mod._build_tree(*args)
-    assert tree == want_tree
-    assert out.tobytes() == want_out.tobytes()
+def _assert_members_match_oracle(x, grad, hess, sizes, reg_lambda, gamma, max_depth):
+    """One `_grow` over consecutive members gives each member the tree and
+    leaf outputs that `per_node_tree` grows on the member's rows alone."""
+    levels, out = gbt_mod._grow(x, gbt_mod._dense_ranks(x), grad, hess, sizes, reg_lambda, gamma, max_depth)
+    trees = gbt_mod._trees(levels)
+    assert len(trees) == len(sizes)
+    end = 0
+    for tree, n in zip(trees, sizes):
+        rows = slice(end, end + n)
+        end += n
+        want_tree, want_out = per_node_tree(x[rows], grad[rows], hess[rows], reg_lambda, gamma, max_depth)
+        assert _same_tree(tree, want_tree)
+        assert out[rows].tobytes() == want_out.tobytes()
 
 
 def _key_stress_features(rng, n):
@@ -536,23 +538,27 @@ def _key_stress_features(rng, n):
 
 
 class TestOracleParity:
-    """The staged CV curve and the all-features split search give exactly
-    the bits of the retrain-per-size and per-feature references."""
+    """The level-wise builder, its lockstep members and the staged CV curve
+    give exactly the bits of the node-by-node, per-feature, retrain-per-size
+    references."""
 
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
-    def test_split_search_matches_per_feature_scan(self, reg_lambda):
+    def test_root_split_matches_per_feature_scan(self, reg_lambda):
+        # Each member's root holds a random subset of the rows in a random
+        # order; zero hessians mask boundaries at lambda 0.
         rng = np.random.default_rng(20)
-        for trial in range(300):
-            n = int(rng.integers(2, 30))
-            if trial % 2:
-                x = _key_stress_features(rng, n)[:, rng.permutation(4)[: int(rng.integers(1, 5))]]
-            else:
-                x = rng.integers(0, 3, (n, int(rng.integers(1, 5)))).astype(float)
-            grad = rng.integers(-3, 4, n) / 2.0
-            hess = rng.integers(0, 4, n) / 2.0  # zero hessians mask boundaries at lambda 0
-            idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
-            _assert_same_split(_rank_split(x, grad, hess, idx, reg_lambda, 0.0),
-                               per_feature_best_split(x, grad, hess, idx, reg_lambda, 0.0))
+        for trial in range(60):
+            f = int(rng.integers(1, 5))
+            parts = []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(2, 30))
+                x = (_key_stress_features(rng, n)[:, rng.permutation(4)[:f]] if trial % 2
+                     else rng.integers(0, 3, (n, f)).astype(float))
+                idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+                parts.append((x[idx], rng.integers(-3, 4, n)[idx] / 2.0, rng.integers(0, 4, n)[idx] / 2.0))
+            x, grad, hess = (np.concatenate(p) for p in zip(*parts))
+            sizes = [len(p[0]) for p in parts]
+            _assert_members_match_oracle(x, grad, hess, sizes, reg_lambda, 0.0, 1)
 
     def test_dense_ranks(self):
         x = np.column_stack([[0.0, -0.0, 1.0, -0.0, 0.0] * 60, np.arange(300.0)])
@@ -560,17 +566,78 @@ class TestOracleParity:
         assert ranks.dtype == np.uint16 and ranks.flags.c_contiguous
         assert ranks[0, :5].tolist() == [0, 0, 1, 0, 0]  # signed zeros share a key
         assert gbt_mod._dense_ranks(x[:256]).dtype == np.uint8
+        assert gbt_mod._dense_ranks(np.zeros((0, 2))).shape == (2, 0)
 
-    def test_builder_matches_float_oracle_on_key_stress_columns(self, monkeypatch):
+    def test_node_totals_are_numpy_sums(self):
+        # Every length from 1 to 300 (numpy's pairwise sum changes its order
+        # at 8 and 128), rows in a shuffled layout, signed zeros and values
+        # of mixed magnitude that make the order visible in the last bits.
+        rng = np.random.default_rng(25)
+        sizes = rng.permutation(np.repeat(np.arange(1, 301), 3))
+        n = int(sizes.sum())
+        gh = rng.normal(size=(2, n + 1)) * 10.0 ** rng.integers(-6, 7, (2, n + 1))
+        gh[rng.random(gh.shape) < 0.2] = -0.0
+        gh[:, -1] = 0.0
+        rows = rng.permutation(n)
+        starts = np.cumsum(sizes) - sizes
+        for trial in range(2):
+            if trial:
+                gh[:, rows[: n // 3]] = -0.0  # nodes of negative zeros only, and partly
+            totals = gbt_mod._node_totals(gh, rows, starts, sizes)
+            for j, (start, size) in enumerate(zip(starts, sizes)):
+                for k in range(2):
+                    want = gh[k, rows[start:start + size]].sum()
+                    assert totals[k, j].hex() == want.hex(), (k, size)
+
+    def test_padded_running_sums_keep_their_bits(self):
+        # The builder lays nodes into rows padded at the end and takes running
+        # sums along them: each node's sums are those of the node alone.
+        rng = np.random.default_rng(26)
+        sizes = rng.integers(1, 70, 40)
+        width = int(sizes.max())
+        values = rng.normal(size=(40, width)) * 10.0 ** rng.integers(-6, 7, (40, width))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        padded = np.cumsum(values, axis=-1)
+        for row, n, sums in zip(values, sizes, padded):
+            assert [v.hex() for v in sums[:n]] == [v.hex() for v in np.cumsum(row[:n].copy())]
+
+    def test_builder_matches_oracle_on_key_stress_columns(self):
         rng = np.random.default_rng(23)
         for _ in range(40):
-            n = int(rng.integers(2, 80))
+            sizes = rng.integers(1, 80, int(rng.integers(1, 5))).tolist()
+            n = sum(sizes)
             x = _key_stress_features(rng, n)
             grad = rng.normal(size=n)
             hess = rng.integers(0, 3, n) / 2.0
-            _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, 0.5, int(rng.integers(1, 5)))
+            _assert_members_match_oracle(x, grad, hess, sizes, 0.5, 0.0, int(rng.integers(1, 5)))
 
-    def test_wide_keys_match_float_oracle(self, monkeypatch):
+    def test_zero_hessians_and_all_minus_inf_gains(self):
+        # At lambda 0 a side without hessian is no split, so every gain is
+        # -inf; a node without hessian is a 0.0 leaf.
+        rng = np.random.default_rng(27)
+        x = rng.integers(0, 4, (40, 3)).astype(float)
+        grad = rng.normal(size=40)
+        hess = np.zeros(40)
+        _assert_members_match_oracle(x, grad, hess, [12, 28], 0.0, 0.0, 3)
+        levels, out = gbt_mod._grow(x, gbt_mod._dense_ranks(x), grad, hess, [12, 28], 0.0, 0.0, 3)
+        assert len(levels) == 1 and not levels[0].split.any()
+        assert out.tobytes() == np.zeros(40).tobytes()
+        hess[::2] = 1.0  # half the boundaries stay open
+        _assert_members_match_oracle(x, grad, hess, [12, 28], 0.0, 0.0, 3)
+
+    @pytest.mark.parametrize("members", [25, 26])
+    def test_levels_either_side_of_the_16_bit_key_limit(self, members):
+        # Distinct values give as many ranks as rows: 25 roots of 100 rows
+        # share one argsort of keys below 2**16, 26 roots need two.
+        rng = np.random.default_rng(members)
+        n = 100 * members
+        x = rng.permutation(n).reshape(-1, 1) / 7.0
+        x = np.column_stack([x, rng.integers(0, 3, n)])
+        assert (members * n <= 1 << 16) == (members == 25)
+        grad = rng.normal(size=n)
+        _assert_members_match_oracle(x, grad, np.ones(n), [100] * members, 1.0, 0.0, 2)
+
+    def test_wide_keys_match_oracle(self):
         # More than 65,535 distinct values need uint32 keys, which numpy
         # sorts by timsort instead of radix sort.
         rng = np.random.default_rng(24)
@@ -581,9 +648,7 @@ class TestOracleParity:
         grad = rng.integers(-3, 4, n) / 2.0
         hess = rng.integers(1, 4, n) / 2.0
         idx = rng.permutation(n)[: n - 7]
-        _assert_same_split(_rank_split(x, grad, hess, idx, 1.0, 0.0),
-                           per_feature_best_split(x, grad, hess, idx, 1.0, 0.0))
-        _assert_builder_matches_float_oracle(monkeypatch, x, grad, hess, 1.0, 2)
+        _assert_members_match_oracle(x[idx], grad[idx], hess[idx], [n - 7], 1.0, 0.0, 2)
 
     def test_builder_outputs_match_a_walk_of_the_tree(self):
         rng = np.random.default_rng(21)
@@ -592,9 +657,27 @@ class TestOracleParity:
             x = rng.integers(0, 4, (n, int(rng.integers(1, 4)))) / 3.0
             grad = rng.normal(size=n)
             hess = rng.integers(0, 3, n) / 2.0
-            tree, out = gbt_mod._build_tree(
-                x, gbt_mod._dense_ranks(x), grad, hess, 1.0, 0.0, int(rng.integers(1, 5)))
-            assert out.tobytes() == gbt_mod._predict_tree(tree, x).tobytes()
+            levels, out = gbt_mod._grow(
+                x, gbt_mod._dense_ranks(x), grad, hess, [n], 1.0, 0.0, int(rng.integers(1, 5)))
+            assert out.tobytes() == gbt_mod._predict_tree(gbt_mod._trees(levels)[0], x).tobytes()
+
+    @pytest.mark.parametrize("loss", list(GbtLoss))
+    def test_lockstep_members_match_separate_runs(self, loss):
+        # Members of unequal size boosted in lockstep: each member's trees are
+        # those of a run on its rows alone.
+        rng = np.random.default_rng(28)
+        sizes = [12, 30, 18, 6]
+        x, target = _tied_problem(loss, 4, n=sum(sizes))
+        cfg = GbtConfig(loss=loss, max_depth=3, learning_rate=0.3, reg_lambda=float(rng.integers(0, 2)))
+        rounds = gbt_mod._rounds(x, gbt_mod._dense_ranks(x), target.z, cfg, sizes)
+        got = [gbt_mod._trees(levels) for levels in itertools.islice(rounds, 6)]
+        end = 0
+        for m, n in enumerate(sizes):
+            rows = slice(end, end + n)
+            end += n
+            units = np.arange(rows.start // target.rows_per_unit, rows.stop // target.rows_per_unit)
+            want = per_node_train(x[rows], target.take_units(units), cfg, 6)
+            assert all(_same_tree(trees[m], tree) for trees, tree in zip(got, want.trees))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
@@ -612,11 +695,13 @@ class TestOracleParity:
             model, _ = calibrate_gbt(x, target, ObjectiveKind.KENDALL, cfg, specs)
             return dumps_canonical(model_to_obj(model))
 
+        want_curve = retrain_cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid)
         with monkeypatch.context() as patch:
-            patch.setattr(gbt_mod, "_best_split", _float_split)
-            want_curve = retrain_cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid)
+            patch.setattr(gbt_mod, "gbt_train", per_node_train)
+            patch.setattr(gbt_mod, "_cv_curve", lambda x, ranks, *args: retrain_cv_curve(x, *args))
             want_model = run()
-        assert gbt_mod._cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid) == want_curve
+        ranks = gbt_mod._dense_ranks(x)
+        assert gbt_mod._cv_curve(x, ranks, target, ObjectiveKind.KENDALL, cfg, grid) == want_curve
         assert run() == want_model
 
     @pytest.mark.parametrize("loss", [GbtLoss.SQUARED_ERROR, GbtLoss.PAIRWISE_RANK])

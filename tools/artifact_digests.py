@@ -68,18 +68,21 @@ def write_pairs(scores_csv: str, path: str) -> None:
                 out.write(json.dumps(record) + "\n")
 
 
-def quick_start(work: str, seed: str) -> None:
+def commands(work: str, seed: str) -> list[tuple[str, list[str]]]:
+    """The quick start's CLI calls in `work`, in order, as (stage, argv).
+    The calls after the first need the files that `prepare` writes."""
+
     def p(name: str) -> str:
         return os.path.join(work, name)
 
-    run("basemetrics", "--input", CORPUS, "--output", p("scores.csv"))
-    save_specs(builtin_specs(list(BUILTIN_METRICS)), p("specs.json"))
-    run("split", "--scores", p("scores.csv"), "--specs", p("specs.json"), "--seed", seed,
-        "--train-output", p("train.csv"), "--test-output", p("test.csv"))
-    write_pairs(p("scores.csv"), p("pairs.jsonl"))
-    run("split", "--scores", p("pairs.jsonl"), "--specs", p("specs.json"), "--format", "jsonl",
-        "--seed", seed, "--train-output", p("pairs_train.jsonl"),
-        "--test-output", p("pairs_test.jsonl"))
+    calls = [
+        ("basemetrics", ["basemetrics", "--input", CORPUS, "--output", p("scores.csv")]),
+        ("split", ["split", "--scores", p("scores.csv"), "--specs", p("specs.json"), "--seed", seed,
+                   "--train-output", p("train.csv"), "--test-output", p("test.csv")]),
+        ("split_pairs", ["split", "--scores", p("pairs.jsonl"), "--specs", p("specs.json"),
+                         "--format", "jsonl", "--seed", seed, "--train-output", p("pairs_train.jsonl"),
+                         "--test-output", p("pairs_test.jsonl")]),
+    ]
     models = (
         ("gp", "train.csv", "csv", ["--method", "gp", "--objective", "kendall"]),
         ("gp_top3", "train.csv", "csv", ["--method", "gp", "--objective", "kendall",
@@ -93,13 +96,30 @@ def quick_start(work: str, seed: str) -> None:
     for tag, train, fmt, flags in models:
         model = p(f"{tag}.json")
         test = train.replace("train", "test")
-        run("calibrate", "--scores", p(train), "--specs", p("specs.json"), "--format", fmt,
-            "--seed", seed, "--output", model, *flags)
-        run("score", "--model", model, "--scores", p(test), "--format", fmt,
-            "--output", p(f"meta_{tag}.csv"))
-        run("evaluate", "--model", model, "--scores", p(test), "--format", fmt,
-            "--output", p(f"report_{tag}.json"))
-        run("report", "--model", model, "--output", p(f"weights_{tag}.json"))
+        calls += [
+            (f"calibrate_{tag}", ["calibrate", "--scores", p(train), "--specs", p("specs.json"),
+                                  "--format", fmt, "--seed", seed, "--output", model, *flags]),
+            (f"score_{tag}", ["score", "--model", model, "--scores", p(test), "--format", fmt,
+                              "--output", p(f"meta_{tag}.csv")]),
+            (f"evaluate_{tag}", ["evaluate", "--model", model, "--scores", p(test), "--format", fmt,
+                                 "--output", p(f"report_{tag}.json")]),
+            (f"report_{tag}", ["report", "--model", model, "--output", p(f"weights_{tag}.json")]),
+        ]
+    return calls
+
+
+def prepare(work: str) -> None:
+    """Write the metric specs and, from the basemetrics scores, the pairs."""
+    save_specs(builtin_specs(list(BUILTIN_METRICS)), os.path.join(work, "specs.json"))
+    write_pairs(os.path.join(work, "scores.csv"), os.path.join(work, "pairs.jsonl"))
+
+
+def quick_start(work: str, seed: str) -> None:
+    (_, first), *rest = commands(work, seed)
+    run(*first)
+    prepare(work)
+    for _, argv in rest:
+        run(*argv)
 
 
 def main() -> None:
