@@ -398,15 +398,13 @@ def _search(
     keys = keys[np.arange(n_features)[:, None], order]
     candidate = np.zeros(order.shape, dtype=bool)  # boundaries after each sorted position
     candidate[..., :-1] = keys[..., 1:] != keys[..., :-1]
-    if nodes > 1:
-        candidate[..., :-1] &= (np.arange(1, width) < sizes[:, None])[:, None, :]
-    gl, hl = (np.cumsum(np.take(v[rows], order), axis=-1)[candidate] for v in gh)
-    h_total = totals[1] + reg_lambda
-    per_node = np.concatenate([totals, np.where(h_total > 0, totals[0] * totals[0] / h_total, 0.0)[None]])
+    candidate[np.arange(nodes), :, sizes - 1] = False  # padding, whose keys are all the same, follows
+    slots = rows.reshape(-1)[order]
+    gl, hl = (np.cumsum(v[slots], axis=-1)[candidate] for v in gh)
     if nodes == 1:  # floats, which numpy adds faster than a broadcast array
-        g, h, parent = per_node[:, 0].tolist()
+        g, h, parent = totals[:, 0].tolist()
     else:
-        g, h, parent = np.repeat(per_node, candidate.reshape(nodes, -1).sum(axis=1), axis=1)
+        g, h, parent = np.repeat(totals, candidate.reshape(nodes, -1).sum(axis=1), axis=1)
     gr = g - gl
     hr = h - hl
     dl = hl + reg_lambda
@@ -424,7 +422,7 @@ def _search(
         best = np.argmax(dense.reshape(nodes, -1), axis=1)
         found = dense.reshape(nodes, -1)[every, best]
     feature, boundary = np.divmod(best, width)
-    chosen = rows.reshape(-1)[order[every, feature]]
+    chosen = slots[every, feature]
     lo = x[chosen[every, boundary], feature]
     hi = x[chosen[every, boundary + 1], feature]
     mid = 0.5 * (lo + hi)
@@ -441,13 +439,18 @@ def _blocks(nodes: np.ndarray, sizes: np.ndarray, n_features: int, per_batch: in
     of more than _SOLO_ROWS rows are searched alone.  A block holds at most
     `per_batch` nodes, so its sort keys stay under _KEY_LIMIT, and at most
     _BLOCK_CELLS cells a feature."""
-    solo = sizes > _SOLO_ROWS
-    bits = np.maximum(np.frexp(sizes - 1)[1], _BATCH_ROWS.bit_length() - 1)
-    blocks = list(nodes[solo].reshape(-1, 1))
-    for b in np.unique(bits[~solo]).tolist():
-        shared = ~solo & (bits == b)
-        step = max(1, min(per_batch, _BLOCK_CELLS // (n_features * int(sizes[shared].max()))))
-        blocks += [nodes[shared][i:i + step] for i in range(0, int(shared.sum()), step)]
+    if not nodes.size:
+        return []
+    groups = [(nodes, sizes)]
+    if sizes.max() > _BATCH_ROWS:
+        bits = np.maximum(np.frexp(sizes - 1)[1], _BATCH_ROWS.bit_length() - 1)
+        bits[sizes > _SOLO_ROWS] = 0
+        groups = [(nodes[bits == b], sizes[bits == b]) for b in np.unique(bits).tolist()]
+    blocks = []
+    for group, lengths in groups:
+        longest = int(lengths.max())
+        step = 1 if longest > _SOLO_ROWS else max(1, min(per_batch, _BLOCK_CELLS // (n_features * longest)))
+        blocks += [group[i:i + step] for i in range(0, group.size, step)]
     return blocks
 
 
@@ -482,9 +485,12 @@ def _grow(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for depth in range(max_depth + 1):
             starts = np.cumsum(sizes) - sizes
-            totals = _node_totals(gh, rows, starts, sizes)
-            h = totals[1] + reg_lambda
-            value = np.where(h > 0, -totals[0] / h, 0.0)
+            totals = np.empty((3, sizes.size))  # grad, hess, and the parent score in a gain
+            g, h, _ = totals
+            totals[:2] = _node_totals(gh, rows, starts, sizes)
+            h_lambda = h + reg_lambda
+            value = np.where(h_lambda > 0, -g / h_lambda, 0.0)
+            totals[2] = np.where(h_lambda > 0, g * g / h_lambda, 0.0)
             out[rows[:-1]] = np.repeat(value, sizes)  # a split's rows get a deeper leaf's value
             searched = np.flatnonzero(sizes >= 2) if depth < max_depth else sizes[:0]
             found = [(b, *_search(x, ranks, gh, _padded(rows, starts[b], sizes[b], int(sizes[b].max())),
