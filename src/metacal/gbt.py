@@ -371,7 +371,7 @@ def _node_totals(gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np
 
 def _search(
     x: np.ndarray, ranks: np.ndarray, gh: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
-    totals: np.ndarray, reg_lambda: float, gamma: float,
+    totals: np.ndarray, reg_lambda: float, gamma: float, unit_hess: bool,
 ) -> tuple[np.ndarray, ...]:
     """The best split of each of a block of nodes: (gain, feature, boundary,
     threshold, rows sorted on the feature).
@@ -399,8 +399,12 @@ def _search(
     candidate = np.zeros(order.shape, dtype=bool)  # boundaries after each sorted position
     candidate[..., :-1] = keys[..., 1:] != keys[..., :-1]
     candidate[np.arange(nodes), :, sizes - 1] = False  # padding, whose keys are all the same, follows
-    slots = rows.reshape(-1)[order]
-    gl, hl = (np.cumsum(v[slots], axis=-1)[candidate] for v in gh)
+    at = np.flatnonzero(candidate)
+    gl = np.cumsum(np.take(gh[0][rows], order), axis=-1).reshape(-1)[at]
+    if unit_hess:  # running sums of ones count the rows, exactly
+        hl = at % width + 1.0
+    else:
+        hl = np.cumsum(np.take(gh[1][rows], order), axis=-1).reshape(-1)[at]
     if nodes == 1:  # floats, which numpy adds faster than a broadcast array
         g, h, parent = totals[:, 0].tolist()
     else:
@@ -415,14 +419,14 @@ def _search(
     if nodes == 1 and gains.size:
         best = np.argmax(gains, keepdims=True)
         found = gains[best]
-        best = np.flatnonzero(candidate)[best]
+        best = at[best]
     else:  # the first maximum of each row, the candidates of a node
         dense = np.full(candidate.shape, -np.inf)
-        dense[candidate] = gains
+        dense.reshape(-1)[at] = gains
         best = np.argmax(dense.reshape(nodes, -1), axis=1)
         found = dense.reshape(nodes, -1)[every, best]
     feature, boundary = np.divmod(best, width)
-    chosen = slots[every, feature]
+    chosen = rows.reshape(-1)[order[every, feature]]
     lo = x[chosen[every, boundary], feature]
     hi = x[chosen[every, boundary + 1], feature]
     mid = 0.5 * (lo + hi)
@@ -482,6 +486,7 @@ def _grow(
     out = np.empty(x.shape[0], dtype=np.float64)
     levels: list[_Level] = []
     per_batch = max(1, _KEY_LIMIT // n_ranks)
+    unit_hess = bool(np.all(hess == 1.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for depth in range(max_depth + 1):
             starts = np.cumsum(sizes) - sizes
@@ -494,16 +499,18 @@ def _grow(
             out[rows[:-1]] = np.repeat(value, sizes)  # a split's rows get a deeper leaf's value
             searched = np.flatnonzero(sizes >= 2) if depth < max_depth else sizes[:0]
             found = [(b, *_search(x, ranks, gh, _padded(rows, starts[b], sizes[b], int(sizes[b].max())),
-                                  sizes[b], totals[:, b], reg_lambda, gamma))
+                                  sizes[b], totals[:, b], reg_lambda, gamma, unit_hess))
                      for b in _blocks(searched, sizes[searched], x.shape[1], per_batch)]
             empty = np.zeros((3, sizes.size), dtype=np.intp)
             level = _Level(empty[0].astype(bool), empty[1], *np.zeros((2, sizes.size)), value, empty[2])
             levels.append(level)
             if not found:
                 break
-            # Per searched node: node, gain, feature, boundary, threshold; and
-            # its rows, sorted on the feature.
-            nodes, gain, feature, boundary, threshold, chosen = map(np.concatenate, zip(*found))
+            # Per searched node: node, gain, feature, boundary, threshold; then
+            # the nodes' rows, each sorted on its feature, and the padding row.
+            *per_node, chosen = zip(*found)
+            nodes, gain, feature, boundary, threshold = map(np.concatenate, per_node)
+            chosen = np.concatenate([*chosen, rows[-1:]])
             split = ~(gain <= 0.0)
             parents = nodes[split]
             if not parents.size:
@@ -514,7 +521,7 @@ def _grow(
             level.gain[parents] = gain[split]
             level.value[parents] = 0.0
             level.child[parents] = 2 * np.arange(parents.size)
-            rows = np.append(chosen[np.repeat(split, sizes[nodes])], rows[-1])
+            rows = chosen if split.all() else chosen[np.append(np.repeat(split, sizes[nodes]), True)]
             left = boundary[split] + 1
             sizes = np.column_stack([left, sizes[parents] - left]).ravel()
     return levels, out
