@@ -374,17 +374,20 @@ def _search(
     totals: np.ndarray, reg_lambda: float, gamma: float, unit_hess: bool,
 ) -> tuple[np.ndarray, ...]:
     """The best split of each of a block of nodes: (gain, feature, boundary,
-    threshold, rows sorted on the feature).
+    threshold, the nodes' rows sorted on their features, node after node).
 
-    Node j's rows are rows[j, :sizes[j]], then padding rows (see `_grow`),
-    whose rank key is the largest.  Each feature sorts stably, node by node,
-    in one argsort of the keys `node * n_ranks + rank`, so padding sorts
-    after the node's rows.  Running sums along a row are sequential, so
-    padding at the end leaves each node's sums bit for bit the same.  Gains
-    are laid out feature by feature, boundaries in ascending order, so each
-    node's first maximum is the lowest feature and, within it, the lowest
-    threshold; a node with no boundary between distinct values gets gain
-    -inf.  The left child takes positions 0..boundary of the sorted rows."""
+    Node j's rows are rows[j, :sizes[j]], then copies of the padding row
+    (see `_grow`), whose rank is the largest; totals[:, j] holds its grad
+    and hess totals and the parent term of its gains.  Each feature sorts
+    stably, node by node, in one argsort of the keys `node * n_ranks +
+    rank`, so padding sorts after the node's rows.  Running sums along a row
+    are sequential, so padding at the end leaves each node's sums bit for
+    bit the same; with `unit_hess` (every hessian 1) the hessian sums are
+    the row counts.  Gains are laid out feature by feature, boundaries in
+    ascending order, so each node's first maximum is the lowest feature and,
+    within it, the lowest threshold; a node with no boundary between
+    distinct values gets gain -inf.  The left child takes sorted positions
+    0..boundary."""
     nodes, width = rows.shape
     n_features = ranks.shape[0]
     keys = ranks[:, rows]
@@ -465,8 +468,9 @@ def _grow(
     """Grow one tree per member, all of them a level at a time, and return
     the levels and each row's leaf value.
 
-    Member m owns the next sizes[m] rows of `x` (rows, features), of its
-    `ranks` (see `_dense_ranks`) and of `grad` and `hess`.  One more row,
+    Member m owns the next sizes[m] rows of `x` (rows, features), of
+    `ranks` (features, rows; see `_dense_ranks`) and of `grad` and `hess`.
+    One more row,
     past the last, pads nodes in blocks (see `_search`): it holds the
     largest rank and no grad or hess.
 
