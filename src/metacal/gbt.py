@@ -325,13 +325,11 @@ def _dense_ranks(x: np.ndarray) -> np.ndarray:
 
 # A level's nodes are searched in blocks (see `_blocks`): each block is one
 # stable argsort of composite (node, rank) keys, which numpy sorts by radix
-# below _KEY_LIMIT, and one padded array per quantity.  Small nodes share
-# blocks to save calls; padding and large temporaries cost per cell, so long
-# nodes share less and the longest are searched alone, like the per-node
-# search.  The cut-offs come from desk, scale and prefs runs on 2 vCPUs.
+# below _KEY_LIMIT, and one end-padded array per quantity.  Blocks take nodes
+# longest first and hold at most _BLOCK_CELLS cells (rows times features,
+# padding included), so a long node is searched alone.  `tools/grow_bench.py`
+# times the benchmark's builds at other limits (bench/GROW_*.json).
 _KEY_LIMIT = 1 << 16
-_BATCH_ROWS = 128
-_SOLO_ROWS = 512
 _BLOCK_CELLS = 1 << 14
 
 
@@ -349,15 +347,6 @@ class _Level(NamedTuple):
     child: np.ndarray
 
 
-def _padded(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
-    """(nodes, width): each node's rows, rows[starts[j]:][:sizes[j]], then
-    copies of the padding row, rows[-1] (see `_grow`)."""
-    if starts.size == 1 and sizes[0] == width:
-        return rows[starts[0]:starts[0] + width][None]
-    at = starts[:, None] + np.arange(width)
-    return rows[np.where(at < (starts + sizes)[:, None], at, -1)]
-
-
 def _node_totals(gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(2, nodes) totals of grad and hess (the rows of `gh`) over each
     node's rows, rows[starts[j]:][:sizes[j]]: one `.sum()` per node over its
@@ -369,96 +358,114 @@ def _node_totals(gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np
     return np.array([values[:, a:b].sum(axis=1) for a, b in zip(starts.tolist(), ends)]).T
 
 
+def _gains(
+    gl: np.ndarray, hl: np.ndarray, g: np.ndarray, h: np.ndarray, parent: np.ndarray,
+    reg_lambda: float, gamma: float,
+) -> np.ndarray:
+    """The gain of each split, left sums `gl`, `hl` of node totals `g`, `h`
+    and parent term `parent`, broadcast together and computed in place in
+    `gl`; -inf where a side's hessian plus lambda is not positive."""
+    gr = g - gl
+    dl = hl + reg_lambda
+    dr = h - hl
+    dr += reg_lambda
+    gl *= gl
+    gl /= dl
+    gr *= gr
+    gr /= dr
+    gl += gr
+    gl -= parent
+    gl *= 0.5
+    gl -= gamma
+    np.copyto(gl, -np.inf, where=(dl <= 0) | (dr <= 0))
+    return gl
+
+
 def _search(
     x: np.ndarray, ranks: np.ndarray, gh: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
-    totals: np.ndarray, reg_lambda: float, gamma: float, unit_hess: bool,
+    reg_lambda: float, gamma: float, unit_hess: bool,
 ) -> tuple[np.ndarray, ...]:
-    """The best split of each of a block of nodes: (gain, feature, boundary,
-    threshold, the nodes' rows sorted on their features, node after node).
+    """The totals and best split of each of a block of nodes: ((2, nodes)
+    grad and hess totals, gain, feature, boundary, threshold, the nodes'
+    rows sorted on their features, node after node).
 
     Node j's rows are rows[j, :sizes[j]], then copies of the padding row
-    (see `_grow`), whose rank is the largest; totals[:, j] holds its grad
-    and hess totals and the parent term of its gains.  Each feature sorts
+    (see `_grow`), whose rank is the largest.  Its totals are one `.sum()`
+    over its values, as `_node_totals` takes them.  Each feature sorts
     stably, node by node, in one argsort of the keys `node * n_ranks +
     rank`, so padding sorts after the node's rows.  Running sums along a row
     are sequential, so padding at the end leaves each node's sums bit for
-    bit the same; with `unit_hess` (every hessian 1) the hessian sums are
-    the row counts.  Gains are laid out feature by feature, boundaries in
-    ascending order, so each node's first maximum is the lowest feature and,
-    within it, the lowest threshold; a node with no boundary between
-    distinct values gets gain -inf.  The left child takes sorted positions
-    0..boundary."""
+    bit the same.  With `unit_hess` (every hessian 1) the hessian sums are
+    the row counts, one vector for every node and feature, and gains are
+    computed at every sorted position; otherwise only at the boundaries
+    between distinct values, since most positions of tied columns are none.
+    Gains are laid out feature by feature, boundaries in ascending order, so
+    each node's first maximum is the lowest feature and, within it, the
+    lowest threshold; a node with no boundary gets gain -inf.  The left
+    child takes sorted positions 0..boundary."""
     nodes, width = rows.shape
     n_features = ranks.shape[0]
-    keys = ranks[:, rows]
-    if nodes > 1:
-        n_ranks = int(ranks[0, -1]) + 1
-        offsets = np.arange(0, nodes * n_ranks, n_ranks)
-        keys = keys + offsets.astype(np.min_scalar_type(offsets[-1] + n_ranks - 1))[:, None]
-    keys = keys.reshape(n_features, -1)
+    n_ranks = int(ranks[0, -1]) + 1
+    offsets = np.arange(0, nodes * n_ranks, n_ranks)
+    offsets = offsets.astype(np.min_scalar_type(offsets[-1] + n_ranks - 1))
+    keys = (np.take(ranks, rows, axis=1) + offsets[:, None]).reshape(n_features, -1)
     # Positions into the block's rows, node by node, then feature by feature.
     order = np.argsort(keys, axis=1, kind="stable").reshape(n_features, nodes, width).transpose(1, 0, 2)
     keys = keys[np.arange(n_features)[:, None], order]
     candidate = np.zeros(order.shape, dtype=bool)  # boundaries after each sorted position
     candidate[..., :-1] = keys[..., 1:] != keys[..., :-1]
     candidate[np.arange(nodes), :, sizes - 1] = False  # padding, whose keys are all the same, follows
-    at = np.flatnonzero(candidate)
-    gl = np.cumsum(np.take(gh[0][rows], order), axis=-1).reshape(-1)[at]
-    if unit_hess:  # running sums of ones count the rows, exactly
-        hl = at % width + 1.0
-    else:
-        hl = np.cumsum(np.take(gh[1][rows], order), axis=-1).reshape(-1)[at]
-    if nodes == 1:  # floats, which numpy adds faster than a broadcast array
-        g, h, parent = totals[:, 0].tolist()
-    else:
-        g, h, parent = np.repeat(totals, candidate.reshape(nodes, -1).sum(axis=1), axis=1)
-    gr = g - gl
-    hr = h - hl
-    dl = hl + reg_lambda
-    dr = hr + reg_lambda
-    gains = 0.5 * (gl * gl / dl + gr * gr / dr - parent) - gamma
-    gains[(dl <= 0) | (dr <= 0)] = -np.inf
+    values = np.take(gh, rows, axis=1)
+    totals = np.array([v[:, :n].sum(axis=1) for v, n in zip(values.transpose(1, 0, 2), sizes.tolist())]).T
+    h_lambda = totals[1] + reg_lambda
+    parent = np.where(h_lambda > 0, totals[0] * totals[0] / h_lambda, 0.0)
+    gl = np.cumsum(np.take(values[0], order), axis=-1)
+    if unit_hess:  # every cell: the hessian sums are the row counts, exactly
+        gains = _gains(gl, np.arange(1.0, width + 1), *(t[:, None, None] for t in (*totals, parent)),
+                       reg_lambda, gamma)
+        np.copyto(gains, -np.inf, where=~candidate)
+    else:  # the boundaries only
+        at = np.flatnonzero(candidate)
+        per_node = candidate.reshape(nodes, -1).sum(axis=1)
+        hl = np.cumsum(np.take(values[1], order), axis=-1).reshape(-1)[at]
+        found = _gains(gl.reshape(-1)[at], hl, *(np.repeat(t, per_node) for t in (*totals, parent)),
+                       reg_lambda, gamma)
+        gains = np.full(candidate.shape, -np.inf)
+        gains.reshape(-1)[at] = found
+    gains = gains.reshape(nodes, -1)
+    best = np.argmax(gains, axis=1)  # the first maximum of each node
     every = np.arange(nodes)
-    if nodes == 1 and gains.size:
-        best = np.argmax(gains, keepdims=True)
-        found = gains[best]
-        best = at[best]
-    else:  # the first maximum of each row, the candidates of a node
-        dense = np.full(candidate.shape, -np.inf)
-        dense.reshape(-1)[at] = gains
-        best = np.argmax(dense.reshape(nodes, -1), axis=1)
-        found = dense.reshape(nodes, -1)[every, best]
     feature, boundary = np.divmod(best, width)
     chosen = rows.reshape(-1)[order[every, feature]]
     lo = x[chosen[every, boundary], feature]
     hi = x[chosen[every, boundary + 1], feature]
     mid = 0.5 * (lo + hi)
     threshold = np.where((lo < mid) & (mid <= hi), mid, hi)
-    if nodes > 1:
-        chosen = chosen[np.arange(width) < sizes[:, None]]
-    return found, feature, boundary, threshold, chosen.reshape(-1)
+    chosen = chosen[np.arange(width) < sizes[:, None]]
+    return totals, gains[every, best], feature, boundary, threshold, chosen
 
 
 def _blocks(nodes: np.ndarray, sizes: np.ndarray, n_features: int, per_batch: int) -> list[np.ndarray]:
-    """`nodes` (of `sizes` rows) in blocks to search together.  Nodes of up to
-    _BATCH_ROWS rows share blocks, longer ones only with nodes of the same
-    power-of-two length, so padding stays under half of a block, and nodes
-    of more than _SOLO_ROWS rows are searched alone.  A block holds at most
-    `per_batch` nodes, so its sort keys stay under _KEY_LIMIT, and at most
-    _BLOCK_CELLS cells a feature."""
-    if not nodes.size:
-        return []
-    groups = [(nodes, sizes)]
-    if sizes.max() > _BATCH_ROWS:
-        bits = np.maximum(np.frexp(sizes - 1)[1], _BATCH_ROWS.bit_length() - 1)
-        bits[sizes > _SOLO_ROWS] = 0
-        groups = [(nodes[bits == b], sizes[bits == b]) for b in np.unique(bits).tolist()]
-    blocks = []
-    for group, lengths in groups:
-        longest = int(lengths.max())
-        step = 1 if longest > _SOLO_ROWS else max(1, min(per_batch, _BLOCK_CELLS // (n_features * longest)))
-        blocks += [group[i:i + step] for i in range(0, group.size, step)]
+    """`nodes` (of `sizes` rows) in blocks to search together: longest
+    first, so a block's nodes are padded to a similar length, and as many
+    as fit in _BLOCK_CELLS cells of its longest node's length times
+    `n_features`, at least one.  A block holds at most `per_batch` nodes, so
+    its sort keys stay under _KEY_LIMIT."""
+    order = np.argsort(-sizes, kind="stable")
+    nodes, lengths = nodes[order], sizes[order].tolist()
+    blocks, i = [], 0
+    while i < nodes.size:
+        step = max(1, min(per_batch, _BLOCK_CELLS // (n_features * lengths[i])))
+        blocks.append(nodes[i:i + step])
+        i += step
     return blocks
+
+
+def _padded(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(nodes, longest): each node's rows, rows[starts[j]:][:sizes[j]], then
+    copies of the padding row, rows[-1] (see `_grow`)."""
+    at = starts[:, None] + np.arange(sizes.max())
+    return rows[np.where(at < (starts + sizes)[:, None], at, -1)]
 
 
 def _grow(
@@ -470,17 +477,19 @@ def _grow(
 
     Member m owns the next sizes[m] rows of `x` (rows, features), of
     `ranks` (features, rows; see `_dense_ranks`) and of `grad` and `hess`.
-    One more row,
-    past the last, pads nodes in blocks (see `_search`): it holds the
-    largest rank and no grad or hess.
+    One more row, past the last, pads nodes in blocks (see `_search`): it
+    holds the largest rank and no grad or hess.
 
-    A level lays its nodes' rows out node after node.  A node keeps its rows
-    in its parent's stable order on the winning feature, the root's in row
-    order; that order fixes each node's sums and every later tie.  A node
-    above `max_depth` with 2 rows or more splits at its best positive gain
-    (`_search`).  The threshold is the midpoint of the values either side of
-    the boundary, so every left row holds x < threshold and the trees route
-    each row to the leaf the builder put it in."""
+    A level lays its nodes' rows out node after node; the children of a
+    level's splits come in the order of its blocks, as `child` records.  A
+    node keeps its rows in its parent's stable order on the winning feature,
+    the root's in row order; that order fixes each node's sums and every
+    later tie.  A node above `max_depth` with 2 rows or more splits at its
+    best positive gain (`_search`); the others take their totals from
+    `_node_totals`.  A node's rows get its value once it is a leaf.  The
+    threshold is the midpoint of the values either side of the boundary, so
+    every left row holds x < threshold and the trees route each row to the
+    leaf the builder put it in."""
     n_ranks = int(ranks.max(initial=0)) + 1
     ranks = np.concatenate([ranks, np.full((ranks.shape[0], 1), n_ranks - 1, ranks.dtype)], axis=1)
     gh = np.zeros((2, x.shape[0] + 1))
@@ -494,38 +503,39 @@ def _grow(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for depth in range(max_depth + 1):
             starts = np.cumsum(sizes) - sizes
-            totals = np.empty((3, sizes.size))  # grad, hess, and the parent score in a gain
-            g, h, _ = totals
-            totals[:2] = _node_totals(gh, rows, starts, sizes)
-            h_lambda = h + reg_lambda
-            value = np.where(h_lambda > 0, -g / h_lambda, 0.0)
-            totals[2] = np.where(h_lambda > 0, g * g / h_lambda, 0.0)
-            out[rows[:-1]] = np.repeat(value, sizes)  # a split's rows get a deeper leaf's value
-            searched = np.flatnonzero(sizes >= 2) if depth < max_depth else sizes[:0]
-            found = [(b, *_search(x, ranks, gh, _padded(rows, starts[b], sizes[b], int(sizes[b].max())),
-                                  sizes[b], totals[:, b], reg_lambda, gamma, unit_hess))
-                     for b in _blocks(searched, sizes[searched], x.shape[1], per_batch)]
-            empty = np.zeros((3, sizes.size), dtype=np.intp)
-            level = _Level(empty[0].astype(bool), empty[1], *np.zeros((2, sizes.size)), value, empty[2])
+            searched = (sizes >= 2) & (depth < max_depth)
+            blocks = _blocks(np.flatnonzero(searched), sizes[searched], x.shape[1], per_batch)
+            found = [_search(x, ranks, gh, _padded(rows, starts[b], sizes[b]), sizes[b],
+                             reg_lambda, gamma, unit_hess) for b in blocks]
+            n = sizes.size
+            level = _Level(np.zeros(n, bool), np.zeros(n, np.intp), np.zeros(n), np.zeros(n),
+                           np.zeros(n), np.zeros(n, np.intp))
             levels.append(level)
-            if not found:
+            totals = np.empty((2, n))
+            rest = np.flatnonzero(~searched)
+            if rest.size:
+                totals[:, rest] = _node_totals(gh, rows, starts[rest], sizes[rest])
+            if found:
+                # Per searched node, in block order: totals, gain, feature,
+                # boundary, threshold; then the nodes' rows, each sorted on its feature.
+                nodes = np.concatenate(blocks)
+                node_totals, gain, feature, boundary, threshold, chosen = (
+                    np.concatenate(a, axis=-1) for a in zip(*found))
+                totals[:, nodes] = node_totals
+                split = ~(gain <= 0.0)
+                parents = nodes[split]
+                level.split[parents] = True
+                level.feature[parents] = feature[split]
+                level.threshold[parents] = threshold[split]
+                level.gain[parents] = gain[split]
+                level.child[parents] = 2 * np.arange(parents.size)
+            leaf = ~level.split
+            h_lambda = totals[1] + reg_lambda
+            level.value[leaf] = np.where(h_lambda > 0, -totals[0] / h_lambda, 0.0)[leaf]
+            out[rows[:-1][np.repeat(leaf, sizes)]] = np.repeat(level.value[leaf], sizes[leaf])
+            if leaf.all():
                 break
-            # Per searched node: node, gain, feature, boundary, threshold; then
-            # the nodes' rows, each sorted on its feature, and the padding row.
-            *per_node, chosen = zip(*found)
-            nodes, gain, feature, boundary, threshold = map(np.concatenate, per_node)
-            chosen = np.concatenate([*chosen, rows[-1:]])
-            split = ~(gain <= 0.0)
-            parents = nodes[split]
-            if not parents.size:
-                break
-            level.split[parents] = True
-            level.feature[parents] = feature[split]
-            level.threshold[parents] = threshold[split]
-            level.gain[parents] = gain[split]
-            level.value[parents] = 0.0
-            level.child[parents] = 2 * np.arange(parents.size)
-            rows = chosen if split.all() else chosen[np.append(np.repeat(split, sizes[nodes]), True)]
+            rows = np.append(chosen[np.repeat(split, sizes[nodes])], rows[-1])
             left = boundary[split] + 1
             sizes = np.column_stack([left, sizes[parents] - left]).ravel()
     return levels, out

@@ -547,7 +547,7 @@ class TestOracleParity:
         # Each member's root holds a random subset of the rows in a random
         # order; zero hessians mask boundaries at lambda 0.
         rng = np.random.default_rng(20)
-        for trial in range(60):
+        for trial in range(100):
             f = int(rng.integers(1, 5))
             parts = []
             for _ in range(int(rng.integers(1, 6))):
@@ -583,11 +583,31 @@ class TestOracleParity:
         for trial in range(2):
             if trial:
                 gh[:, rows[: n // 3]] = -0.0  # nodes of negative zeros only, and partly
-            totals = gbt_mod._node_totals(gh, rows, starts, sizes)
-            for j, (start, size) in enumerate(zip(starts, sizes)):
-                for k in range(2):
-                    want = gh[k, rows[start:start + size]].sum()
-                    assert totals[k, j].hex() == want.hex(), (k, size)
+            # `_search` takes the totals of the nodes it searches, padded in blocks.
+            ranks = np.zeros((1, n + 1), dtype=np.uint8)
+            searched = np.zeros((2, sizes.size))
+            for block in np.array_split(np.arange(sizes.size), 9):
+                padded = gbt_mod._padded(np.append(rows, n), starts[block], sizes[block])
+                searched[:, block] = gbt_mod._search(
+                    np.zeros((n + 1, 1)), ranks, gh, padded, sizes[block], 1.0, 0.0, False)[0]
+            for totals in (gbt_mod._node_totals(gh, rows, starts, sizes), searched):
+                for j, (start, size) in enumerate(zip(starts, sizes)):
+                    for k in range(2):
+                        want = gh[k, rows[start:start + size]].sum()
+                        assert totals[k, j].hex() == want.hex(), (k, size)
+
+    def test_blocks_take_every_node_once_longest_first(self):
+        rng = np.random.default_rng(29)
+        for per_batch in (1, 7, 1000):
+            sizes = np.concatenate([rng.integers(2, 40, 300), rng.integers(2, 5000, 30)])
+            nodes = rng.permutation(sizes.size)[:200]
+            blocks = gbt_mod._blocks(nodes, sizes[nodes], 5, per_batch)
+            assert sorted(np.concatenate(blocks).tolist()) == sorted(nodes.tolist())
+            lengths = sizes[np.concatenate(blocks)]
+            assert (np.diff(lengths) <= 0).all()
+            for block in blocks:
+                assert 1 <= block.size <= per_batch
+                assert block.size == 1 or block.size * 5 * sizes[block].max() <= gbt_mod._BLOCK_CELLS
 
     def test_padded_running_sums_keep_their_bits(self):
         # The builder lays nodes into rows padded at the end and takes running

@@ -1,11 +1,11 @@
 """Time the README quick start, one `python -m metacal.cli` process per stage.
 
-Runs the stages of `tools/artifact_digests.py` (`commands`, in order, with
-`prepare` after the first) in a temporary directory, as a user runs them:
-every stage is a new process, so its time includes starting Python and
-importing metacal.  One more stage, `calibrate_gbt_prune3`, is the
-default-flags GBT calibration with `--prune-iterations 3`.  Each run uses a
-new directory; BLAS runs one thread, as in `perfbench`.
+Runs the stages of `tools/artifact_digests.py` at seed 0 (`commands`, in
+order, with `prepare` after the first) in a temporary directory, as a user
+runs them: every stage is a new process, so its time includes starting
+Python and importing metacal.  One more stage, `calibrate_gbt_prune3`, is
+the default-flags GBT calibration with `--prune-iterations 3`.  Each run
+uses a new directory; BLAS runs one thread, as in `perfbench`.
 
 Writes the per-stage min, median, interquartile range and samples (wall
 seconds) to `bench/QUICKSTART_<label>.json` of this checkout:
@@ -37,23 +37,23 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 import artifact_digests  # noqa: E402
 
 
-def stages(work: str, seed: str) -> list[tuple[str, list[str]]]:
-    """The quick start's stages, plus the default-flags GBT calibration
-    pruned over 3 rounds."""
-    calls = artifact_digests.commands(work, seed)
+def stages(work: str) -> list[tuple[str, list[str]]]:
+    """The quick start's stages at seed 0, plus the default-flags GBT
+    calibration pruned over 3 rounds."""
+    calls = artifact_digests.commands(work, "0")
     argv = dict(calls)["calibrate_gbt"]
     pruned = [os.path.join(work, "gbt_prune3.json") if a == argv[argv.index("--output") + 1] else a
               for a in argv]
     return [*calls, ("calibrate_gbt_prune3", [*pruned, "--prune-iterations", "3"])]
 
 
-def run_once(checkout: str, seed: str) -> dict[str, float]:
+def run_once(checkout: str) -> dict[str, float]:
     """Wall seconds of each stage of one quick start with `checkout`'s metacal."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     seconds = {}
     with tempfile.TemporaryDirectory() as work:
-        for i, (stage, argv) in enumerate(stages(work, seed)):
+        for i, (stage, argv) in enumerate(stages(work)):
             start = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "metacal.cli", *argv], env=env,
                                   capture_output=True, text=True)
@@ -87,12 +87,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--runs", type=int, required=True)
-    parser.add_argument("--seed", default="0")
-    parser.add_argument("--checkout", default=ROOT, help="checkout whose metacal runs")
     parser.add_argument("--alternate", nargs=2, metavar=("LABEL", "CHECKOUT"),
                         help="a second checkout to run in turn with the first")
     args = parser.parse_args()
-    sides = [(args.label, args.checkout)] + ([tuple(args.alternate)] if args.alternate else [])
+    sides = [(args.label, ROOT)] + ([tuple(args.alternate)] if args.alternate else [])
     for label, _ in sides:
         if not label or os.sep in label:
             parser.error("a label must be a non-empty file-name part")
@@ -102,7 +100,7 @@ def main() -> int:
     runs: dict[str, list[dict[str, float]]] = {label: [] for label, _ in sides}
     for i in range(args.runs):
         for label, checkout in sides[i % len(sides):] + sides[:i % len(sides)]:
-            runs[label].append(run_once(checkout, args.seed))
+            runs[label].append(run_once(checkout))
             print(f"run {i + 1} {label}: {sum(runs[label][-1].values()):.2f} s", file=sys.stderr)
     os.makedirs(os.path.join(ROOT, "bench"), exist_ok=True)
     for label, checkout in sides:
