@@ -9,6 +9,7 @@ METACAL_SEED environment variable is used as a fallback, then 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -292,6 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Cyclic garbage collection is off while it runs and
+    restored after: a command's objects are acyclic rows, ids and pairs that
+    reference counting frees, and a full collection, which traverses every
+    one of them still alive, costs a command whatever time it lands in."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import re
 import tempfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import metacal.cli
 from metacal.cli import build_parser, main
 from metacal.core import CalibratedModel, MetricSpec, ModelKind, Weighting
 from metacal.gbt import GbtConfig, Tree, TreeEnsemble
@@ -288,6 +290,26 @@ class TestUnreadableInputs:
                    "--train-output", str(tmp_path / "tr.csv"),
                    "--test-output", str(tmp_path / "te.csv")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cyclic_gc_is_off_during_a_command_and_restored_after(monkeypatch, tmp_path, enabled):
+    seen = []
+    monkeypatch.setattr(metacal.cli, "_cmd_report", lambda args: seen.append(gc.isenabled()) or 0)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["report", "--model", "m.json"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["score", "--model", str(tmp_path / "missing.json"), "--scores", "s",
+                     "--output", "o"]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def _leaf(value: float) -> Tree:
