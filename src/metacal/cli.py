@@ -76,6 +76,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise MetacalError("--top-k must be >= 1")
     if args.prune_iterations is not None and args.prune_iterations < 1:
         raise MetacalError("--prune-iterations must be >= 1")
+    if args.objective == ObjectiveKind.PAIRWISE_ACCURACY.value and args.format != "jsonl":
+        raise MetacalError("--objective pairwise is only valid with --format jsonl")
     objective = ObjectiveKind(args.objective)
     specs = io.load_specs(args.specs)
     matrix, target = io.load_scores(args.scores, args.format, specs)

@@ -44,23 +44,25 @@ array is read as a pointwise z.  Non-finite features or targets raise
 `NonFiniteInput`.  The regression losses fit z; PAIRWISE_RANK fits the
 pairs, whose members are the stacked rows of each pair.
 
-On top of the trainer sit k-fold cross-validation over target units, a grid
-search over the ensemble size, and `calibrate_gbt`, the one entry point
-for iterative pruning: repeatedly drop the feature with the least
-total-gain importance, track CV performance, and keep the model of the
-best-scoring feature subset; without pruning it runs one such round.
-Boosting has no randomness, so an n-tree model is exactly the first n
-trees of a longer run: the whole size grid is scored from one boosting run
-of all folds in lockstep, routing each fold's held-out rows down its tree
-of every round and adding the leaf values (the staged-prediction idea of
-XGBoost's `iteration_range`).
+On top of the trainer sits one k-fold cross-validation routine over target
+units, `_cv_curve`, which scores every size of the config's ensemble-size
+grid.  Boosting has no randomness, so an n-tree model is exactly the first
+n trees of a longer run: the whole grid is scored from one boosting run of
+all folds in lockstep, routing each fold's held-out rows down its tree of
+every round and adding the leaf values (the staged-prediction idea of
+XGBoost's `iteration_range`).  `search_n_estimators` takes the grid's first
+maximum, `cross_validate` is the routine over a one-size grid, and
+`calibrate_gbt`, the one entry point for iterative pruning, searches the
+size on each round's features: it repeatedly drops the feature with the
+least total-gain importance, tracks CV performance, and keeps the model of
+the best-scoring feature subset; without pruning it runs one such round.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any, Callable, Hashable, Iterator, NamedTuple, Sequence
 
@@ -229,19 +231,14 @@ class TreeEnsemble:
             raise MetacalError("a split's right child must lie after its left child, inside the tree")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return list(self.staged_predict(features))[-1]
-
-    def staged_predict(self, features: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the predictions of the first 0, 1, 2, ... trees, bit for bit
-        what `predict` returns for the truncated ensemble.  The yielded
-        array is updated in place by the next step.  Non-finite features are
-        refused: a NaN compares false at every split, so it would route right."""
+        """The model's output for each row of `features`, the trees' outputs
+        added in tree order.  Non-finite features are refused: a NaN compares
+        false at every split, so it would route right."""
         x = _as_features(features)
         out = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        yield out
         for tree in self.trees:
             out += self.learning_rate * _predict_tree(tree, x)
-            yield out
+        return out
 
 
 @dataclass(frozen=True)
@@ -347,13 +344,12 @@ class _Level(NamedTuple):
     child: np.ndarray
 
 
-def _node_totals(gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(2, nodes) totals of grad and hess (the rows of `gh`) over each
-    node's rows, rows[starts[j]:][:sizes[j]]: one `.sum()` per node over its
-    values in their order, since numpy's pairwise summation rounds by length
-    and order.  The values lie in C-contiguous rows, which numpy sums as it
-    sums a 1-D array."""
-    values = np.take(gh, rows, axis=1)
+def _node_totals(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(2, nodes) totals of grad and hess, gathered in the two C-contiguous
+    rows of `values`, over each node's cells values[:, starts[j]:][:sizes[j]]:
+    one `.sum()` per node over its values in their order, since numpy's
+    pairwise summation rounds by length and order.  numpy sums each row as
+    it sums a 1-D array."""
     ends = (starts + sizes).tolist()
     return np.array([values[:, a:b].sum(axis=1) for a, b in zip(starts.tolist(), ends)]).T
 
@@ -390,19 +386,19 @@ def _search(
     rows sorted on their features, node after node).
 
     Node j's rows are rows[j, :sizes[j]], then copies of the padding row
-    (see `_grow`), whose rank is the largest.  Its totals are one `.sum()`
-    over its values, as `_node_totals` takes them.  Each feature sorts
-    stably, node by node, in one argsort of the keys `node * n_ranks +
-    rank`, so padding sorts after the node's rows.  Running sums along a row
-    are sequential, so padding at the end leaves each node's sums bit for
-    bit the same.  With `unit_hess` (every hessian 1) the hessian sums are
-    the row counts, one vector for every node and feature, and gains are
-    computed at every sorted position; otherwise only at the boundaries
-    between distinct values, since most positions of tied columns are none.
-    Gains are laid out feature by feature, boundaries in ascending order, so
-    each node's first maximum is the lowest feature and, within it, the
-    lowest threshold; a node with no boundary gets gain -inf.  The left
-    child takes sorted positions 0..boundary."""
+    (see `_grow`), whose rank is the largest.  Its totals are
+    `_node_totals` of the values gathered for the running sums.  Each
+    feature sorts stably, node by node, in one argsort of the keys
+    `node * n_ranks + rank`, so padding sorts after the node's rows.
+    Running sums along a row are sequential, so padding at the end leaves
+    each node's sums bit for bit the same.  With `unit_hess` (every hessian
+    1) the hessian sums are the row counts, one vector for every node and
+    feature, and gains are computed at every sorted position; otherwise only
+    at the boundaries between distinct values, since most positions of tied
+    columns are none.  Gains are laid out feature by feature, boundaries in
+    ascending order, so each node's first maximum is the lowest feature
+    and, within it, the lowest threshold; a node with no boundary gets gain
+    -inf.  The left child takes sorted positions 0..boundary."""
     nodes, width = rows.shape
     n_features = ranks.shape[0]
     n_ranks = int(ranks[0, -1]) + 1
@@ -415,8 +411,8 @@ def _search(
     candidate = np.zeros(order.shape, dtype=bool)  # boundaries after each sorted position
     candidate[..., :-1] = keys[..., 1:] != keys[..., :-1]
     candidate[np.arange(nodes), :, sizes - 1] = False  # padding, whose keys are all the same, follows
-    values = np.take(gh, rows, axis=1)
-    totals = np.array([v[:, :n].sum(axis=1) for v, n in zip(values.transpose(1, 0, 2), sizes.tolist())]).T
+    values = np.take(gh, rows.reshape(-1), axis=1)
+    totals = _node_totals(values, np.arange(0, nodes * width, width), sizes)
     h_lambda = totals[1] + reg_lambda
     parent = np.where(h_lambda > 0, totals[0] * totals[0] / h_lambda, 0.0)
     gl = np.cumsum(np.take(values[0], order), axis=-1)
@@ -514,7 +510,7 @@ def _grow(
             totals = np.empty((2, n))
             rest = np.flatnonzero(~searched)
             if rest.size:
-                totals[:, rest] = _node_totals(gh, rows, starts[rest], sizes[rest])
+                totals[:, rest] = _node_totals(np.take(gh, rows, axis=1), starts[rest], sizes[rest])
             if found:
                 # Per searched node, in block order: totals, gain, feature,
                 # boundary, threshold; then the nodes' rows, each sorted on its feature.
@@ -572,6 +568,12 @@ def _trees(levels: Sequence[_Level]) -> list[Tree]:
 def _route(levels: Sequence[_Level], x: np.ndarray, node: np.ndarray) -> np.ndarray:
     """The leaf value of each row of `x` (rows, features) that starts at root
     `node` of `levels`, by the trees' own rule: x < threshold goes left."""
+    # CV walks the level records as `_grow` leaves them, not `_trees` then
+    # `_predict_tree`: on a desk-sized 5-fold round (60 rows, depth 6)
+    # `_trees` alone takes 0.17-0.25 ms of the ~2.6 ms it takes to grow the
+    # round, and CV through `_trees` and `_predict_tree` made a desk-shaped
+    # pruned calibration slower (min of 11 interleaved processes 0.116 s
+    # against 0.092 s, 2 shared vCPUs).
     value = np.empty(x.shape[0], dtype=np.float64)
     at = np.arange(x.shape[0])
     for level in levels:
@@ -711,50 +713,48 @@ def _held_out_scorer(
 
 
 def _cv_curve(
-    x: np.ndarray,
-    ranks: np.ndarray,
-    target: PreferenceTarget,
-    objective: ObjectiveKind,
-    config: GbtConfig,
-    sizes: Sequence[int],
+    x: np.ndarray, target: PreferenceTarget, objective: ObjectiveKind, config: GbtConfig
 ) -> list[float]:
-    """Mean held-out objective at each ensemble size in `sizes`.
+    """Mean held-out objective at each ensemble size of
+    `config.n_estimators_grid()`.
 
     Folds shuffle the target's units; a pair group never straddles two
-    folds, and every pointwise unit is its own group.  Each fold's model
-    trains `max(sizes)` trees on the rows of the other folds' units, and all
-    fold models grow in lockstep, as the members of one boosting run.  Its
-    held-out rows are scored after the first n trees for every n in `sizes`:
-    boosting is deterministic, so those are exactly the predictions of an
-    n-tree model.  A fold whose held-out objective is degenerate (constant
-    predictions) scores -1.  `ranks` is `_dense_ranks(x)`: a fold's rows
-    sort on them as on their own ranks.
+    folds, and every pointwise unit is its own group, so a pointwise fold
+    must hold out 2 judgments to score a correlation.  Each fold's model
+    trains the grid's largest size on the rows of the other folds' units,
+    and all fold models grow in lockstep, as the members of one boosting
+    run.  Its held-out rows are scored after the first n trees for every n
+    of the grid: boosting is deterministic, so those are exactly the
+    predictions of an n-tree model.  A fold whose held-out objective is
+    degenerate (constant predictions) scores -1.
     """
-    wanted = set(sizes)
-    n_trees = max(wanted)
+    grid = config.n_estimators_grid()
     units = np.arange(target.n_units)
     groups = [p.group_id for p in target.pairwise] if target.pairwise else range(target.n_units)
     train, held, scorers = [], [], []
     for hold in _group_folds(groups, config.cv_folds, np.random.default_rng(config.seed)):
         keep = np.setdiff1d(units, hold)
         train.append(unit_rows(target, keep))
-        _check_fit((train[-1].size, x.shape[1]), target.take_units(keep), config, n_trees)
+        _check_fit((train[-1].size, x.shape[1]), target.take_units(keep), config, grid[-1])
+        if target.kind is TargetKind.POINTWISE and hold.size < 2:
+            raise TooFewExamples(f"{config.cv_folds} folds over {target.n_units} pointwise judgments "
+                                 f"hold out only {hold.size} in a fold; a held-out correlation needs 2")
         held.append(unit_rows(target, hold))
         scorers.append(_held_out_scorer(objective, target.take_units(hold)))
     rows = np.concatenate(train)
     z = None if target.z is None else target.z[rows]
-    rounds = _rounds(x[rows], ranks[:, rows], z, config, [r.size for r in train])
+    rounds = _rounds(x[rows], _dense_ranks(x)[:, rows], z, config, [r.size for r in train])
     held_x = x[np.concatenate(held)]
     root = np.repeat(np.arange(len(held)), [r.size for r in held])
     ends = np.cumsum([r.size for r in held]).tolist()
     preds = np.full(held_x.shape[0], _BASE_SCORE, dtype=np.float64)
-    fold_scores: dict[int, list[float]] = {}
-    for n, levels in enumerate(itertools.islice(rounds, n_trees), start=1):
+    curve: list[float] = []
+    for n, levels in enumerate(itertools.islice(rounds, grid[-1]), start=1):
         preds += config.learning_rate * _route(levels, held_x, root)
-        if n in wanted:
-            fold_scores[n] = [
-                score(preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)]
-    return [float(np.mean(fold_scores[n])) for n in sizes]
+        if n == grid[len(curve)]:
+            curve.append(float(np.mean(
+                [score(preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)])))
+    return curve
 
 
 def cross_validate(
@@ -765,19 +765,12 @@ def cross_validate(
     n_estimators: int,
 ) -> float:
     """Mean held-out objective of `n_estimators`-tree models over seeded
-    k-fold splits (see `_cv_curve`)."""
+    k-fold splits: `_cv_curve` over the one-size grid."""
     x, target = _as_features(features), _as_target(target)
-    return _cv_curve(x, _dense_ranks(x), target, objective, config, [n_estimators])[0]
-
-
-def _best_size(
-    x: np.ndarray, ranks: np.ndarray, target: PreferenceTarget, objective: ObjectiveKind,
-    config: GbtConfig,
-) -> tuple[int, float]:
-    grid = config.n_estimators_grid()
-    curve = _cv_curve(x, ranks, target, objective, config, grid)
-    best = int(np.argmax(curve))  # the first maximum
-    return grid[best], curve[best]
+    if n_estimators < 1:
+        raise MetacalError("n_estimators must be >= 1")
+    one_size = replace(config, n_estimators_low=n_estimators, n_estimators_high=n_estimators)
+    return _cv_curve(x, target, objective, one_size)[0]
 
 
 def search_n_estimators(
@@ -788,8 +781,9 @@ def search_n_estimators(
 ) -> tuple[int, float]:
     """The grid's ensemble size with the best mean CV objective, and that
     objective; ties keep the smaller, cheaper model."""
-    x = _as_features(features)
-    return _best_size(x, _dense_ranks(x), _as_target(target), objective, config)
+    curve = _cv_curve(_as_features(features), _as_target(target), objective, config)
+    best = int(np.argmax(curve))  # the first maximum
+    return config.n_estimators_grid()[best], curve[best]
 
 
 def calibrate_gbt(
@@ -820,13 +814,12 @@ def calibrate_gbt(
     if not 1 <= rounds <= n_features:
         raise MetacalError(f"prune_iterations must be in [1, {n_features}], got {prune_iterations}")
 
-    ranks = _dense_ranks(x)
     active = list(range(n_features))
     performances: list[float] = []
     pruned: list[str] = []
     for _ in range(rounds):
         round_specs, round_x = tuple(specs[i] for i in active), x[:, active]
-        n_trees, value = _best_size(round_x, ranks[active], target, objective, config)
+        n_trees, value = search_n_estimators(round_x, target, objective, config)
         ensemble = gbt_train(round_x, target, config, n_trees)
         if not performances or value > max(performances):
             best, retained_specs = ensemble, round_specs

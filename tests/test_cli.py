@@ -163,6 +163,22 @@ class TestCalibrateAndScore:
         assert capsys.readouterr().err == "error: prune_iterations must be in [1, 5], got 6\n"
         assert not model_path.exists()
 
+    def test_a_pointwise_fold_of_one_judgment_is_validation_error(
+        self, tmp_path, specs_path, scores_path, capsys
+    ):
+        # The quick-start train split holds 60 judgments; 40 folds hold out 1 or 2.
+        train = str(tmp_path / "train.csv")
+        assert main(["split", "--scores", scores_path, "--specs", specs_path, "--seed", "0",
+                     "--train-output", train, "--test-output", str(tmp_path / "test.csv")]) == 0
+        capsys.readouterr()
+        model_path = tmp_path / "gbt.json"
+        rc = main(["calibrate", "--scores", train, "--specs", specs_path, "--method", "gbt",
+                   "--cv-folds", "40", "--output", str(model_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: 40 folds over 60 pointwise judgments hold out "
+                                           "only 1 in a fold; a held-out correlation needs 2\n")
+        assert not model_path.exists()
+
     def test_prune_with_gp_is_validation_error(self, tmp_path, specs_path, scores_path):
         rc = main([
             "calibrate", "--scores", scores_path, "--specs", specs_path,
@@ -179,6 +195,11 @@ class TestCalibrateAndScore:
         (["--seed", "-1"], None, "error: --seed must be >= 0, got -1"),
         ([], "abc", "error: METACAL_SEED must be an integer, got 'abc'"),
         ([], "-2", "error: METACAL_SEED must be >= 0, got -2"),
+        (["--objective", "pairwise"], None, "error: --objective pairwise is only valid with --format jsonl"),
+        (["--method", "gbt", "--objective", "pairwise", "--format", "csv"], None,
+         "error: --objective pairwise is only valid with --format jsonl"),
+        (["--top-k", "2", "--objective", "pairwise"], None,
+         "error: --objective pairwise is only valid with --format jsonl"),
     ])
     def test_flag_rules_are_checked_before_any_file_is_read(
         self, tmp_path, capsys, monkeypatch, flags, env, message

@@ -311,6 +311,19 @@ class TestCrossValidate:
         with pytest.raises(TooFewExamples):
             cross_validate(x, np.zeros(3), ObjectiveKind.KENDALL, _single_round(cv_folds=5), 1)
 
+    def test_a_pointwise_fold_must_hold_out_two_judgments(self, monkeypatch):
+        # 6 judgments in 4 folds hold out 2, 2, 1 and 1: refused before any
+        # tree grows.  A fold of one pair is a pairwise fold's smallest.
+        monkeypatch.setattr(gbt_mod, "_grow", lambda *args: pytest.fail("a tree was grown"))
+        with pytest.raises(TooFewExamples, match=r"^4 folds over 6 pointwise judgments hold out "
+                                                 r"only 1 in a fold; a held-out correlation needs 2$"):
+            cross_validate(np.arange(6.0)[:, None], np.arange(6.0), ObjectiveKind.KENDALL,
+                           _single_round(cv_folds=4), 1)
+        monkeypatch.undo()
+        x = np.arange(8.0)[:, None]
+        cfg = _single_round(cv_folds=4, loss=GbtLoss.PAIRWISE_RANK)
+        assert 0.0 <= cross_validate(x, _pairs("abcd"), ObjectiveKind.KENDALL, cfg, 1) <= 1.0
+
     def test_pairwise_folds_respect_groups(self):
         # two pairs per group; folds must never split a group
         rng = np.random.default_rng(9)
@@ -590,7 +603,7 @@ class TestOracleParity:
                 padded = gbt_mod._padded(np.append(rows, n), starts[block], sizes[block])
                 searched[:, block] = gbt_mod._search(
                     np.zeros((n + 1, 1)), ranks, gh, padded, sizes[block], 1.0, 0.0, False)[0]
-            for totals in (gbt_mod._node_totals(gh, rows, starts, sizes), searched):
+            for totals in (gbt_mod._node_totals(np.take(gh, rows, axis=1), starts, sizes), searched):
                 for j, (start, size) in enumerate(zip(starts, sizes)):
                     for k in range(2):
                         want = gh[k, rows[start:start + size]].sum()
@@ -718,11 +731,16 @@ class TestOracleParity:
         want_curve = retrain_cv_curve(x, target, ObjectiveKind.KENDALL, cfg, grid)
         with monkeypatch.context() as patch:
             patch.setattr(gbt_mod, "gbt_train", per_node_train)
-            patch.setattr(gbt_mod, "_cv_curve", lambda x, ranks, *args: retrain_cv_curve(x, *args))
+            patch.setattr(gbt_mod, "_cv_curve",
+                          lambda *args: retrain_cv_curve(*args, args[-1].n_estimators_grid()))
             want_model = run()
-        ranks = gbt_mod._dense_ranks(x)
-        assert gbt_mod._cv_curve(x, ranks, target, ObjectiveKind.KENDALL, cfg, grid) == want_curve
+        assert gbt_mod._cv_curve(x, target, ObjectiveKind.KENDALL, cfg) == want_curve
         assert run() == want_model
+        # The public entry points read the same curve: one size at a time,
+        # and its first maximum.
+        assert [cross_validate(x, target, ObjectiveKind.KENDALL, cfg, n) for n in grid] == want_curve
+        best = int(np.argmax(want_curve))
+        assert search_n_estimators(x, target, ObjectiveKind.KENDALL, cfg) == (grid[best], want_curve[best])
 
     @pytest.mark.parametrize("loss", [GbtLoss.SQUARED_ERROR, GbtLoss.PAIRWISE_RANK])
     def test_prune_returns_full_data_model_of_best_round(self, loss):
