@@ -314,12 +314,12 @@ class TestCrossValidate:
     def test_a_pointwise_fold_must_hold_out_two_judgments(self, monkeypatch):
         # 6 judgments in 4 folds hold out 2, 2, 1 and 1: refused before any
         # tree grows.  A fold of one pair is a pairwise fold's smallest.
-        monkeypatch.setattr(gbt_mod, "_grow", lambda *args: pytest.fail("a tree was grown"))
-        with pytest.raises(TooFewExamples, match=r"^4 folds over 6 pointwise judgments hold out "
-                                                 r"only 1 in a fold; a held-out correlation needs 2$"):
-            cross_validate(np.arange(6.0)[:, None], np.arange(6.0), ObjectiveKind.KENDALL,
-                           _single_round(cv_folds=4), 1)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(gbt_mod, "_grow", lambda *args: pytest.fail("a tree was grown"))
+            with pytest.raises(TooFewExamples, match=r"^4 folds over 6 pointwise judgments hold out "
+                                                     r"only 1 in a fold; a held-out correlation needs 2$"):
+                cross_validate(np.arange(6.0)[:, None], np.arange(6.0), ObjectiveKind.KENDALL,
+                               _single_round(cv_folds=4), 1)
         x = np.arange(8.0)[:, None]
         cfg = _single_round(cv_folds=4, loss=GbtLoss.PAIRWISE_RANK)
         assert 0.0 <= cross_validate(x, _pairs("abcd"), ObjectiveKind.KENDALL, cfg, 1) <= 1.0
