@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 
@@ -18,7 +19,6 @@ from .core import (
     MetacalError,
     MetricSpec,
     PreferenceTarget,
-    TargetKind,
     Weighting,
     pointwise_z,
     unstack_pairs,
@@ -34,6 +34,32 @@ from .harness import (
 from .objectives import ObjectiveKind
 from .preprocess import normalize_matrix
 from .textmetrics import BUILTIN_METRICS, builtin_specs, score_corpus
+
+
+# Each method's own flags: flag -> (method, argparse options).  A flag is
+# absent from the namespace unless given, so the method's config supplies
+# every default (see `_method_config`).
+_METHOD_FLAGS: dict[str, tuple[str, dict]] = {
+    "--init-points": ("gp", dict(type=int, help="probes before the first GP fit: the uniform and "
+                                 "one-hot starts, topped up with random ones to this count")),
+    "--n-iter": ("gp", dict(type=int)),
+    "--kappa": ("gp", dict(type=float)),
+    "--fit-lengthscale": ("gp", dict(
+        action="store_const", const=LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD,
+        dest="lengthscale_policy", help="refit the GP lengthscale by marginal likelihood")),
+    "--weighting": ("gp", dict(choices=[w.value for w in Weighting])),
+    "--loss": ("gbt", dict(choices=[l.value for l in GbtLoss],
+                           help="gbt loss (default: squarederror, or pairwise for jsonl data)")),
+    "--max-depth": ("gbt", dict(type=int)),
+    "--learning-rate": ("gbt", dict(type=float)),
+    "--reg-lambda": ("gbt", dict(type=float)),
+    "--gamma": ("gbt", dict(type=float)),
+    "--cv-folds": ("gbt", dict(type=int)),
+    "--n-estimators-low": ("gbt", dict(type=int)),
+    "--n-estimators-high": ("gbt", dict(type=int)),
+    "--n-estimators-step": ("gbt", dict(type=int)),
+    "--prune-iterations": ("gbt", dict(type=int)),
+}
 
 
 def _default_seed(value: int | None) -> int:
@@ -66,15 +92,33 @@ def _require_target(target: PreferenceTarget | None, path: str) -> PreferenceTar
     return target
 
 
+def _method_config(args: argparse.Namespace, seed: int) -> GpConfig | GbtConfig:
+    """The --method's config from the method flags given and `seed`; a flag
+    of the other method is refused, and the config refuses a bad value."""
+    given = {}
+    for flag, (method, options) in _METHOD_FLAGS.items():
+        dest = options.get("dest", flag[2:].replace("-", "_"))
+        if dest in args:
+            if method != args.method:
+                raise MetacalError(f"{flag} is only valid with --method {method}")
+            given[dest] = getattr(args, dest)
+    given.pop("prune_iterations", None)
+    if args.method == "gp":
+        if "weighting" in given:
+            given["weighting"] = Weighting(given["weighting"])
+        return GpConfig(seed=seed, **given)
+    # A JSONL file always loads as a pairwise target, a CSV file as a pointwise one.
+    default_loss = GbtLoss.PAIRWISE_RANK if args.format == "jsonl" else GbtLoss.SQUARED_ERROR
+    given["loss"] = GbtLoss(given.get("loss", default_loss))
+    return GbtConfig(seed=seed, **given)
+
+
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    seed = _default_seed(args.seed)
-    if args.prune_iterations is not None and args.method != "gbt":
-        raise MetacalError("--prune-iterations is only valid with --method gbt")
-    if args.weighting != Weighting.LINEAR.value and args.method != "gp":
-        raise MetacalError("--weighting is only valid with --method gp")
+    config = _method_config(args, _default_seed(args.seed))
+    prune_iterations = getattr(args, "prune_iterations", None)
     if args.top_k is not None and args.top_k < 1:
         raise MetacalError("--top-k must be >= 1")
-    if args.prune_iterations is not None and args.prune_iterations < 1:
+    if prune_iterations is not None and prune_iterations < 1:
         raise MetacalError("--prune-iterations must be >= 1")
     if args.objective == ObjectiveKind.PAIRWISE_ACCURACY.value and args.format != "jsonl":
         raise MetacalError("--objective pairwise is only valid with --format jsonl")
@@ -88,46 +132,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         normalized = normalized.take_columns(keep)
         specs = tuple(specs[i] for i in keep)
 
-    if args.method == "gp":
-        config = GpConfig(
-            init_points=args.init_points,
-            n_iter=args.n_iter,
-            kappa=args.kappa,
-            lengthscale_policy=(
-                LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD
-                if args.fit_lengthscale
-                else LengthscalePolicy.FIXED_ONE
-            ),
-            seed=seed,
-            weighting=Weighting(args.weighting),
-        )
+    if isinstance(config, GpConfig):
         model = calibrate_gp(normalized, target, objective, config, specs=specs)
     else:
-        loss = GbtLoss(args.loss) if args.loss else (
-            GbtLoss.PAIRWISE_RANK
-            if target.kind is TargetKind.PAIRWISE
-            else GbtLoss.SQUARED_ERROR
-        )
-        config = GbtConfig(
-            n_estimators_low=args.n_estimators_low,
-            n_estimators_high=args.n_estimators_high,
-            n_estimators_step=args.n_estimators_step,
-            loss=loss,
-            max_depth=args.max_depth,
-            learning_rate=args.learning_rate,
-            reg_lambda=args.reg_lambda,
-            gamma=args.gamma,
-            cv_folds=args.cv_folds,
-            seed=seed,
-        )
         model, _ = calibrate_gbt(
-            normalized.values,
-            target,
-            objective,
-            config,
-            specs,
-            prune_iterations=args.prune_iterations,
-        )
+            normalized.values, target, objective, config, specs, prune_iterations=prune_iterations)
     io.save_model(model, args.output)
     print(f"calibrated {args.method} model over {len(model.metric_specs)} metrics -> {args.output}")
     return 0
@@ -145,6 +154,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if (args.model is None) == (args.metric is None):
         raise MetacalError("pass exactly one of --model or --metric")
+    if "tie_policy" in args and args.format == "jsonl":
+        raise MetacalError("--tie-policy is only valid with --format csv")
     if args.model is not None:
         model = io.load_model(args.model)
         specs: tuple[MetricSpec, ...] = model.metric_specs
@@ -170,7 +181,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         grouped = GroupedScores.from_examples(
             zip(matrix.example_ids, metric_scores, pointwise_z(matrix, target))
         )
-        report = build_report(grouped, tie_policy=args.tie_policy)
+        tie_policy = {"tie_policy": args.tie_policy} if "tie_policy" in args else {}
+        report = build_report(grouped, **tie_policy)
     obj = io.report_to_obj(report)
     io.write_json(obj, args.output)
     if report.avg_corr is not None:
@@ -181,6 +193,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.sparsity_epsilon):
+        raise MetacalError(f"--sparsity-epsilon must be finite, got {args.sparsity_epsilon}")
     model = io.load_model(args.model)
     text, obj = io.report_model(model, epsilon=args.sparsity_epsilon)
     print(text)
@@ -227,35 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_basemetrics)
 
-    gp, gbt = GpConfig(), GbtConfig()
     p = sub.add_parser("calibrate", help="learn a calibrated model from scores + targets")
     p.add_argument("--scores", required=True)
     p.add_argument("--specs", required=True, help="metric spec JSON file")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--method", choices=("gp", "gbt"), default="gp")
     p.add_argument("--objective", choices=[o.value for o in ObjectiveKind], default="kendall")
-    p.add_argument("--weighting", choices=[w.value for w in Weighting], default="linear")
     p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--prune-iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", required=True)
-    p.add_argument("--init-points", type=int, default=gp.init_points,
-                   help="probes before the first GP fit: the uniform and one-hot starts, "
-                        "topped up with random ones to this count")
-    p.add_argument("--n-iter", type=int, default=gp.n_iter)
-    p.add_argument("--kappa", type=float, default=gp.kappa)
-    p.add_argument("--fit-lengthscale", action="store_true",
-                   help="refit the GP lengthscale by marginal likelihood")
-    p.add_argument("--loss", choices=[l.value for l in GbtLoss], default=None,
-                   help="gbt loss (default: squarederror, or pairwise for jsonl data)")
-    p.add_argument("--max-depth", type=int, default=gbt.max_depth)
-    p.add_argument("--learning-rate", type=float, default=gbt.learning_rate)
-    p.add_argument("--reg-lambda", type=float, default=gbt.reg_lambda)
-    p.add_argument("--gamma", type=float, default=gbt.gamma)
-    p.add_argument("--cv-folds", type=int, default=gbt.cv_folds)
-    p.add_argument("--n-estimators-low", type=int, default=gbt.n_estimators_low)
-    p.add_argument("--n-estimators-high", type=int, default=gbt.n_estimators_high)
-    p.add_argument("--n-estimators-step", type=int, default=gbt.n_estimators_step)
+    for flag, (_, options) in _METHOD_FLAGS.items():
+        p.add_argument(flag, default=argparse.SUPPRESS, **options)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("score", help="apply a calibrated model to a score file")
@@ -270,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--model", default=None)
     p.add_argument("--metric", default=None, help="evaluate a raw score column instead of a model")
-    p.add_argument("--tie-policy", choices=TIE_POLICIES, default="strict")
+    p.add_argument("--tie-policy", choices=TIE_POLICIES, default=argparse.SUPPRESS,
+                   help="csv only (default: strict)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_evaluate)
 

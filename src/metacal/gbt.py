@@ -34,9 +34,8 @@ A `Tree` is five parallel node arrays in pre-order: `feature`, `threshold`,
 `gain`, `value` and `right`.  A split's left child is the next node and its
 right child is node `right[i]`, with i + 1 < right[i] < tree size; the root
 is never a right child, so `right[i] == 0` marks a leaf.  Leaves hold 0 in
-`feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer writes
-them from its levels; the model-file reader builds trees through
-`Tree.grow`.
+`feature`, `threshold` and `gain`, splits 0 in `value`.  The trainer and
+the model-file reader both build trees through `Tree.grow`.
 
 Every entry point takes features in matrix row order and a
 `PreferenceTarget` aligned with them as `metacal.core` lays it out; a 1-D
@@ -537,43 +536,31 @@ def _grow(
     return levels, out
 
 
-def _trees(levels: Sequence[_Level]) -> list[Tree]:
-    """Each member's tree, from its root in level 0, as pre-order node arrays."""
-    subtree = []  # per level, the size of each node's subtree
-    below = np.zeros(0, dtype=np.intp)
-    for level in reversed(levels):
-        size = np.ones(level.split.size, dtype=np.intp)
-        left = level.child[level.split]
-        size[level.split] += below[left] + below[left + 1]
-        subtree.append(below := size)
-    subtree.reverse()
-    sizes = subtree[0]
-    first = np.cumsum(sizes) - sizes  # the members' trees, one after another
-    right = np.zeros(int(sizes.sum()), dtype=np.intp)
-    arrays = [np.zeros(right.size, dtype=np.intp), *(np.zeros(right.size) for _ in range(3))]
-    at = first  # each node's index in the pre-order
-    for depth, level in enumerate(levels):
-        for array, values in zip(arrays, (level.feature, level.threshold, level.gain, level.value)):
-            array[at] = values
-        if depth + 1 < len(levels):
-            left = level.child[level.split]
-            below = np.empty(levels[depth + 1].split.size, dtype=np.intp)
-            below[left] = at[level.split] + 1
-            below[left + 1] = right[at[level.split]] = below[left] + subtree[depth + 1][left]
-            at = below
-    right[right > 0] -= np.repeat(first, sizes)[right > 0]
-    return [Tree(*(a[i:i + n] for a in (*arrays, right))) for i, n in zip(first.tolist(), sizes.tolist())]
+def _tree(levels: Sequence[_Level], member: int) -> Tree:
+    """Member `member`'s tree, from its root in level 0: node j of level
+    depth is `(depth, j)`."""
+    lists = [[a.tolist() for a in level] for level in levels]
+
+    def visit(node: tuple[int, int]) -> tuple:
+        depth, j = node
+        split, feature, threshold, gain, value, child = (a[j] for a in lists[depth])
+        if not split:
+            return (value,)
+        return feature, threshold, gain, (depth + 1, child), (depth + 1, child + 1)
+
+    return Tree.grow((0, member), visit)
 
 
 def _route(levels: Sequence[_Level], x: np.ndarray, node: np.ndarray) -> np.ndarray:
     """The leaf value of each row of `x` (rows, features) that starts at root
     `node` of `levels`, by the trees' own rule: x < threshold goes left."""
-    # CV walks the level records as `_grow` leaves them, not `_trees` then
-    # `_predict_tree`: on a desk-sized 5-fold round (60 rows, depth 6)
-    # `_trees` alone takes 0.17-0.25 ms of the ~2.6 ms it takes to grow the
-    # round, and CV through `_trees` and `_predict_tree` made a desk-shaped
-    # pruned calibration slower (min of 11 interleaved processes 0.116 s
-    # against 0.092 s, 2 shared vCPUs).
+    # CV walks the level records as `_grow` leaves them, not `_tree` then
+    # `_predict_tree`: building a desk-sized tree (60 rows, depth 6) takes
+    # ~0.1 ms a member, and CV through built trees made a desk-shaped pruned
+    # calibration slower (min of 11 interleaved processes 0.116 s against
+    # 0.092 s, 2 shared vCPUs).  `_predict_tree` stays a walk of its own: a
+    # level-synchronous walker like this one, over the stacked node arrays,
+    # made `TreeEnsemble.predict` of 1,000 trees x 20,000 rows 1.6 -> 2.8 s.
     value = np.empty(x.shape[0], dtype=np.float64)
     at = np.arange(x.shape[0])
     for level in levels:
@@ -664,7 +651,7 @@ def gbt_train(
     _check_fit(x.shape, target, config, n_estimators)
     rounds = _rounds(x, _dense_ranks(x), target.z, config, [x.shape[0]])
     return TreeEnsemble(
-        trees=tuple(_trees(levels)[0] for levels in itertools.islice(rounds, n_estimators)),
+        trees=tuple(_tree(levels, 0) for levels in itertools.islice(rounds, n_estimators)),
         base_score=_BASE_SCORE,
         learning_rate=config.learning_rate,
     )
@@ -729,6 +716,7 @@ def _cv_curve(
     degenerate (constant predictions) scores -1.
     """
     grid = config.n_estimators_grid()
+    _check_fit(x.shape, target, config, grid[-1])
     units = np.arange(target.n_units)
     groups = [p.group_id for p in target.pairwise] if target.pairwise else range(target.n_units)
     train, held, scorers = [], [], []

@@ -440,6 +440,7 @@ def select_top_k(
 ) -> tuple[int, ...]:
     """Indices (ascending) of the k metrics whose individual scores align best
     with the target; ties keep the earlier column."""
+    validate_alignment(matrix, target)
     n = matrix.n_metrics
     if not 1 <= k <= n:
         raise MetacalError(f"k must be in [1, {n}], got {k}")

@@ -5,9 +5,13 @@ input, mismatched lengths, and a width or size that does not fit.
 
 Every callable in `metacal.__all__` has a row in `REFUSED` (its name is the
 first word of the row id) or sits in `EXEMPT` with the reason it has
-nothing to refuse, so a new public name needs one or the other."""
+nothing to refuse, so a new public name needs one or the other.  Likewise
+every public callable that takes a `target` has a `MISALIGNED` entry: with
+one feature row too many or too few it refuses, naming the row count."""
 
+import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ from metacal import (
     EmptyInput,
     ExampleId,
     GbtConfig,
+    GbtLoss,
     GpConfig,
     GroupedScores,
     LengthMismatch,
@@ -212,6 +217,53 @@ EXEMPT = {
     "suggest_next": "takes a surrogate from gp_fit, which refuses non-finite observations",
     "unstack_pairs": "splits any sequence by position",
 }
+
+
+
+def _matrix(n: int) -> ScoreMatrix:
+    return ScoreMatrix(("m",), tuple(ExampleId("d", "s", str(i)) for i in range(n)),
+                       np.arange(n, dtype=float).reshape(n, 1) / n)
+
+
+# Two targets over 4 rows, each with a config whose loss fits it.
+TARGETS = {
+    "pointwise": (PreferenceTarget.from_pointwise([0.1, 0.4, 0.2, 0.9]), FOLDS),
+    "pairwise": (PreferenceTarget.from_pairs([PreferencePair("g1"), PreferencePair("g2")]),
+                 replace(FOLDS, loss=GbtLoss.PAIRWISE_RANK)),
+}
+# Each public callable that takes a target, called on n rows against a target over 4.
+MISALIGNED = {
+    "gbt_train": lambda n, target, config: gbt_train(_matrix(n).values, target, config, 1),
+    "cross_validate": lambda n, target, config: cross_validate(_matrix(n).values, target, KENDALL, config, 1),
+    "search_n_estimators": lambda n, target, config: search_n_estimators(
+        _matrix(n).values, target, KENDALL, config),
+    "calibrate_gbt": lambda n, target, config: calibrate_gbt(_matrix(n).values, target, KENDALL, config, [SPEC]),
+    "calibrate_gp": lambda n, target, config: calibrate_gp(_matrix(n), target, KENDALL, GpConfig()),
+    "select_top_k": lambda n, target, config: select_top_k(_matrix(n), target, KENDALL, 1),
+    "validate_alignment": lambda n, target, config: validate_alignment(_matrix(n), target),
+    "pointwise_z": lambda n, target, config: pointwise_z(_matrix(n), target),
+}
+
+
+@pytest.mark.parametrize("name, kind, n", [
+    (name, kind, n) for name in MISALIGNED for kind in TARGETS for n in (3, 5)
+    if (name, kind) != ("pointwise_z", "pairwise")  # a pairwise target has no z to align
+])
+def test_misaligned_rows_are_refused(name, kind, n):
+    with pytest.raises(MetacalError, match=rf"\b{n} (feature|matrix) rows\b"):
+        MISALIGNED[name](n, *TARGETS[kind])
+
+
+def _takes_target(obj) -> bool:
+    try:
+        return "target" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):
+        return False
+
+
+def test_every_entry_point_taking_a_target_has_misaligned_rows():
+    public = {name for name in metacal.__all__ if callable(getattr(metacal, name))}
+    assert sorted({name for name in public if _takes_target(getattr(metacal, name))} ^ set(MISALIGNED)) == []
 
 
 @pytest.mark.parametrize("name, call, error", REFUSED, ids=[row[0] for row in REFUSED])

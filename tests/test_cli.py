@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import metacal.cli
 from metacal.cli import build_parser, main
 from metacal.core import CalibratedModel, MetricSpec, ModelKind, Weighting
-from metacal.gbt import GbtConfig, Tree, TreeEnsemble
+from metacal.gbt import GbtConfig, GbtLoss, Tree, TreeEnsemble
 from metacal.gp import GpConfig
 from metacal.io import dumps_canonical, load_model, load_scores_csv, model_to_obj, save_model, save_specs
 from metacal.textmetrics import builtin_specs
@@ -57,15 +57,37 @@ def _tiny_gbt_flags():
     ]
 
 
-def test_calibrate_defaults_are_the_config_defaults():
-    args = vars(build_parser().parse_args(["calibrate", "--scores", "s", "--specs", "p",
-                                           "--output", "o"]))
-    for config, names in [
-        (GpConfig(), ("init_points", "n_iter", "kappa")),
-        (GbtConfig(), ("max_depth", "learning_rate", "reg_lambda", "gamma", "cv_folds",
-                       "n_estimators_low", "n_estimators_high", "n_estimators_step")),
-    ]:
-        assert {n: args[n] for n in names} == {n: getattr(config, n) for n in names}
+@pytest.mark.parametrize("fmt, loss", [("csv", GbtLoss.SQUARED_ERROR), ("jsonl", GbtLoss.PAIRWISE_RANK)])
+def test_calibrate_without_method_flags_builds_the_default_configs(fmt, loss):
+    def config(method):
+        args = build_parser().parse_args(["calibrate", "--scores", "s", "--specs", "p", "--output", "o",
+                                          "--format", fmt, "--method", method])
+        return metacal.cli._method_config(args, 3)
+
+    assert config("gp") == GpConfig(seed=3)
+    assert config("gbt") == GbtConfig(seed=3, loss=loss)
+
+
+# Every method flag of `calibrate`: its method, and a value the method takes.
+_METHOD_FLAGS = {
+    "--init-points": ("gp", ["5"]), "--n-iter": ("gp", ["100"]), "--kappa": ("gp", ["2.576"]),
+    "--fit-lengthscale": ("gp", []), "--weighting": ("gp", ["linear"]),
+    "--loss": ("gbt", ["pairwise"]), "--max-depth": ("gbt", ["6"]), "--learning-rate": ("gbt", ["0.1"]),
+    "--reg-lambda": ("gbt", ["1"]), "--gamma": ("gbt", ["0"]), "--cv-folds": ("gbt", ["5"]),
+    "--n-estimators-low": ("gbt", ["100"]), "--n-estimators-high": ("gbt", ["1000"]),
+    "--n-estimators-step": ("gbt", ["100"]), "--prune-iterations": ("gbt", ["2"]),
+}
+
+
+@pytest.mark.parametrize("flag", _METHOD_FLAGS)
+def test_a_flag_of_the_other_method_is_refused_before_any_file_is_read(tmp_path, capsys, flag):
+    method, value = _METHOD_FLAGS[flag]
+    other = "gbt" if method == "gp" else "gp"
+    rc = main(["calibrate", "--scores", str(tmp_path / "absent.csv"), "--specs", str(tmp_path / "absent.json"),
+               "--output", str(tmp_path / "m.json"), "--method", other, flag, *value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag} is only valid with --method {method}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBasemetrics:
@@ -295,6 +317,20 @@ class TestEvaluate:
             report = json.load(fh)
         assert set(report["categories"]) == {"chat", "safety"}
         assert report["overall_accuracy"] == 1.0  # separable by construction
+
+
+    def test_tie_policy(self, tmp_path, capsys, scores_path):
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--metric", "chrf", "--scores", scores_path, "--tie-policy", "half",
+                     "--output", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["tie_policy"] == "half"
+        capsys.readouterr()
+        # The pairwise report has no tie policy.
+        rc = main(["evaluate", "--metric", "chrf", "--scores", str(tmp_path / "absent.jsonl"),
+                   "--format", "jsonl", "--tie-policy", "strict", "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --tie-policy is only valid with --format csv\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestUnreadableInputs:
@@ -671,28 +707,34 @@ class TestJsonFieldTypes:
             assert main(_argv(work, template)) == 2, template
 
 
-class TestNonFiniteSettings:
-    """A NaN or infinite numeric setting exits 2 before any work and writes
-    nothing."""
+class TestInvalidSettings:
+    """An invalid numeric setting exits 2 before any file is read and
+    writes nothing."""
 
-    @pytest.mark.parametrize("flags", [
-        [*_TINY_GP, "--kappa", "nan"], [*_TINY_GP, "--kappa", "inf"],
-        [*_TINY_GBT, "--reg-lambda", "nan"], [*_TINY_GBT, "--reg-lambda", "inf"],
-        [*_TINY_GBT, "--gamma", "nan"], [*_TINY_GBT, "--gamma", "inf"],
+    @pytest.mark.parametrize("flags, message", [
+        ([*_TINY_GP, "--kappa", "nan"], "kappa must be finite and >= 0"),
+        ([*_TINY_GP, "--kappa", "inf"], "kappa must be finite and >= 0"),
+        ([*_TINY_GP, "--init-points", "0"], "init_points must be >= 1"),
+        ([*_TINY_GP, "--n-iter", "-1"], "n_iter must be >= 0"),
+        ([*_TINY_GBT, "--reg-lambda", "nan"], "reg_lambda and gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--reg-lambda", "inf"], "reg_lambda and gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--gamma", "nan"], "reg_lambda and gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--gamma", "inf"], "reg_lambda and gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--max-depth", "0"], "max_depth must be >= 1"),
+        ([*_TINY_GBT, "--cv-folds", "1"], "cv_folds must be >= 2"),
+        ([*_TINY_GBT, "--n-estimators-step", "7"], "n_estimators_step must divide high - low"),
     ])
-    def test_calibrate(self, tmp_path, flags):
-        for name in ("specs.json", "scores.csv"):
-            (tmp_path / name).write_bytes(_FUZZ_FILES[name])
-        argv = ["calibrate", "--scores", "scores.csv", "--specs", "specs.json",
+    def test_calibrate(self, tmp_path, capsys, flags, message):
+        argv = ["calibrate", "--scores", "absent.csv", "--specs", "absent.json",
                 "--output", "m.json", *flags]
         assert main(_argv(tmp_path, argv)) == 2
-        assert not (tmp_path / "m.json").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     def test_report_epsilon(self, tmp_path, capsys, epsilon):
-        (tmp_path / "linear.json").write_bytes(_FUZZ_FILES["linear.json"])
-        argv = ["report", "--model", "linear.json", "--output", "w.json",
+        argv = ["report", "--model", "absent.json", "--output", "w.json",
                 f"--sparsity-epsilon={epsilon}"]
         assert main(_argv(tmp_path, argv)) == 2
-        assert not (tmp_path / "w.json").exists()
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr().err == f"error: --sparsity-epsilon must be finite, got {epsilon}\n"
+        assert list(tmp_path.iterdir()) == []

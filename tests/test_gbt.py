@@ -528,7 +528,7 @@ def _assert_members_match_oracle(x, grad, hess, sizes, reg_lambda, gamma, max_de
     """One `_grow` over consecutive members gives each member the tree and
     leaf outputs that `per_node_tree` grows on the member's rows alone."""
     levels, out = gbt_mod._grow(x, gbt_mod._dense_ranks(x), grad, hess, sizes, reg_lambda, gamma, max_depth)
-    trees = gbt_mod._trees(levels)
+    trees = [gbt_mod._tree(levels, m) for m in range(levels[0].split.size)]
     assert len(trees) == len(sizes)
     end = 0
     for tree, n in zip(trees, sizes):
@@ -692,7 +692,7 @@ class TestOracleParity:
             hess = rng.integers(0, 3, n) / 2.0
             levels, out = gbt_mod._grow(
                 x, gbt_mod._dense_ranks(x), grad, hess, [n], 1.0, 0.0, int(rng.integers(1, 5)))
-            assert out.tobytes() == gbt_mod._predict_tree(gbt_mod._trees(levels)[0], x).tobytes()
+            assert out.tobytes() == gbt_mod._predict_tree(gbt_mod._tree(levels, 0), x).tobytes()
 
     @pytest.mark.parametrize("loss", list(GbtLoss))
     def test_lockstep_members_match_separate_runs(self, loss):
@@ -703,7 +703,8 @@ class TestOracleParity:
         x, target = _tied_problem(loss, 4, n=sum(sizes))
         cfg = GbtConfig(loss=loss, max_depth=3, learning_rate=0.3, reg_lambda=float(rng.integers(0, 2)))
         rounds = gbt_mod._rounds(x, gbt_mod._dense_ranks(x), target.z, cfg, sizes)
-        got = [gbt_mod._trees(levels) for levels in itertools.islice(rounds, 6)]
+        got = [[gbt_mod._tree(levels, m) for m in range(len(sizes))]
+               for levels in itertools.islice(rounds, 6)]
         end = 0
         for m, n in enumerate(sizes):
             rows = slice(end, end + n)

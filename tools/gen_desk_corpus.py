@@ -12,13 +12,20 @@ Run from the repository root:  python tools/gen_desk_corpus.py
 
 from __future__ import annotations
 
+import argparse
 import csv
+import os
 import string
-from pathlib import Path
+import sys
 
 import numpy as np
 
-from metacal.textmetrics import SegmentPair, bleu, chrf
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from metacal.textmetrics import SegmentPair, bleu, chrf  # noqa: E402
+
+CORPUS = os.path.join(ROOT, "src", "metacal", "data", "desk_corpus.csv")
 
 VOCAB = [
     "river", "mountain", "orchard", "lantern", "harbor", "meadow", "signal",
@@ -76,7 +83,8 @@ def corrupt_chars(words: list[str], intensity: float, rng: np.random.Generator) 
     return out
 
 
-def main() -> None:
+def write_corpus(out_path: str) -> int:
+    """Write the corpus to `out_path`; returns its row count."""
     rng = np.random.default_rng(SEED)
     sys_word_base = rng.uniform(0.05, 0.55, N_SYSTEMS)
     sys_typo_base = rng.uniform(0.05, 0.85, N_SYSTEMS)
@@ -91,8 +99,8 @@ def main() -> None:
             hyp_words = corrupt_chars(corrupt_order(reference, word_rate, rng), typo_level, rng)
             pair = SegmentPair(" ".join(hyp_words), " ".join(reference))
             z = (
-                WEIGHT_BLEU * bleu(pair)
-                + WEIGHT_CHRF * chrf(pair)
+                WEIGHT_BLEU * bleu([pair])[0]
+                + WEIGHT_CHRF * chrf([pair])[0]
                 + rng.normal(0.0, NOISE_STD)
             )
             rows.append(
@@ -106,13 +114,16 @@ def main() -> None:
                 )
             )
 
-    out_path = Path(__file__).resolve().parent.parent / "src" / "metacal" / "data" / "desk_corpus.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["dataset", "system", "segment", "hypothesis", "reference", "human"])
         writer.writerows(rows)
-    print(f"wrote {len(rows)} rows -> {out_path}")
+    return len(rows)
+
+
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    print(f"wrote {write_corpus(CORPUS)} rows -> {CORPUS}")
 
 
 if __name__ == "__main__":
