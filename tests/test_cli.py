@@ -318,7 +318,6 @@ class TestEvaluate:
         assert set(report["categories"]) == {"chat", "safety"}
         assert report["overall_accuracy"] == 1.0  # separable by construction
 
-
     def test_tie_policy(self, tmp_path, capsys, scores_path):
         report_path = tmp_path / "report.json"
         assert main(["evaluate", "--metric", "chrf", "--scores", scores_path, "--tie-policy", "half",
@@ -736,5 +735,7 @@ class TestInvalidSettings:
         argv = ["report", "--model", "absent.json", "--output", "w.json",
                 f"--sparsity-epsilon={epsilon}"]
         assert main(_argv(tmp_path, argv)) == 2
-        assert capsys.readouterr().err == f"error: --sparsity-epsilon must be finite, got {epsilon}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --sparsity-epsilon must be finite, got {epsilon}\n"
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == []

@@ -26,8 +26,8 @@ def test_help_exits_0(script):
 def test_names_grow_bench_binds_exist():
     # grow_bench.py records and times the trainer through these names.
     names = set(re.findall(r"\bgbt\.(_\w+)", (TOOLS / "grow_bench.py").read_text()))
-    assert names == {"_grow", "_search", "_BLOCK_CELLS"}
-    assert callable(gbt._grow) and callable(gbt._search) and isinstance(gbt._BLOCK_CELLS, int)
+    assert names >= {"_grow", "_search", "_BLOCK_CELLS"}
+    assert sorted(name for name in names if not hasattr(gbt, name)) == []
 
 
 def test_corpus_generator_reproduces_the_bundled_corpus(tmp_path):
