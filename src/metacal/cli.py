@@ -12,6 +12,7 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
 
 from . import io
@@ -62,6 +63,16 @@ _METHOD_FLAGS: dict[str, tuple[str, dict]] = {
 }
 
 
+def _dest(flag: str, options: dict) -> str:
+    return options.get("dest", flag[2:].replace("-", "_"))
+
+
+# The configs' errors name their fields; the CLI's name the flags.  GbtConfig
+# calls the size grid's ends `high` and `low` in its step rule.
+_FLAG_OF = {_dest(flag, options): flag for flag, (_, options) in _METHOD_FLAGS.items()}
+_FLAG_OF.update(high="--n-estimators-high", low="--n-estimators-low")
+
+
 def _default_seed(value: int | None) -> int:
     """--seed, else METACAL_SEED, else 0; a negative seed is refused."""
     name = "--seed"
@@ -94,23 +105,30 @@ def _require_target(target: PreferenceTarget | None, path: str) -> PreferenceTar
 
 def _method_config(args: argparse.Namespace, seed: int) -> GpConfig | GbtConfig:
     """The --method's config from the method flags given and `seed`; a flag
-    of the other method is refused, and the config refuses a bad value."""
+    of the other method is refused, and the config refuses a bad value (the
+    error names the flag, where the config's own names the field)."""
     given = {}
     for flag, (method, options) in _METHOD_FLAGS.items():
-        dest = options.get("dest", flag[2:].replace("-", "_"))
+        dest = _dest(flag, options)
         if dest in args:
             if method != args.method:
                 raise MetacalError(f"{flag} is only valid with --method {method}")
             given[dest] = getattr(args, dest)
     given.pop("prune_iterations", None)
+    config: type[GpConfig] | type[GbtConfig]
     if args.method == "gp":
+        config = GpConfig
         if "weighting" in given:
             given["weighting"] = Weighting(given["weighting"])
-        return GpConfig(seed=seed, **given)
-    # A JSONL file always loads as a pairwise target, a CSV file as a pointwise one.
-    default_loss = GbtLoss.PAIRWISE_RANK if args.format == "jsonl" else GbtLoss.SQUARED_ERROR
-    given["loss"] = GbtLoss(given.get("loss", default_loss))
-    return GbtConfig(seed=seed, **given)
+    else:
+        config = GbtConfig
+        # A JSONL file always loads as a pairwise target, a CSV file as a pointwise one.
+        default_loss = GbtLoss.PAIRWISE_RANK if args.format == "jsonl" else GbtLoss.SQUARED_ERROR
+        given["loss"] = GbtLoss(given.get("loss", default_loss))
+    try:
+        return config(seed=seed, **given)
+    except MetacalError as err:
+        raise MetacalError(re.sub(r"\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(err))) from None
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

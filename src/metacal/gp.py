@@ -48,6 +48,7 @@ from .preprocess import unit_specs
 _SQRT5 = math.sqrt(5.0)
 _MAX_JITTER = 1e-2
 _LOW, _HIGH = 0.0, 1.0  # the weight search box [0, 1]^D
+_N_UNIFORM, _N_LOCAL = 1000, 10  # acquisition candidates: uniform samples, incumbent perturbations
 
 
 class DimensionMismatch(MetacalError):
@@ -106,10 +107,14 @@ class GpSurrogate:
     """Fitted GP posterior over alignment values.
 
     Targets are stored standardized (`target_mean`, `target_scale` undo it).
-    `chol_inv` is the inverse of the lower Cholesky factor of the jittered
-    kernel matrix, computed once per fit; `alpha = chol_inv.T @ chol_inv @ y`
-    (plus one refinement step) for the standardized targets y.  The posterior
-    is matrix products only (Rasmussen & Williams, GPML, Alg. 2.1).
+    `jittered_gram` is the kernel matrix of the observed weights plus
+    `jitter` on its diagonal, and `chol_inv` the inverse of its lower
+    Cholesky factor: computed afresh, or, when the fit extends a previous
+    surrogate by one point (`gp_fit(..., previous=...)`), bordered by one
+    row in O(n^2).  `alpha = chol_inv.T @ chol_inv @ y` (plus one
+    refinement step against `jittered_gram`) for the standardized targets
+    y.  The posterior is matrix products only (Rasmussen & Williams, GPML,
+    Alg. 2.1).
     """
 
     observed_weights: np.ndarray
@@ -120,6 +125,7 @@ class GpSurrogate:
     target_scale: float
     chol_inv: np.ndarray
     alpha: np.ndarray
+    jittered_gram: np.ndarray
 
 
 def _check_lengthscale(lengthscale: float) -> None:
@@ -134,15 +140,17 @@ def _finite_array(values: Sequence[float] | np.ndarray, what: str) -> np.ndarray
     return arr
 
 
-def _matern52_from_sq(sq: np.ndarray, lengthscale: float) -> np.ndarray:
-    """Matern-5/2 kernel values from squared distances, in place in `sq`.
-    The order of operations is fixed: the artifacts depend on its bits."""
+def _matern52_from_sq(sq: np.ndarray, lengthscale: float, decay: np.ndarray | None = None,
+                      quad: np.ndarray | None = None) -> np.ndarray:
+    """Matern-5/2 kernel values from squared distances, in place in `sq`;
+    the tail's two temporaries go to `decay` and `quad` when given.  The
+    order of operations is fixed: the artifacts depend on its bits."""
     r = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     r *= _SQRT5
     r /= lengthscale
-    decay = np.negative(r)
+    decay = np.negative(r, out=decay)
     np.exp(decay, out=decay)
-    quad = r * r
+    quad = np.multiply(r, r, out=quad)
     quad /= 3.0
     r += 1.0
     r += quad
@@ -173,15 +181,35 @@ def _gram_matrix(points: np.ndarray, lengthscale: float) -> np.ndarray:
     return _matern52_from_sq(np.sum(diff * diff, axis=2), lengthscale)
 
 
-def _cross_kernel(points: np.ndarray, queries: np.ndarray, lengthscale: float) -> np.ndarray:
-    # The expanded square: direct differences on the wide candidate block made
-    # desk runs ~50% slower, and the kernel's zero slope at d = 0 absorbs the
-    # rounding of small distances.
-    sq = np.add.outer(np.sum(points * points, axis=1), np.sum(queries * queries, axis=1))
-    products = points @ queries.T
+class _CandidateBlocks:
+    """Float64 buffers for the (observations x candidates) blocks of the
+    acquisition, allocated once per search for up to `rows` observations.
+    A fresh block per step goes back to the system when freed and is
+    faulted in again on the next step."""
+
+    def __init__(self, rows: int, cols: int = _N_UNIFORM + _N_LOCAL) -> None:
+        self._flat = tuple(np.empty(rows * cols) for _ in range(4))
+
+    def views(self, n: int, m: int) -> tuple[np.ndarray, ...]:
+        """Four contiguous (n, m) views, one per buffer."""
+        return tuple(flat[: n * m].reshape(n, m) for flat in self._flat)
+
+
+def _cross_kernel(points: np.ndarray, queries: np.ndarray, lengthscale: float,
+                  blocks: Sequence[np.ndarray | None] = (None,) * 4) -> np.ndarray:
+    """The (points x queries) kernel block, written into `blocks` (the
+    squared distances, which become the result, the products and the
+    Matern tail's two temporaries) when given.
+
+    The expanded square: direct differences on the wide candidate block made
+    desk runs ~50% slower, and the kernel's zero slope at d = 0 absorbs the
+    rounding of small distances."""
+    sq, products, decay, quad = blocks
+    sq = np.add.outer(np.sum(points * points, axis=1), np.sum(queries * queries, axis=1), out=sq)
+    products = np.matmul(points, queries.T, out=products)
     products *= 2.0
     sq -= products
-    return _matern52_from_sq(sq, lengthscale)
+    return _matern52_from_sq(sq, lengthscale, decay, quad)
 
 
 def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, float]:
@@ -195,26 +223,62 @@ def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, flo
     raise FactorizationFailure(f"kernel matrix not positive definite up to jitter {_MAX_JITTER}")
 
 
-def _solve(weights: np.ndarray, targets_std: np.ndarray, lengthscale: float,
+def _solve(weights: np.ndarray, lengthscale: float,
            start_jitter: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(L, L^-1, jitter, alpha = A^-1 y) for the jittered Gram matrix A, factored once.  One
-    refinement step keeps alpha accurate when repeated points carry different targets."""
+    """(L, L^-1, jitter, A) for the jittered Gram matrix A = LL^T, factored once."""
     system = _gram_matrix(weights, lengthscale)
     chol, jitter = _factorize(system, start_jitter)
     chol_inv = np.linalg.inv(chol)
     system[np.diag_indices_from(system)] += jitter
+    return chol, chol_inv, jitter, system
+
+
+def _bordered(previous: GpSurrogate, weights: np.ndarray, lengthscale: float,
+              jitter: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(L^-1, A) for `weights`, the previous surrogate's points plus one new
+    last row, by bordering the previous factor: with k the new point's
+    kernel column, l = L^-1 k and d^2 = 1 + jitter - l.l, the new last row
+    of L^-1 is (-(l^T L^-1) / d, 1 / d).  None when that does not apply:
+    other points, another lengthscale, a jitter the previous fit had to
+    escalate, or d^2 not > 0."""
+    n = previous.observed_weights.shape[0]
+    if (weights.shape[0] != n + 1 or lengthscale != previous.lengthscale
+            or previous.jitter != jitter or not np.array_equal(weights[:n], previous.observed_weights)):
+        return None
+    diff = weights[:n] - weights[n]  # direct differences, as in `_gram_matrix`
+    k = _matern52_from_sq(np.sum(diff * diff, axis=1), lengthscale)
+    l = previous.chol_inv @ k
+    d2 = 1.0 + jitter - l @ l
+    if not 0.0 < d2 < math.inf:
+        return None
+    d = math.sqrt(d2)
+    chol_inv = np.zeros((n + 1, n + 1))
+    chol_inv[:n, :n] = previous.chol_inv
+    chol_inv[n, :n] = -(l @ previous.chol_inv) / d
+    chol_inv[n, n] = 1.0 / d
+    system = np.empty((n + 1, n + 1))
+    system[:n, :n] = previous.jittered_gram
+    system[n, :n] = system[:n, n] = k
+    system[n, n] = 1.0 + jitter
+    return chol_inv, system
+
+
+def _alpha(chol_inv: np.ndarray, system: np.ndarray, targets_std: np.ndarray) -> np.ndarray:
+    """A^-1 y from L^-1.  One refinement step keeps alpha accurate when
+    repeated points carry different targets."""
     alpha = chol_inv.T @ (chol_inv @ targets_std)
     alpha += chol_inv.T @ (chol_inv @ (targets_std - system @ alpha))
-    return chol, chol_inv, jitter, alpha
+    return alpha
 
 
 def _log_marginal_likelihood(
     weights: np.ndarray, targets_std: np.ndarray, lengthscale: float, jitter: float
 ) -> float:
     try:
-        chol, _, _, alpha = _solve(weights, targets_std, lengthscale, jitter)
+        chol, chol_inv, _, system = _solve(weights, lengthscale, jitter)
     except FactorizationFailure:
         return -math.inf
+    alpha = _alpha(chol_inv, system, targets_std)
     n = weights.shape[0]
     log_det = np.sum(np.log(np.diag(chol)))
     return float(-0.5 * targets_std @ alpha - log_det - 0.5 * n * math.log(2.0 * math.pi))
@@ -243,6 +307,8 @@ def gp_fit(
     rho: Sequence[float] | np.ndarray,
     config: GpConfig,
     lengthscale: float | None = None,
+    *,
+    previous: GpSurrogate | None = None,
 ) -> GpSurrogate:
     """Fit the GP surrogate to observed (weight vector, alignment) pairs.
 
@@ -252,6 +318,11 @@ def gp_fit(
     `lengthscale` (finite, > 0) overrides the policy; otherwise FIXED_ONE
     uses 1.0 and MML grid-maximizes the log marginal likelihood.  Non-finite
     weights or alignments raise `NonFiniteInput`.
+
+    `previous`, a surrogate fitted to all but the last of `W` at the same
+    lengthscale and at the starting jitter, lets the fit extend its factor
+    by one row instead of factoring afresh; in any other case it is ignored.
+    Either way the posterior agrees with the fresh fit's to rounding.
     """
     weights = np.atleast_2d(_finite_array(W, "weight vectors"))
     targets = _finite_array(rho, "alignments").ravel()
@@ -273,7 +344,13 @@ def gp_fit(
     else:
         lengthscale = _fit_lengthscale(weights, targets_std, config.noise_jitter)
 
-    _, chol_inv, jitter, alpha = _solve(weights, targets_std, lengthscale, config.noise_jitter)
+    jitter = config.noise_jitter
+    factor = None if previous is None else _bordered(previous, weights, lengthscale, jitter)
+    if factor is None:
+        _, chol_inv, jitter, system = _solve(weights, lengthscale, jitter)
+    else:
+        chol_inv, system = factor
+    alpha = _alpha(chol_inv, system, targets_std)
     return GpSurrogate(
         observed_weights=weights,
         observed_alignments=targets,
@@ -283,12 +360,17 @@ def gp_fit(
         target_scale=scale,
         chol_inv=chol_inv,
         alpha=alpha,
+        jittered_gram=system,
     )
 
 
-def _predict_batch(model: GpSurrogate, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cross = _cross_kernel(model.observed_weights, candidates, model.lengthscale)
-    v = model.chol_inv @ cross
+def _predict_batch(model: GpSurrogate, candidates: np.ndarray,
+                   scratch: _CandidateBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
+    blocks = (None,) * 4
+    if scratch is not None:
+        blocks = scratch.views(model.observed_weights.shape[0], candidates.shape[0])
+    cross = _cross_kernel(model.observed_weights, candidates, model.lengthscale, blocks)
+    v = np.matmul(model.chol_inv, cross, out=blocks[1])  # the products block is free again
     v *= v
     var = 1.0 - np.sum(v, axis=0)
     mean = model.target_mean + model.target_scale * (cross.T @ model.alpha)
@@ -309,16 +391,19 @@ def gp_predict(model: GpSurrogate, w: Sequence[float]) -> tuple[float, float]:
 
 
 def suggest_next(
-    model: GpSurrogate, config: GpConfig, rng: np.random.Generator
+    model: GpSurrogate, config: GpConfig, rng: np.random.Generator, *,
+    scratch: _CandidateBlocks | None = None,
 ) -> np.ndarray:
     """Next weight vector to evaluate: the UCB argmax over 1000 uniform
-    samples in [0, 1]^D plus 10 local perturbations of the incumbent best."""
+    samples in [0, 1]^D plus 10 local perturbations of the incumbent best.
+    `scratch`, buffers `calibrate_gp` allocates once per search, holds the
+    candidate blocks; the result is the same without it."""
     dim = model.observed_weights.shape[1]
-    candidates = rng.uniform(_LOW, _HIGH, size=(1000, dim))
+    candidates = rng.uniform(_LOW, _HIGH, size=(_N_UNIFORM, dim))
     incumbent = model.observed_weights[int(np.argmax(model.observed_alignments))]
-    local = incumbent[None, :] + rng.normal(0.0, 0.1 * (_HIGH - _LOW), size=(10, dim))
+    local = incumbent[None, :] + rng.normal(0.0, 0.1 * (_HIGH - _LOW), size=(_N_LOCAL, dim))
     pool = np.vstack([candidates, np.clip(local, _LOW, _HIGH)])
-    mean, std = _predict_batch(model, pool)
+    mean, std = _predict_batch(model, pool, scratch)
     ucb = mean + config.kappa * std
     return pool[int(np.argmax(ucb))].copy()
 
@@ -405,20 +490,26 @@ def calibrate_gp(
     dim = features.shape[1]
 
     rng = np.random.default_rng(config.seed)
-    observed: list[np.ndarray] = list(_injected_starts(dim))
-    for _ in range(config.init_points - len(observed)):
-        observed.append(rng.uniform(_LOW, _HIGH, size=dim))
-    alignments = [evaluate(w) for w in observed]
+    starts = _injected_starts(dim)
+    for _ in range(config.init_points - len(starts)):
+        starts.append(rng.uniform(_LOW, _HIGH, size=dim))
+    alignments = [evaluate(w) for w in starts]
+    n_start = len(starts)
+    observed = np.empty((n_start + config.n_iter, dim))
+    observed[:n_start] = starts
 
     refit = config.lengthscale_policy is LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD
     lengthscale: float | None = None  # None: gp_fit applies the policy
-    for _ in range(config.n_iter):
-        if refit and len(observed) % 10 == 0:
+    surrogate: GpSurrogate | None = None
+    scratch = _CandidateBlocks(n_start + config.n_iter - 1)  # the last probe is never fitted
+    for n in range(n_start, n_start + config.n_iter):
+        if refit and n % 10 == 0:
             lengthscale = None
-        surrogate = gp_fit(np.vstack(observed), alignments, config, lengthscale=lengthscale)
+        surrogate = gp_fit(observed[:n], alignments, config, lengthscale=lengthscale,
+                           previous=surrogate)
         lengthscale = surrogate.lengthscale
-        w_next = suggest_next(surrogate, config, rng)
-        observed.append(w_next)
+        w_next = suggest_next(surrogate, config, rng, scratch=scratch)
+        observed[n] = w_next
         alignments.append(evaluate(w_next))
 
     best = int(np.argmax(alignments))

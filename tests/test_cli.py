@@ -711,17 +711,21 @@ class TestInvalidSettings:
     writes nothing."""
 
     @pytest.mark.parametrize("flags, message", [
-        ([*_TINY_GP, "--kappa", "nan"], "kappa must be finite and >= 0"),
-        ([*_TINY_GP, "--kappa", "inf"], "kappa must be finite and >= 0"),
-        ([*_TINY_GP, "--init-points", "0"], "init_points must be >= 1"),
-        ([*_TINY_GP, "--n-iter", "-1"], "n_iter must be >= 0"),
-        ([*_TINY_GBT, "--reg-lambda", "nan"], "reg_lambda and gamma must be finite and non-negative"),
-        ([*_TINY_GBT, "--reg-lambda", "inf"], "reg_lambda and gamma must be finite and non-negative"),
-        ([*_TINY_GBT, "--gamma", "nan"], "reg_lambda and gamma must be finite and non-negative"),
-        ([*_TINY_GBT, "--gamma", "inf"], "reg_lambda and gamma must be finite and non-negative"),
-        ([*_TINY_GBT, "--max-depth", "0"], "max_depth must be >= 1"),
-        ([*_TINY_GBT, "--cv-folds", "1"], "cv_folds must be >= 2"),
-        ([*_TINY_GBT, "--n-estimators-step", "7"], "n_estimators_step must divide high - low"),
+        ([*_TINY_GP, "--kappa", "nan"], "--kappa must be finite and >= 0"),
+        ([*_TINY_GP, "--kappa", "inf"], "--kappa must be finite and >= 0"),
+        ([*_TINY_GP, "--init-points", "0"], "--init-points must be >= 1"),
+        ([*_TINY_GP, "--n-iter", "-1"], "--n-iter must be >= 0"),
+        ([*_TINY_GBT, "--reg-lambda", "nan"], "--reg-lambda and --gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--reg-lambda", "inf"], "--reg-lambda and --gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--gamma", "nan"], "--reg-lambda and --gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--gamma", "inf"], "--reg-lambda and --gamma must be finite and non-negative"),
+        ([*_TINY_GBT, "--max-depth", "0"], "--max-depth must be >= 1"),
+        ([*_TINY_GBT, "--cv-folds", "1"], "--cv-folds must be >= 2"),
+        ([*_TINY_GBT, "--n-estimators-step", "7"],
+         "--n-estimators-step must divide --n-estimators-high - --n-estimators-low"),
+        ([*_TINY_GBT, "--n-estimators-low", "0"],
+         "need 1 <= --n-estimators-low <= --n-estimators-high"),
+        ([*_TINY_GBT, "--learning-rate", "2"], "--learning-rate must be in (0, 1]"),
     ])
     def test_calibrate(self, tmp_path, capsys, flags, message):
         argv = ["calibrate", "--scores", "absent.csv", "--specs", "absent.json",

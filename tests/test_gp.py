@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from metacal.gp import (
     DimensionMismatch,
     FactorizationFailure,
     GpConfig,
+    GpSurrogate,
     LengthscalePolicy,
     TooFewMetrics,
     _factorize,
@@ -127,6 +129,14 @@ def test_kernel_blocks_bit_identical_to_reference_expressions(n, lengthscale):
     cross = gp_mod._cross_kernel(points, candidates, lengthscale)
     assert cross.shape == (n, 1010)
     assert np.array_equal(cross, kernel_matrix_expanded(points, candidates, lengthscale))
+    # The same bits written into views of buffers sized for more observations,
+    # whatever the buffers held before.
+    blocks = gp_mod._CandidateBlocks(n + 7).views(n, 1010)
+    for block in blocks:
+        block.fill(math.nan)
+    buffered = gp_mod._cross_kernel(points, candidates, lengthscale, blocks)
+    assert np.shares_memory(buffered, blocks[0])
+    assert np.array_equal(buffered, kernel_matrix_expanded(points, candidates, lengthscale))
 
 
 class TestMatern52:
@@ -206,6 +216,70 @@ class TestGpFitPredict:
             assert got[0] == pytest.approx(want[0], abs=1e-8)
             assert got[1] == pytest.approx(want[1], abs=1e-8)
 
+    @pytest.mark.parametrize("n, d, seed", [(105, 2, 0), (105, 5, 2), (300, 3, 1)])
+    def test_incremental_fit_matches_fresh_fit(self, monkeypatch, n, d, seed):
+        """A BO-sized sequence fitted one point at a time, each fit extending
+        the previous surrogate's factor, against a fresh fit of every prefix
+        and against the dense oracle.  The sequence repeats a point exactly
+        (as a clipped perturbation of a one-hot incumbent can) and changes
+        the lengthscale halfway, where the fit must factor afresh."""
+        rng = np.random.default_rng(seed)
+        W, rho = _bo_sized_observations(rng, n, d)
+        W[n // 3], rho[n // 3] = W[n // 4], rho[n // 4]
+        solve, solves = gp_mod._solve, []
+        monkeypatch.setattr(gp_mod, "_solve", lambda *args: solves.append(1) or solve(*args))
+        cfg = GpConfig()
+        previous, afresh = None, []
+        for k in range(1, n + 1):
+            lengthscale = 1.0 if k < n // 2 else 0.4
+            solves.clear()
+            model = gp_fit(W[:k], rho[:k], cfg, lengthscale=lengthscale, previous=previous)
+            if solves:
+                afresh.append(k)
+            fresh = gp_fit(W[:k], rho[:k], cfg, lengthscale=lengthscale)
+            assert model.jitter == fresh.jitter
+            assert np.array_equal(model.jittered_gram, fresh.jittered_gram)
+            queries = [*rng.uniform(0.0, 1.0, (3, d)), W[rng.integers(0, k)] + rng.normal(0.0, 1e-4, d)]
+            if k < n:
+                queries.append(W[k])
+            for query in queries:
+                got, want = gp_predict(model, query), gp_predict(fresh, query)
+                assert got[0] == pytest.approx(want[0], abs=1e-8)
+                assert got[1] == pytest.approx(want[1], abs=1e-8)
+            if k == n or (k <= 105 and k % 15 == 0):  # the oracle is O(n^2) Python
+                for query in queries[-2:]:
+                    got = gp_predict(model, query)
+                    want = gp_dense_oracle(W[:k], rho[:k], lengthscale, model.jitter, query)
+                    assert got[0] == pytest.approx(want[0], abs=1e-8)
+                    assert got[1] == pytest.approx(want[1], abs=1e-8)
+            previous = model
+        assert afresh == [1, n // 2]  # the first point and the lengthscale change
+
+    @pytest.mark.parametrize("stale", [
+        pytest.param(lambda m: dataclasses.replace(m, chol_inv=2.0 * m.chol_inv),
+                     id="border-d2-not-positive"),
+        pytest.param(lambda m: dataclasses.replace(m, jitter=10.0 * m.jitter), id="escalated-jitter"),
+        pytest.param(lambda m: dataclasses.replace(m, lengthscale=0.5), id="other-lengthscale"),
+        pytest.param(lambda m: dataclasses.replace(m, observed_weights=m.observed_weights[::-1]),
+                     id="other-points"),
+        pytest.param(lambda m: gp_fit(m.observed_weights[:-1], m.observed_alignments[:-1], GpConfig()),
+                     id="two-points-behind"),
+    ])
+    def test_incremental_fit_falls_back_to_a_fresh_factor(self, stale):
+        """A previous surrogate that the new points do not extend by one row
+        is ignored: the fit is the fresh fit, bit for bit.  The new point
+        repeats an earlier one, so a doubled stale factor gives d^2 < 0."""
+        rng = np.random.default_rng(4)
+        W = rng.uniform(0.0, 1.0, (12, 3))
+        W[-1] = W[3]
+        rho = rng.normal(0.0, 1.0, 12)
+        cfg = GpConfig()
+        previous = stale(gp_fit(W[:-1], rho[:-1], cfg))
+        assert gp_mod._bordered(previous, W, 1.0, cfg.noise_jitter) is None
+        model, fresh = gp_fit(W, rho, cfg, previous=previous), gp_fit(W, rho, cfg)
+        for field in dataclasses.fields(GpSurrogate):
+            assert np.array_equal(getattr(model, field.name), getattr(fresh, field.name)), field.name
+
     def test_posterior_variance_bounded_by_prior(self):
         rng = np.random.default_rng(4)
         W = rng.uniform(0, 1, (6, 3))
@@ -271,6 +345,16 @@ class TestSuggestNext:
         a = suggest_next(model, cfg, np.random.default_rng(7))
         b = suggest_next(model, cfg, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scratch_buffers_give_the_same_suggestion(self, seed):
+        cfg = GpConfig()
+        model = self._model(seed=seed, n=30, d=3)
+        scratch = gp_mod._CandidateBlocks(40)
+        for draw in range(3):  # reused buffers hold the previous draw's blocks
+            a = suggest_next(model, cfg, np.random.default_rng(draw))
+            b = suggest_next(model, cfg, np.random.default_rng(draw), scratch=scratch)
+            np.testing.assert_array_equal(a, b)
 
     def test_kappa_zero_is_pure_exploitation(self):
         cfg = GpConfig(kappa=0.0)
