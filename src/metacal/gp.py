@@ -188,28 +188,28 @@ class _CandidateBlocks:
     faulted in again on the next step."""
 
     def __init__(self, rows: int, cols: int = _N_UNIFORM + _N_LOCAL) -> None:
-        self._flat = tuple(np.empty(rows * cols) for _ in range(4))
+        self._flat = tuple(np.empty(rows * cols) for _ in range(3))
 
     def views(self, n: int, m: int) -> tuple[np.ndarray, ...]:
-        """Four contiguous (n, m) views, one per buffer."""
+        """Three contiguous (n, m) views, one per buffer."""
         return tuple(flat[: n * m].reshape(n, m) for flat in self._flat)
 
 
 def _cross_kernel(points: np.ndarray, queries: np.ndarray, lengthscale: float,
-                  blocks: Sequence[np.ndarray | None] = (None,) * 4) -> np.ndarray:
-    """The (points x queries) kernel block, written into `blocks` (the
-    squared distances, which become the result, the products and the
-    Matern tail's two temporaries) when given.
+                  blocks: Sequence[np.ndarray | None] = (None,) * 3) -> np.ndarray:
+    """The (points x queries) kernel block.  Given `blocks`, it is computed
+    in three (points x queries) arrays: the squared distances, which become
+    the result; the products, then the Matern tail's `quad`; its `decay`.
 
     The expanded square: direct differences on the wide candidate block made
     desk runs ~50% slower, and the kernel's zero slope at d = 0 absorbs the
     rounding of small distances."""
-    sq, products, decay, quad = blocks
+    sq, spare, decay = blocks
     sq = np.add.outer(np.sum(points * points, axis=1), np.sum(queries * queries, axis=1), out=sq)
-    products = np.matmul(points, queries.T, out=products)
+    products = np.matmul(points, queries.T, out=spare)
     products *= 2.0
     sq -= products
-    return _matern52_from_sq(sq, lengthscale, decay, quad)
+    return _matern52_from_sq(sq, lengthscale, decay, spare)
 
 
 def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, float]:
@@ -366,11 +366,11 @@ def gp_fit(
 
 def _predict_batch(model: GpSurrogate, candidates: np.ndarray,
                    scratch: _CandidateBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
-    blocks = (None,) * 4
+    blocks = (None,) * 3
     if scratch is not None:
         blocks = scratch.views(model.observed_weights.shape[0], candidates.shape[0])
     cross = _cross_kernel(model.observed_weights, candidates, model.lengthscale, blocks)
-    v = np.matmul(model.chol_inv, cross, out=blocks[1])  # the products block is free again
+    v = np.matmul(model.chol_inv, cross, out=blocks[1])  # the spare block is free again
     v *= v
     var = 1.0 - np.sum(v, axis=0)
     mean = model.target_mean + model.target_scale * (cross.T @ model.alpha)
