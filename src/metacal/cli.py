@@ -25,7 +25,7 @@ from .core import (
     unstack_pairs,
 )
 from .gbt import GbtConfig, GbtLoss, calibrate_gbt
-from .gp import GpConfig, LengthscalePolicy, calibrate_gp, select_top_k
+from .gp import GpConfig, LengthscalePolicy, SearchTooLarge, calibrate_gp, select_top_k
 from .harness import (
     TIE_POLICIES,
     GroupedScores,
@@ -71,6 +71,11 @@ def _dest(flag: str, options: dict) -> str:
 # calls the size grid's ends `high` and `low` in its step rule.
 _FLAG_OF = {_dest(flag, options): flag for flag, (_, options) in _METHOD_FLAGS.items()}
 _FLAG_OF.update(high="--n-estimators-high", low="--n-estimators-low")
+
+
+def _naming_flags(err: MetacalError) -> MetacalError:
+    """`err` with the config field names in its message replaced by flags."""
+    return MetacalError(re.sub(r"\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(err)))
 
 
 def _default_seed(value: int | None) -> int:
@@ -128,7 +133,7 @@ def _method_config(args: argparse.Namespace, seed: int) -> GpConfig | GbtConfig:
     try:
         return config(seed=seed, **given)
     except MetacalError as err:
-        raise MetacalError(re.sub(r"\w+", lambda m: _FLAG_OF.get(m[0], m[0]), str(err))) from None
+        raise _naming_flags(err) from None
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -151,7 +156,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         specs = tuple(specs[i] for i in keep)
 
     if isinstance(config, GpConfig):
-        model = calibrate_gp(normalized, target, objective, config, specs=specs)
+        try:
+            model = calibrate_gp(normalized, target, objective, config, specs=specs)
+        except SearchTooLarge as err:
+            raise _naming_flags(err) from None
     else:
         model, _ = calibrate_gbt(
             normalized.values, target, objective, config, specs, prune_iterations=prune_iterations)

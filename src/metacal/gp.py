@@ -63,6 +63,10 @@ class TooFewMetrics(MetacalError):
     """Pairwise-product weighting needs at least two metrics."""
 
 
+class SearchTooLarge(MetacalError):
+    """The search's probe budget (init_points + n_iter) does not fit in memory."""
+
+
 class LengthscalePolicy(Enum):
     FIXED_ONE = "fixed"
     MAXIMIZE_MARGINAL_LIKELIHOOD = "mml"
@@ -109,9 +113,9 @@ class GpSurrogate:
     Targets are stored standardized (`target_mean`, `target_scale` undo it).
     `jittered_gram` is the kernel matrix of the observed weights plus
     `jitter` on its diagonal, and `chol_inv` the inverse of its lower
-    Cholesky factor: computed afresh, or, when the fit extends a previous
-    surrogate by one point (`gp_fit(..., previous=...)`), bordered by one
-    row in O(n^2).  `alpha = chol_inv.T @ chol_inv @ y` (plus one
+    Cholesky factor, exactly lower triangular: computed afresh, or, when
+    the fit extends a previous surrogate by one point
+    (`gp_fit(..., previous=...)`), bordered by one row in O(n^2).  `alpha = chol_inv.T @ chol_inv @ y` (plus one
     refinement step against `jittered_gram`) for the standardized targets
     y.  The posterior is matrix products only (Rasmussen & Williams, GPML,
     Alg. 2.1).
@@ -143,19 +147,22 @@ def _finite_array(values: Sequence[float] | np.ndarray, what: str) -> np.ndarray
 def _matern52_from_sq(sq: np.ndarray, lengthscale: float, decay: np.ndarray | None = None,
                       quad: np.ndarray | None = None) -> np.ndarray:
     """Matern-5/2 kernel values from squared distances, in place in `sq`;
-    the tail's two temporaries go to `decay` and `quad` when given.  The
-    order of operations is fixed: the artifacts depend on its bits."""
-    r = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-    r *= _SQRT5
-    r /= lengthscale
-    decay = np.negative(r, out=decay)
+    the tail's two temporaries go to `decay` and `quad` when given.
+
+    With r = sqrt(5) d / l the kernel is (1 + r + r^2 / 3) exp(-r).  Eight
+    passes and no division, in this fixed order (the artifacts depend on its
+    bits): clamp sq at 0; quad = sq * 5 / (3 l^2), which is r^2 / 3;
+    d = sqrt(sq); decay = d * -sqrt(5) / l, which is -r; t = 1 - decay;
+    t += quad; exp(decay); t *= decay."""
+    np.maximum(sq, 0.0, out=sq)
+    quad = np.multiply(sq, 5.0 / (3.0 * lengthscale * lengthscale), out=quad)
+    d = np.sqrt(sq, out=sq)
+    decay = np.multiply(d, -_SQRT5 / lengthscale, out=decay)
+    t = np.subtract(1.0, decay, out=sq)
+    t += quad
     np.exp(decay, out=decay)
-    quad = np.multiply(r, r, out=quad)
-    quad /= 3.0
-    r += 1.0
-    r += quad
-    r *= decay
-    return r
+    t *= decay
+    return t
 
 
 def matern52(w: Sequence[float], w_prime: Sequence[float], lengthscale: float) -> float:
@@ -174,11 +181,16 @@ def matern52(w: Sequence[float], w_prime: Sequence[float], lengthscale: float) -
     return float(_matern52_from_sq(np.array([diff @ diff]), lengthscale)[0])
 
 
-def _gram_matrix(points: np.ndarray, lengthscale: float) -> np.ndarray:
-    # Direct differences make the matrix exactly symmetric with an exact unit
-    # diagonal, which the expanded square does not guarantee.
+def _pairwise_sq(points: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of `points`, by direct differences:
+    the matrix is exactly symmetric with an exact zero diagonal, which the
+    expanded square does not guarantee."""
     diff = points[:, None, :] - points[None, :, :]
-    return _matern52_from_sq(np.sum(diff * diff, axis=2), lengthscale)
+    return np.sum(diff * diff, axis=2)
+
+
+def _gram_matrix(points: np.ndarray, lengthscale: float) -> np.ndarray:
+    return _matern52_from_sq(_pairwise_sq(points), lengthscale)
 
 
 class _CandidateBlocks:
@@ -199,17 +211,25 @@ def _cross_kernel(points: np.ndarray, queries: np.ndarray, lengthscale: float,
                   blocks: Sequence[np.ndarray | None] = (None,) * 3) -> np.ndarray:
     """The (points x queries) kernel block.  Given `blocks`, it is computed
     in three (points x queries) arrays: the squared distances, which become
-    the result; the products, then the Matern tail's `quad`; its `decay`.
+    the result; the Matern tail's `quad`; its `decay`.
 
-    The expanded square: direct differences on the wide candidate block made
-    desk runs ~50% slower, and the kernel's zero slope at d = 0 absorbs the
-    rounding of small distances."""
-    sq, spare, decay = blocks
-    sq = np.add.outer(np.sum(points * points, axis=1), np.sum(queries * queries, axis=1), out=sq)
-    products = np.matmul(points, queries.T, out=spare)
-    products *= 2.0
-    sq -= products
-    return _matern52_from_sq(sq, lengthscale, decay, spare)
+    The squared distances are one GEMM of the augmented rows,
+    [p, |p|^2, 1] . [-2q, 1, |q|^2], with the row norms by `einsum`.  Direct
+    differences on the wide candidate block made desk runs ~50% slower, and
+    the kernel's zero slope at d = 0 absorbs the rounding of small
+    distances.  This order is fixed: the artifacts depend on its bits."""
+    sq, quad, decay = blocks
+    n, dim = points.shape
+    left = np.empty((n, dim + 2))
+    left[:, :dim] = points
+    np.einsum("ij,ij->i", points, points, out=left[:, dim])
+    left[:, dim + 1] = 1.0
+    right = np.empty((queries.shape[0], dim + 2))
+    np.multiply(queries, -2.0, out=right[:, :dim])
+    right[:, dim] = 1.0
+    np.einsum("ij,ij->i", queries, queries, out=right[:, dim + 1])
+    sq = np.matmul(left, right.T, out=sq)
+    return _matern52_from_sq(sq, lengthscale, decay, quad)
 
 
 def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, float]:
@@ -223,14 +243,15 @@ def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, flo
     raise FactorizationFailure(f"kernel matrix not positive definite up to jitter {_MAX_JITTER}")
 
 
-def _solve(weights: np.ndarray, lengthscale: float,
-           start_jitter: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(L, L^-1, jitter, A) for the jittered Gram matrix A = LL^T, factored once."""
-    system = _gram_matrix(weights, lengthscale)
-    chol, jitter = _factorize(system, start_jitter)
-    chol_inv = np.linalg.inv(chol)
-    system[np.diag_indices_from(system)] += jitter
-    return chol, chol_inv, jitter, system
+def _solve(gram: np.ndarray, start_jitter: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(L, L^-1, jitter, A) for the jittered Gram matrix A = LL^T, factored
+    once; `gram` becomes A.  L^-1 is kept exactly lower triangular, as the
+    bordered factor is: `np.linalg.inv` leaves rounding above the diagonal,
+    and the posterior's variance product skips that triangle."""
+    chol, jitter = _factorize(gram, start_jitter)
+    chol_inv = np.tril(np.linalg.inv(chol))
+    gram[np.diag_indices_from(gram)] += jitter
+    return chol, chol_inv, jitter, gram
 
 
 def _bordered(previous: GpSurrogate, weights: np.ndarray, lengthscale: float,
@@ -272,30 +293,35 @@ def _alpha(chol_inv: np.ndarray, system: np.ndarray, targets_std: np.ndarray) ->
 
 
 def _log_marginal_likelihood(
-    weights: np.ndarray, targets_std: np.ndarray, lengthscale: float, jitter: float
+    sq: np.ndarray, targets_std: np.ndarray, lengthscale: float, jitter: float
 ) -> float:
+    """Log marginal likelihood of the standardized targets at `lengthscale`,
+    from the points' pairwise squared distances `sq` (left unchanged)."""
     try:
-        chol, chol_inv, _, system = _solve(weights, lengthscale, jitter)
+        chol, chol_inv, _, system = _solve(_matern52_from_sq(sq.copy(), lengthscale), jitter)
     except FactorizationFailure:
         return -math.inf
     alpha = _alpha(chol_inv, system, targets_std)
-    n = weights.shape[0]
+    n = sq.shape[0]
     log_det = np.sum(np.log(np.diag(chol)))
     return float(-0.5 * targets_std @ alpha - log_det - 0.5 * n * math.log(2.0 * math.pi))
 
 
 def _fit_lengthscale(weights: np.ndarray, targets_std: np.ndarray, jitter: float) -> float:
     """Grid-maximize the log marginal likelihood over log-spaced lengthscales,
-    then refine with 8 shrinking local passes around the incumbent."""
+    then refine with 8 shrinking local passes around the incumbent.  Only
+    the Matern transform depends on the lengthscale, so the pairwise squared
+    distances are computed once."""
+    sq = _pairwise_sq(weights)
     grid = np.logspace(-2.0, 2.0, 17)
-    scores = [_log_marginal_likelihood(weights, targets_std, l, jitter) for l in grid]
+    scores = [_log_marginal_likelihood(sq, targets_std, l, jitter) for l in grid]
     best = int(np.argmax(scores))
     best_l, best_score = float(grid[best]), scores[best]
     span = 10.0 ** (4.0 / 16.0)
     for _ in range(8):
         local = np.logspace(math.log10(best_l / span), math.log10(best_l * span), 5)
         for l in local:
-            s = _log_marginal_likelihood(weights, targets_std, float(l), jitter)
+            s = _log_marginal_likelihood(sq, targets_std, float(l), jitter)
             if s > best_score:
                 best_score, best_l = s, float(l)
         span = span ** 0.5
@@ -347,7 +373,7 @@ def gp_fit(
     jitter = config.noise_jitter
     factor = None if previous is None else _bordered(previous, weights, lengthscale, jitter)
     if factor is None:
-        _, chol_inv, jitter, system = _solve(weights, lengthscale, jitter)
+        _, chol_inv, jitter, system = _solve(_gram_matrix(weights, lengthscale), jitter)
     else:
         chol_inv, system = factor
     alpha = _alpha(chol_inv, system, targets_std)
@@ -366,11 +392,19 @@ def gp_fit(
 
 def _predict_batch(model: GpSurrogate, candidates: np.ndarray,
                    scratch: _CandidateBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
-    blocks = (None,) * 3
+    """Posterior mean and std at each candidate.  v = L^-1 K is formed by
+    triangular blocks, L^-1[:h, :h] K[:h] and L^-1[h:] K with h = n // 2,
+    which skips a quarter of the multiply-adds; L^-1 is exactly lower
+    triangular (`_solve`, `_bordered`)."""
+    n = model.observed_weights.shape[0]
+    blocks: Sequence[np.ndarray | None] = (None,) * 3
     if scratch is not None:
-        blocks = scratch.views(model.observed_weights.shape[0], candidates.shape[0])
+        blocks = scratch.views(n, candidates.shape[0])
     cross = _cross_kernel(model.observed_weights, candidates, model.lengthscale, blocks)
-    v = np.matmul(model.chol_inv, cross, out=blocks[1])  # the spare block is free again
+    v = np.empty_like(cross) if blocks[1] is None else blocks[1]  # `quad` is dead by now
+    h = n // 2
+    np.matmul(model.chol_inv[:h, :h], cross[:h], out=v[:h])
+    np.matmul(model.chol_inv[h:], cross, out=v[h:])
     v *= v
     var = 1.0 - np.sum(v, axis=0)
     mean = model.target_mean + model.target_scale * (cross.T @ model.alpha)
@@ -489,19 +523,24 @@ def calibrate_gp(
 
     dim = features.shape[1]
 
-    rng = np.random.default_rng(config.seed)
     starts = _injected_starts(dim)
-    for _ in range(config.init_points - len(starts)):
-        starts.append(rng.uniform(_LOW, _HIGH, size=dim))
-    alignments = [evaluate(w) for w in starts]
-    n_start = len(starts)
-    observed = np.empty((n_start + config.n_iter, dim))
-    observed[:n_start] = starts
+    n_start = max(config.init_points, len(starts))
+    try:  # before any probe, so a budget too large to hold fails at once
+        observed = np.empty((n_start + config.n_iter, dim))
+        scratch = _CandidateBlocks(n_start + config.n_iter - 1)  # the last probe is never fitted
+    except (MemoryError, ValueError):
+        raise SearchTooLarge(
+            f"init_points + n_iter is too large: {n_start + config.n_iter} probes of "
+            f"{dim} weights do not fit in memory") from None
+    rng = np.random.default_rng(config.seed)
+    observed[:len(starts)] = starts
+    for i in range(len(starts), n_start):
+        observed[i] = rng.uniform(_LOW, _HIGH, size=dim)
+    alignments = [evaluate(w) for w in observed[:n_start]]
 
     refit = config.lengthscale_policy is LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD
     lengthscale: float | None = None  # None: gp_fit applies the policy
     surrogate: GpSurrogate | None = None
-    scratch = _CandidateBlocks(n_start + config.n_iter - 1)  # the last probe is never fitted
     for n in range(n_start, n_start + config.n_iter):
         if refit and n % 10 == 0:
             lengthscale = None

@@ -169,6 +169,44 @@ def kernel_matrix_expanded(a, b, lengthscale: float) -> np.ndarray:
     return (1.0 + r + r * r / 3.0) * np.exp(-r)
 
 
+def _matern52_fixed_order(sq, lengthscale: float) -> np.ndarray:
+    """Matern-5/2 values from squared distances, written out in the GP's
+    fixed operation order: quad = r^2 / 3 and decay = -r from the clamped
+    square, then (1 - decay + quad) * exp(decay)."""
+    sq = np.maximum(sq, 0.0)
+    quad = sq * (5.0 / (3.0 * lengthscale * lengthscale))
+    decay = np.sqrt(sq) * (-math.sqrt(5.0) / lengthscale)
+    return ((1.0 - decay) + quad) * np.exp(decay)
+
+
+def gram_matrix_fixed_order(points, lengthscale: float) -> np.ndarray:
+    """The GP's Gram matrix: direct differences, then the fixed order."""
+    diff = points[:, None, :] - points[None, :, :]
+    return _matern52_fixed_order(np.sum(diff * diff, axis=2), lengthscale)
+
+
+def cross_kernel_gemm(a, b, lengthscale: float) -> np.ndarray:
+    """The GP's candidate block: the squared distances as one product of
+    augmented rows, [a, |a|^2, 1] @ [-2b, 1, |b|^2].T, then the fixed order."""
+    left = np.column_stack([a, np.einsum("ij,ij->i", a, a), np.ones(len(a))])
+    right = np.column_stack([-2.0 * b, np.ones(len(b)), np.einsum("ij,ij->i", b, b)])
+    return _matern52_fixed_order(left @ right.T, lengthscale)
+
+
+def dense_ucb(W, rho, lengthscale: float, jitter: float, queries, kappa: float) -> np.ndarray:
+    """UCB values at `queries` from the expanded-square candidate block and a
+    dense posterior solve, with the surrogate's standardization."""
+    rho = np.asarray(rho, dtype=float)
+    mean, scale = rho.mean(), rho.std()
+    if scale == 0.0:
+        scale = 1.0
+    A = kernel_matrix_direct(W, W, lengthscale) + jitter * np.eye(len(rho))
+    cross = kernel_matrix_expanded(W, queries, lengthscale)
+    post_mean = mean + scale * (cross.T @ _dense_solve(A, (rho - mean) / scale))
+    var = 1.0 - np.sum(cross * _dense_solve(A, cross), axis=0)
+    return post_mean + kappa * scale * np.sqrt(np.clip(var, 0.0, None))
+
+
 def _dense_solve(A, b):
     # LU solve plus one iterative-refinement step: near-duplicate observation
     # points push the kernel condition number to ~1e6, where raw LU round-off

@@ -1,7 +1,10 @@
 import csv
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -733,6 +736,22 @@ class TestInvalidSettings:
         assert main(_argv(tmp_path, argv)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--init-points", "--n-iter"])
+    def test_gp_budget_too_large_to_hold(self, tmp_path, specs_path, scores_path, flag):
+        """A probe budget no array can hold is bad input: exit 2 at once,
+        naming the flags, before any random start is drawn.  10^20 fails the
+        same way whatever the memory overcommit setting."""
+        before = sorted(tmp_path.iterdir())
+        argv = [sys.executable, "-m", "metacal.cli", "calibrate", "--scores", scores_path,
+                "--specs", specs_path, "--output", str(tmp_path / "m.json"), "--method", "gp",
+                flag, "100000000000000000000"]
+        env = dict(os.environ, PYTHONPATH=str(CORPUS.parents[2]))
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: --init-points + --n-iter is too large")
+        assert done.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     def test_report_epsilon(self, tmp_path, capsys, epsilon):

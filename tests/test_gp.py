@@ -35,9 +35,11 @@ from metacal.gp import (
 from metacal.objectives import NonFiniteInput, ObjectiveKind, kendall_tau
 
 from oracles import (
+    cross_kernel_gemm,
+    dense_ucb,
     gp_dense_oracle,
-    kernel_matrix_direct,
-    kernel_matrix_expanded,
+    gram_matrix_fixed_order,
+    matern52_scalar,
     naive_kendall_tau,
 )
 
@@ -112,9 +114,11 @@ def _bo_sized_observations(rng, n, d):
 @pytest.mark.parametrize("n", [1, 55, 105])
 @pytest.mark.parametrize("lengthscale", [1.0, 0.3])
 def test_kernel_blocks_bit_identical_to_reference_expressions(n, lengthscale):
-    """The in-place kernel helper keeps the exact bits of the expressions it
-    replaced: direct differences for the Gram matrix, the expanded square
-    for the (n x 1,010) candidate block."""
+    """The in-place kernel helpers keep the exact bits of their fixed order,
+    written out as plain expressions: direct differences for the Gram
+    matrix, one GEMM of augmented rows for the (n x 1,010) candidate block,
+    and the eight-pass Matern tail for both.  Both lie within 1e-12 of the
+    closed form from math-module direct differences."""
     rng = np.random.default_rng(n)
     points = _bo_sized_observations(rng, n, 3)[0] if n > 1 else rng.uniform(0, 1, (1, 3))
     incumbent = points[-1]
@@ -125,10 +129,12 @@ def test_kernel_blocks_bit_identical_to_reference_expressions(n, lengthscale):
     candidates[0] = incumbent  # a zero distance, where the expanded square can go negative
     gram = gp_mod._gram_matrix(points, lengthscale)
     assert gram.shape == (n, n)
-    assert np.array_equal(gram, kernel_matrix_direct(points, points, lengthscale))
+    assert np.array_equal(gram, gram_matrix_fixed_order(points, lengthscale))
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diag(gram) == 1.0)
     cross = gp_mod._cross_kernel(points, candidates, lengthscale)
     assert cross.shape == (n, 1010)
-    assert np.array_equal(cross, kernel_matrix_expanded(points, candidates, lengthscale))
+    assert np.array_equal(cross, cross_kernel_gemm(points, candidates, lengthscale))
     # The same bits written into views of buffers sized for more observations,
     # whatever the buffers held before.
     blocks = gp_mod._CandidateBlocks(n + 7).views(n, 1010)
@@ -136,7 +142,10 @@ def test_kernel_blocks_bit_identical_to_reference_expressions(n, lengthscale):
         block.fill(math.nan)
     buffered = gp_mod._cross_kernel(points, candidates, lengthscale, blocks)
     assert np.shares_memory(buffered, blocks[0])
-    assert np.array_equal(buffered, kernel_matrix_expanded(points, candidates, lengthscale))
+    assert np.array_equal(buffered, cross_kernel_gemm(points, candidates, lengthscale))
+    for block, queries in [(gram, points), (cross, candidates)]:
+        closed_form = [[matern52_scalar(p, q, lengthscale) for q in queries] for p in points]
+        np.testing.assert_allclose(block, closed_form, rtol=0.0, atol=1e-12)
 
 
 class TestMatern52:
@@ -322,9 +331,19 @@ class TestGpFitPredict:
         assert 1e-2 <= model.lengthscale <= 1e2
         # the fitted lengthscale should beat a wildly wrong one on LML
         std = (rho - rho.mean()) / rho.std()
-        fitted = gp_mod._log_marginal_likelihood(W, std, model.lengthscale, cfg.noise_jitter)
-        wrong = gp_mod._log_marginal_likelihood(W, std, 100.0, cfg.noise_jitter)
+        sq = gp_mod._pairwise_sq(W)
+        fitted = gp_mod._log_marginal_likelihood(sq, std, model.lengthscale, cfg.noise_jitter)
+        wrong = gp_mod._log_marginal_likelihood(sq, std, 100.0, cfg.noise_jitter)
         assert fitted >= wrong
+
+
+    def test_lengthscale_refit_computes_the_distances_once(self, monkeypatch):
+        pairwise, calls = gp_mod._pairwise_sq, []
+        monkeypatch.setattr(gp_mod, "_pairwise_sq", lambda points: calls.append(1) or pairwise(points))
+        rng = np.random.default_rng(6)
+        cfg = GpConfig(lengthscale_policy=LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD)
+        gp_fit(rng.uniform(0, 1, (12, 2)), rng.normal(0, 1, 12), cfg)
+        assert len(calls) == 2  # one for the 57 likelihoods, one for the fitted Gram matrix
 
 
 class TestSuggestNext:
@@ -355,6 +374,26 @@ class TestSuggestNext:
             a = suggest_next(model, cfg, np.random.default_rng(draw))
             b = suggest_next(model, cfg, np.random.default_rng(draw), scratch=scratch)
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n, d, seed", [(10, 2, 0), (55, 3, 1), (105, 2, 2), (105, 5, 3)])
+    def test_ucb_argmax_matches_a_dense_posterior(self, n, d, seed):
+        """The suggestion is the candidate a dense posterior solve over the
+        expanded-square candidate block picks from the same pool: the
+        kernel's operation order and the blocked variance product move the
+        surrogate's bits, not its decisions."""
+        rng = np.random.default_rng(seed)
+        W, rho = _bo_sized_observations(rng, n, d)
+        cfg = GpConfig()
+        model = gp_fit(W, rho, cfg)
+        scratch = gp_mod._CandidateBlocks(n)
+        for draw in range(4):
+            got = suggest_next(model, cfg, np.random.default_rng(draw), scratch=scratch)
+            pool_rng = np.random.default_rng(draw)
+            uniform = pool_rng.uniform(0.0, 1.0, (1000, d))
+            local = W[np.argmax(rho)] + pool_rng.normal(0.0, 0.1, (10, d))
+            pool = np.vstack([uniform, np.clip(local, 0.0, 1.0)])
+            ucb = dense_ucb(W, rho, model.lengthscale, model.jitter, pool, cfg.kappa)
+            np.testing.assert_array_equal(got, pool[np.argmax(ucb)])
 
     def test_kappa_zero_is_pure_exploitation(self):
         cfg = GpConfig(kappa=0.0)
