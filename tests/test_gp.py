@@ -341,9 +341,15 @@ class TestGpFitPredict:
         pairwise, calls = gp_mod._pairwise_sq, []
         monkeypatch.setattr(gp_mod, "_pairwise_sq", lambda points: calls.append(1) or pairwise(points))
         rng = np.random.default_rng(6)
+        W, rho = rng.uniform(0, 1, (12, 2)), rng.normal(0, 1, 12)
         cfg = GpConfig(lengthscale_policy=LengthscalePolicy.MAXIMIZE_MARGINAL_LIKELIHOOD)
-        gp_fit(rng.uniform(0, 1, (12, 2)), rng.normal(0, 1, 12), cfg)
+        gp_fit(W, rho, cfg)
         assert len(calls) == 2  # one for the 57 likelihoods, one for the fitted Gram matrix
+        sq = pairwise(W)
+        kept = sq.copy()
+        for lengthscale in (0.1, 1.0, 10.0):  # each likelihood leaves the shared distances as they were
+            gp_mod._log_marginal_likelihood(sq, (rho - rho.mean()) / rho.std(), lengthscale, 1e-6)
+            assert np.array_equal(sq, kept)
 
 
 class TestSuggestNext:

@@ -51,7 +51,7 @@ class RunFailed(RuntimeError):
     """A benchmark run exited non-zero or printed no result."""
 
 
-def refuse_compiled(checkout: str) -> str | None:
+def refusal(checkout: str) -> str | None:
     """Why `checkout` cannot be benchmarked, or None."""
     if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
         return f"{checkout} holds no perfbench/run.py"
@@ -196,7 +196,7 @@ def main() -> int:
         parser.error("pairs run at --trace 0, with --pairs >= 1 and --aa-pairs >= 0")
     checkouts = [c for c in (args.parent, args.change, args.control) if c is not None]
     for checkout in checkouts:
-        reason = refuse_compiled(checkout)
+        reason = refusal(checkout)
         if reason:
             print(f"refused: {reason}", file=sys.stderr)
             return 2
