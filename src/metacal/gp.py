@@ -113,9 +113,9 @@ class GpSurrogate:
     Targets are stored standardized (`target_mean`, `target_scale` undo it).
     `jittered_gram` is the kernel matrix of the observed weights plus
     `jitter` on its diagonal, and `chol_inv` the inverse of its lower
-    Cholesky factor, exactly lower triangular: computed afresh, or, when
-    the fit extends a previous surrogate by one point
-    (`gp_fit(..., previous=...)`), bordered by one row in O(n^2).  `alpha = chol_inv.T @ chol_inv @ y` (plus one
+    Cholesky factor: computed afresh, or, when the fit extends a previous
+    surrogate by one point (`gp_fit(..., previous=...)`), bordered by one
+    row in O(n^2).  `alpha = chol_inv.T @ chol_inv @ y` (plus one
     refinement step against `jittered_gram`) for the standardized targets
     y.  The posterior is matrix products only (Rasmussen & Williams, GPML,
     Alg. 2.1).
@@ -245,11 +245,9 @@ def _factorize(kernel: np.ndarray, start_jitter: float) -> tuple[np.ndarray, flo
 
 def _solve(gram: np.ndarray, start_jitter: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """(L, L^-1, jitter, A) for the jittered Gram matrix A = LL^T, factored
-    once; `gram` becomes A.  L^-1 is kept exactly lower triangular, as the
-    bordered factor is: `np.linalg.inv` leaves rounding above the diagonal,
-    and the posterior's variance product skips that triangle."""
+    once; `gram` becomes A."""
     chol, jitter = _factorize(gram, start_jitter)
-    chol_inv = np.tril(np.linalg.inv(chol))
+    chol_inv = np.linalg.inv(chol)
     gram[np.diag_indices_from(gram)] += jitter
     return chol, chol_inv, jitter, gram
 
@@ -392,19 +390,12 @@ def gp_fit(
 
 def _predict_batch(model: GpSurrogate, candidates: np.ndarray,
                    scratch: _CandidateBlocks | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and std at each candidate.  v = L^-1 K is formed by
-    triangular blocks, L^-1[:h, :h] K[:h] and L^-1[h:] K with h = n // 2,
-    which skips a quarter of the multiply-adds; L^-1 is exactly lower
-    triangular (`_solve`, `_bordered`)."""
-    n = model.observed_weights.shape[0]
+    """Posterior mean and std at each candidate."""
     blocks: Sequence[np.ndarray | None] = (None,) * 3
     if scratch is not None:
-        blocks = scratch.views(n, candidates.shape[0])
+        blocks = scratch.views(model.observed_weights.shape[0], candidates.shape[0])
     cross = _cross_kernel(model.observed_weights, candidates, model.lengthscale, blocks)
-    v = np.empty_like(cross) if blocks[1] is None else blocks[1]  # `quad` is dead by now
-    h = n // 2
-    np.matmul(model.chol_inv[:h, :h], cross[:h], out=v[:h])
-    np.matmul(model.chol_inv[h:], cross, out=v[h:])
+    v = np.matmul(model.chol_inv, cross, out=blocks[1])  # `quad` is dead by now
     v *= v
     var = 1.0 - np.sum(v, axis=0)
     mean = model.target_mean + model.target_scale * (cross.T @ model.alpha)

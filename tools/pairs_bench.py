@@ -8,7 +8,7 @@ parent directory:
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones.  With
-``--control``, a second clone of the parent, ``--aa-pairs`` parent/control
+``--control``, a second clone of the parent, ``AA_PAIRS`` parent/control
 pairs are spread among the others; their ratios are the noise floor: a
 change/parent reading inside their spread is noise, whatever its sign.
 The record goes to ``bench/PAIRS_<label>.json`` of this checkout, one entry
@@ -45,6 +45,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SEED = 1  # a workload at another seed is recorded as <workload>-seed<N>
+AA_PAIRS = 2  # parent/control pairs per workload, with --control
 
 
 class RunFailed(RuntimeError):
@@ -141,7 +142,7 @@ def run_pairs(args: argparse.Namespace, workload: str) -> dict:
     """One workload's alternating pairs, as a pairs-record entry."""
     sides: dict[str, list[dict]] = {"parent": [], "change": []}
     control: list[tuple[dict, dict]] = []
-    for kind, i in schedule(args.pairs, args.aa_pairs if args.control else 0):
+    for kind, i in schedule(args.pairs, AA_PAIRS if args.control else 0):
         other = args.change if kind == "change" else args.control
         order = [("parent", args.parent), (kind, other)]
         results = {}
@@ -181,7 +182,6 @@ def main() -> int:
     parser.add_argument("--parent", help="checkout to compare against; without it, save one run per workload")
     parser.add_argument("--control", help="a second clone of the parent, for A/A pairs")
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
-    parser.add_argument("--aa-pairs", type=int, default=2, help="parent/control pairs per workload")
     parser.add_argument("--workload", nargs="+", required=True, choices=("desk", "scale", "prefs"))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=int, default=40)
@@ -192,8 +192,8 @@ def main() -> int:
         parser.error("--label must be a non-empty file-name part")
     if args.parent is None and args.control is not None:
         parser.error("--control needs --parent")
-    if args.parent is not None and (args.trace or args.pairs < 1 or args.aa_pairs < 0):
-        parser.error("pairs run at --trace 0, with --pairs >= 1 and --aa-pairs >= 0")
+    if args.parent is not None and (args.trace or args.pairs < 1):
+        parser.error("pairs run at --trace 0, with --pairs >= 1")
     checkouts = [c for c in (args.parent, args.change, args.control) if c is not None]
     for checkout in checkouts:
         reason = refusal(checkout)
