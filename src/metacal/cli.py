@@ -147,6 +147,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise MetacalError("--objective pairwise is only valid with --format jsonl")
     objective = ObjectiveKind(args.objective)
     specs = io.load_specs(args.specs)
+    if args.top_k is not None and args.top_k > len(specs):
+        raise MetacalError(f"--top-k must be in [1, {len(specs)}], got {args.top_k}")
     matrix, target = io.load_scores(args.scores, args.format, specs)
     target = _require_target(target, args.scores)
     normalized = normalize_matrix(matrix, specs)

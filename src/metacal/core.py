@@ -76,6 +76,20 @@ class MetricSpec:
             )
 
 
+def unique_example_ids(example_ids: Iterable) -> tuple[ExampleId, ...]:
+    """The ids as a tuple of `ExampleId`; a repeated id is refused."""
+    ids = tuple(example_ids)
+    if set(map(type, ids)) - {ExampleId}:  # build only the ids not built yet
+        ids = tuple(e if type(e) is ExampleId else ExampleId(*e) for e in ids)
+    if len(set(ids)) != len(ids):
+        seen: set[ExampleId] = set()
+        for eid in ids:
+            if eid in seen:
+                raise MetacalError(f"duplicate example id {eid!r}")
+            seen.add(eid)
+    return ids
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """M examples by N base-metric raw scores, with example identity.
@@ -103,15 +117,7 @@ class ScoreMatrix:
                 f"non-finite score at row {bad[0]}, column "
                 f"{self.metric_names[bad[1]]!r}"
             )
-        ids = tuple(self.example_ids)
-        if set(map(type, ids)) - {ExampleId}:  # build only the ids not built yet
-            ids = tuple(e if type(e) is ExampleId else ExampleId(*e) for e in ids)
-        if len(set(ids)) != len(ids):
-            seen: set[ExampleId] = set()
-            for eid in ids:
-                if eid in seen:
-                    raise MetacalError(f"duplicate example id {eid!r}")
-                seen.add(eid)
+        ids = unique_example_ids(self.example_ids)
         if len(set(self.metric_names)) != len(self.metric_names):
             raise MetacalError("duplicate metric names in score matrix")
         arr = arr.copy()

@@ -15,6 +15,8 @@ consecutive pairs at a time: a block's texts hold fewer than
 `_BLOCK_UNITS` characters plus its last pair, so memory stays bounded on
 any corpus size.  The float formulas run per pair in a fixed operation
 order, so a score does not depend on which other pairs share its corpus.
+`score_corpus` counts token matches once for BLEU, ROUGE-1 and ROUGE-2: the
+first k orders of a table equal an order-k table, integer for integer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ExampleId, MetacalError, MetricSpec, ScoreMatrix
+from .core import ExampleId, MetacalError, MetricSpec, ScoreMatrix, unique_example_ids
 from .objectives import EmptyInput
 
 # Text characters per block of pairs (see `_blocks`).
@@ -178,10 +180,14 @@ def bleu(pairs: Sequence[SegmentPair], max_n: int = 4) -> np.ndarray:
     precision of 1.  `max_n` must be a positive integer.
     """
     _check_order(max_n, "max_n")
-    matched, hyp_len, ref_len = _clipped_matches(pairs, max_n, _tokens, _token_ids)
+    return _bleu(*_clipped_matches(pairs, max_n, _tokens, _token_ids), max_n)
+
+
+def _bleu(matched: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray, max_n: int) -> np.ndarray:
+    """BLEU from a token match table of order max_n or more."""
     total = _totals(hyp_len, max_n)
     scored = matched[:, 0] > 0
-    matched, total = matched[scored], total[scored]
+    matched, total = matched[scored, :max_n], total[scored]
     hyp_len, ref_len = hyp_len[scored], ref_len[scored]
     precision = (matched + 1.0) / (total + 1.0)
     precision[:, 0] = matched[:, 0] / total[:, 0]
@@ -192,7 +198,7 @@ def bleu(pairs: Sequence[SegmentPair], max_n: int = 4) -> np.ndarray:
     brevity = np.ones_like(log_sum)
     short = hyp_len < ref_len
     brevity[short] = _map(math.exp, 1.0 - ref_len[short] / hyp_len[short])
-    out = np.zeros(len(pairs))
+    out = np.zeros(scored.size)
     out[scored] = brevity * _map(math.exp, log_sum / max_n)
     return out
 
@@ -245,19 +251,19 @@ def _f1(matched: np.ndarray, hyp_total: np.ndarray, ref_total: np.ndarray) -> np
     return out
 
 
-def _rouge_n(pairs: Sequence[SegmentPair], n: int) -> np.ndarray:
-    matched, hyp_len, ref_len = _clipped_matches(pairs, n, _tokens, _token_ids)
+def _rouge_n(matched: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray, n: int) -> np.ndarray:
+    """ROUGE-n from a token match table of order n or more."""
     return _f1(matched[:, n - 1], np.maximum(hyp_len - n + 1, 0), np.maximum(ref_len - n + 1, 0))
 
 
 def rouge_1(pairs: Sequence[SegmentPair]) -> np.ndarray:
     """Unigram-overlap F1 per pair."""
-    return _rouge_n(pairs, 1)
+    return _rouge_n(*_clipped_matches(pairs, 1, _tokens, _token_ids), 1)
 
 
 def rouge_2(pairs: Sequence[SegmentPair]) -> np.ndarray:
     """Bigram-overlap F1 per pair."""
-    return _rouge_n(pairs, 2)
+    return _rouge_n(*_clipped_matches(pairs, 2, _tokens, _token_ids), 2)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -293,6 +299,10 @@ BUILTIN_METRICS: dict[str, Callable[[Sequence[SegmentPair]], np.ndarray]] = {
     "rougel": rouge_l,
 }
 
+# The columns `score_corpus` reads off one token match table: the order each
+# needs and its formula, called as formula(matched, hyp_len, ref_len, order).
+_TOKEN_COLUMNS = {"bleu": (4, _bleu), "rouge1": (1, _rouge_n), "rouge2": (2, _rouge_n)}
+
 
 def builtin_specs(names: Sequence[str]) -> tuple[MetricSpec, ...]:
     """Range specs for the built-in metrics (all live in [0, 1], higher better).
@@ -322,11 +332,22 @@ def score_corpus(
     """Score every pair with every selected built-in metric, one column each.
 
     Ids default to ("-", "-", str(index)) when the corpus has no identity.
+    Given ids must be unique, one per pair; they are checked before any
+    metric runs.
     """
     if not pairs:
         raise EmptyInput("empty corpus")
     builtin_specs(metric_names)
     if example_ids is None:
         example_ids = [ExampleId("-", "-", str(i)) for i in range(len(pairs))]
-    columns = [BUILTIN_METRICS[name](pairs) for name in metric_names]
-    return ScoreMatrix(tuple(metric_names), tuple(example_ids), np.column_stack(columns))
+    example_ids = unique_example_ids(example_ids)
+    if len(example_ids) != len(pairs):
+        raise MetacalError(f"{len(example_ids)} example ids for {len(pairs)} pairs")
+    orders = {name: _TOKEN_COLUMNS[name][0] for name in metric_names if name in _TOKEN_COLUMNS}
+    if orders:
+        table = _clipped_matches(pairs, max(orders.values()), _tokens, _token_ids)
+    columns = [
+        _TOKEN_COLUMNS[name][1](*table, orders[name]) if name in orders else BUILTIN_METRICS[name](pairs)
+        for name in metric_names
+    ]
+    return ScoreMatrix(tuple(metric_names), example_ids, np.column_stack(columns))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ class TestBasemetrics:
         assert "twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_id_is_refused_before_any_metric_runs(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "dup.csv"
+        corpus.write_text("dataset,system,segment,hypothesis,reference,human\n"
+                          "d,s,1,a b,a b,0.5\n"
+                          "d,s,1,a c,a b,0.2\n")
+        columns = {name: mock.Mock(side_effect=AssertionError(name)) for name in METRICS}
+        monkeypatch.setattr("metacal.textmetrics.BUILTIN_METRICS", columns)
+        monkeypatch.setattr("metacal.textmetrics._clipped_matches",
+                            mock.Mock(side_effect=AssertionError("_clipped_matches")))
+        out = tmp_path / "x.csv"
+        rc = main(["basemetrics", "--input", str(corpus), "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate example id ExampleId(dataset='d', system='s', segment='1')\n")
+        assert not out.exists()
+        assert not any(column.called for column in columns.values())
+
 
 class TestCalibrateAndScore:
     def test_gp_then_score_and_report(self, tmp_path, specs_path, scores_path):
@@ -238,6 +256,15 @@ class TestCalibrateAndScore:
                    *flags])
         assert rc == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_top_k_above_the_metric_count_is_refused_before_the_scores_are_read(
+        self, tmp_path, capsys, specs_path
+    ):
+        rc = main(["calibrate", "--scores", str(tmp_path / "absent.csv"), "--specs", specs_path,
+                   "--output", str(tmp_path / "m.json"), "--top-k", "99"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --top-k must be in [1, 5], got 99\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_missing_human_column_is_validation_error(self, tmp_path, specs_path, scores_path):

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metacal import textmetrics
-from metacal.core import ExampleId
+from metacal.core import ExampleId, MetacalError
 from metacal.objectives import EmptyInput
 from metacal.textmetrics import (
     BUILTIN_METRICS,
@@ -182,6 +183,34 @@ class TestScoreCorpus:
         matrix = score_corpus([_pair("a", "a")], ["bleu"], ids)
         assert matrix.example_ids == (ExampleId("d", "s", "42"),)
 
+    def test_one_token_count_per_call(self):
+        pairs = [_pair("a b a c", "a b c"), _pair("x", "x y")]
+        for size in range(1, len(BUILTIN_METRICS) + 1):
+            for names in itertools.permutations(BUILTIN_METRICS, size):
+                with mock.patch.object(
+                    textmetrics, "_clipped_matches", wraps=textmetrics._clipped_matches
+                ) as counted:
+                    score_corpus(pairs, names)
+                token_passes = [c for c in counted.call_args_list if c.args[2] is textmetrics._tokens]
+                expected = 1 if {"bleu", "rouge1", "rouge2"} & set(names) else 0
+                assert len(token_passes) == expected, names
+
+    def _refuses_ids_before_any_metric(self, ids, message):
+        pairs = [_pair("a b", "a b"), _pair("a", "b")]
+        columns = {name: mock.Mock(side_effect=AssertionError(name)) for name in BUILTIN_METRICS}
+        with mock.patch.object(
+            textmetrics, "_clipped_matches", side_effect=AssertionError("counted")
+        ), mock.patch.dict(BUILTIN_METRICS, columns):
+            with pytest.raises(MetacalError, match=message):
+                score_corpus(pairs, list(BUILTIN_METRICS), ids)
+
+    def test_duplicate_id(self):
+        self._refuses_ids_before_any_metric(
+            [ExampleId("d", "s", "1"), ExampleId("d", "s", "1")], "duplicate example id")
+
+    def test_id_count_must_match_pairs(self):
+        self._refuses_ids_before_any_metric([ExampleId("d", "s", "1")], "1 example ids for 2 pairs")
+
 
 # The per-pair oracle of each column, by BUILTIN_METRICS name.
 ORACLES = {
@@ -202,27 +231,33 @@ _CHARS = st.sampled_from(
 _SIDES = st.one_of(st.just(""), st.just(" \t\n\xa0"), st.text(_CHARS, max_size=40))
 
 
-def _assert_columns_match_oracles(pairs):
+def _assert_columns_match_oracles(pairs, names=tuple(BUILTIN_METRICS)):
+    """Every column function, and `score_corpus` over `names` (which reads
+    BLEU and ROUGE-1/2 off one shared table), equals the per-pair oracle."""
+    expected = {name: [ORACLES[name](p.hypothesis, p.reference) for p in pairs] for name in ORACLES}
     for name, fn in BUILTIN_METRICS.items():
         column = fn(pairs)
         assert column.dtype == np.float64 and column.shape == (len(pairs),)
-        expected = [ORACLES[name](p.hypothesis, p.reference) for p in pairs]
-        assert column.tolist() == expected, name
+        assert column.tolist() == expected[name], name
+    matrix = score_corpus(pairs, names)
+    for j, name in enumerate(names):
+        assert matrix.values[:, j].tolist() == expected[name], name
 
 
 class TestOracleParity:
     """Every column equals the per-pair oracle exactly, however the corpus
-    falls into blocks."""
+    falls into blocks and whichever metrics `score_corpus` selects."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.tuples(_SIDES, _SIDES), min_size=1, max_size=25),
+        st.lists(st.sampled_from(list(BUILTIN_METRICS)), min_size=1, max_size=5, unique=True),
         st.sampled_from([1, 2, 7, 32, 1 << 15]),
     )
-    def test_columns_equal_oracles(self, sides, block_units):
+    def test_columns_equal_oracles(self, sides, names, block_units):
         pairs = [_pair(hyp, ref) for hyp, ref in sides]
         with mock.patch.object(textmetrics, "_BLOCK_UNITS", block_units):
-            _assert_columns_match_oracles(pairs)
+            _assert_columns_match_oracles(pairs, names)
 
     def test_full_size_blocks_and_a_pair_longer_than_a_block(self):
         rng = np.random.default_rng(11)
@@ -247,3 +282,4 @@ class TestOracleParity:
     def test_empty_corpus_gives_empty_columns(self):
         for fn in BUILTIN_METRICS.values():
             assert fn([]).shape == (0,)
+

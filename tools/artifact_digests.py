@@ -10,7 +10,8 @@ metacal of this checkout (`src/`):
 - the pairwise JSONL path: preference pairs of same-segment systems whose
   human scores differ (the higher one chosen), split by pair, then a GP
   model and a GBT model pruned over 2 rounds on a short size grid, trained
-  on the train pairs, scored and evaluated on the test pairs.
+  on the train pairs, scored and evaluated on the test pairs;
+- basemetrics on the desk corpus with two metric subsets (`SUBSETS`).
 
 Two checkouts that print the same lines produce the same artifacts.  The
 default-flags GBT calibration dominates the run time (several seconds).
@@ -38,6 +39,9 @@ from metacal.io import save_specs  # noqa: E402
 from metacal.textmetrics import BUILTIN_METRICS, builtin_specs  # noqa: E402
 
 CORPUS = os.path.join(ROOT, "src", "metacal", "data", "desk_corpus.csv")
+# basemetrics selections scored besides the quick start's: ROUGE-N columns
+# only, in reverse order, and BLEU with no ROUGE-N column.
+SUBSETS = ("rouge2,rouge1", "rougel,chrf,bleu")
 
 
 def run(*argv: str) -> None:
@@ -120,6 +124,9 @@ def quick_start(work: str, seed: str) -> None:
     prepare(work)
     for _, argv in rest:
         run(*argv)
+    for subset in SUBSETS:
+        out = os.path.join(work, f"scores_{subset.replace(',', '_')}.csv")
+        run("basemetrics", "--input", CORPUS, "--metrics", subset, "--output", out)
 
 
 def main() -> None:
