@@ -184,10 +184,10 @@ def bleu(pairs: Sequence[SegmentPair], max_n: int = 4) -> np.ndarray:
 
 
 def _bleu(matched: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray, max_n: int) -> np.ndarray:
-    """BLEU from a token match table of order max_n or more."""
+    """BLEU from a token match table of order max_n."""
     total = _totals(hyp_len, max_n)
     scored = matched[:, 0] > 0
-    matched, total = matched[scored, :max_n], total[scored]
+    matched, total = matched[scored], total[scored]
     hyp_len, ref_len = hyp_len[scored], ref_len[scored]
     precision = (matched + 1.0) / (total + 1.0)
     precision[:, 0] = matched[:, 0] / total[:, 0]
