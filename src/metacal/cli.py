@@ -253,6 +253,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the metacal command line.  `main` parses with one
+    built at import (`_PARSER`); a parse sets `command`, which names the
+    `_cmd_<command>` handler, and binds no handler itself."""
     parser = argparse.ArgumentParser(
         prog="metacal",
         description="Calibrate a combination of evaluation metrics against human preferences.",
@@ -267,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(BUILTIN_METRICS),
         help="comma-separated subset of: " + ", ".join(BUILTIN_METRICS),
     )
-    p.set_defaults(func=_cmd_basemetrics)
 
     p = sub.add_parser("calibrate", help="learn a calibrated model from scores + targets")
     p.add_argument("--scores", required=True)
@@ -280,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     for flag, (_, options) in _METHOD_FLAGS.items():
         p.add_argument(flag, default=argparse.SUPPRESS, **options)
-    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("score", help="apply a calibrated model to a score file")
     p.add_argument("--model", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="meta-evaluation statistics against human scores")
     p.add_argument("--scores", required=True)
@@ -297,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-policy", choices=TIE_POLICIES, default=argparse.SUPPRESS,
                    help="csv only (default: strict)")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="weights / feature-importance report for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--sparsity-epsilon", type=float, default=io.SPARSITY_EPSILON,
                    help="linear weights below this magnitude are reported as dropped")
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("split", help="seeded train/test split of a score file")
     p.add_argument("--scores", required=True)
@@ -314,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--train-output", required=True)
     p.add_argument("--test-output", required=True)
-    p.set_defaults(func=_cmd_split)
 
     return parser
+
+
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -334,10 +334,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse `argv` with the shared parser and run its command's handler,
+    looked up by name at call time so that a patched `_cmd_*` is the one
+    that runs.  Each parse returns a new namespace, so no flag of one call
+    carries over to the next."""
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (MetacalError, OSError, UnicodeDecodeError) as exc:
         # Unreadable or unwritable paths and undecodable files are bad
         # inputs, not internal errors.

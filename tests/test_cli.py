@@ -398,6 +398,67 @@ def test_cyclic_gc_is_off_during_a_command_and_restored_after(monkeypatch, tmp_p
     assert seen == [False]
 
 
+# ---------------------------------------------------------------------------
+# One parser per process: every `main` call parses with `_PARSER`
+# ---------------------------------------------------------------------------
+
+class TestSharedParser:
+    def test_a_method_flag_does_not_carry_over_to_the_next_call(self, tmp_path, capsys, specs_path,
+                                                                scores_path):
+        common = ["calibrate", "--scores", scores_path, "--specs", specs_path, "--seed", "0"]
+        assert main([*common, "--method", "gp", "--n-iter", "3", "--kappa", "3",
+                     "--output", str(tmp_path / "gp.json")]) == 0
+        assert main([*common, "--method", "gbt", *_tiny_gbt_flags(),
+                     "--output", str(tmp_path / "gbt.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_tie_policy_does_not_carry_over_to_the_next_call(self, tmp_path, capsys, scores_path):
+        jsonl = _write_pairs_jsonl(tmp_path / "pairs.jsonl")
+        assert main(["evaluate", "--metric", "chrf", "--scores", scores_path, "--tie-policy", "half",
+                     "--output", str(tmp_path / "csv.json")]) == 0
+        assert main(["evaluate", "--metric", "chrf", "--scores", jsonl, "--format", "jsonl",
+                     "--output", str(tmp_path / "jsonl.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_rejected_argv_leaves_no_trace_in_the_next_call(self, tmp_path, scores_path):
+        base = ["evaluate", "--metric", "chrf", "--scores", scores_path]
+        assert main([*base, "--tie-policy", "half", "--output", str(tmp_path / "a.json")]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, "--tie-policy", "half", "--output", str(tmp_path / "b.json"), "--no-such-flag"])
+        assert exit_info.value.code == 2
+        assert main([*base, "--output", str(tmp_path / "c.json")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(CORPUS.parents[2]))
+        done = subprocess.run([sys.executable, "-m", "metacal.cli", *base, "--output", str(tmp_path / "fresh.json")],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert not (tmp_path / "b.json").exists()
+
+    def test_main_builds_no_parser_and_its_parser_matches_a_fresh_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")
+        commands = ("basemetrics", "calibrate", "score", "evaluate", "report", "split")
+
+        def helps(parse):
+            texts = []
+            for argv in ([], *([command] for command in commands)):
+                with pytest.raises(SystemExit) as exit_info:
+                    parse([*argv, "-h"])
+                assert exit_info.value.code == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        fresh = build_parser()
+        expected = helps(fresh.parse_args)
+        assert metacal.cli._PARSER.format_help() == fresh.format_help() == expected[0]
+
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(metacal.cli, "build_parser", no_parser)
+        assert helps(main) == expected
+        assert main(["report", "--model", str(Path(__file__).parent / "absent.json")]) == 2
+
+
 def _leaf(value: float) -> Tree:
     return Tree(feature=[0], threshold=[0.0], gain=[0.0], value=[value], right=[0])
 

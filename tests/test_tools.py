@@ -1,7 +1,7 @@
 """The scripts under tools/ run: each answers --help, the private names of
 metacal that one binds still exist, the corpus generator reproduces the
-bundled desk corpus byte for byte, and the pairs bench orders and summarizes
-its runs and refuses a compiled checkout."""
+bundled desk corpus byte for byte, the pairs bench orders and summarizes
+its runs, and the pairs and quick-start benches refuse a compiled checkout."""
 
 import importlib.util
 import re
@@ -55,6 +55,19 @@ def test_pairs_bench_refuses_a_checkout_holding_bytecode(tmp_path):
     assert done.returncode == 2
     assert "__pycache__" in done.stderr
     assert not (TOOLS.parent / "bench" / "PAIRS_t.json").exists()
+
+
+def test_quickstart_bench_refuses_a_checkout_holding_bytecode(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    (tmp_path / "src" / "metacal" / "__pycache__").mkdir(parents=True)
+    done = subprocess.run([sys.executable, str(TOOLS / "quickstart_bench.py"), "--label", "t", "--runs", "2",
+                           "--alternate", "u", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert f"refused: {tmp_path / 'src' / 'metacal' / '__pycache__'} exists" in done.stderr
+    assert not (TOOLS.parent / "bench" / "QUICKSTART_t.json").exists()
+    assert not (TOOLS.parent / "bench" / "QUICKSTART_u.json").exists()
 
 
 def test_pairs_bench_spreads_the_control_pairs():

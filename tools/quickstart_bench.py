@@ -7,6 +7,10 @@ Python and importing metacal.  One more stage, `calibrate_gbt_prune3`, is
 the default-flags GBT calibration with `--prune-iterations 3`.  Each run
 uses a new directory; BLAS runs one thread, as in `perfbench`.
 
+As in `tools/pairs_bench.py`, a checkout holding `__pycache__` under `src/`
+is refused and no process writes bytecode, so every stage also compiles
+the metacal modules it imports, on both sides alike.
+
 Writes the per-stage min, median, interquartile range and samples (wall
 seconds) to `bench/QUICKSTART_<label>.json` of this checkout:
 
@@ -33,8 +37,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
+sys.dont_write_bytecode = True  # importing metacal here must leave no bytecode in src/
 
 import artifact_digests  # noqa: E402
+import pairs_bench  # noqa: E402
 
 
 def stages(work: str) -> list[tuple[str, list[str]]]:
@@ -49,7 +55,7 @@ def stages(work: str) -> list[tuple[str, list[str]]]:
 
 def run_once(checkout: str) -> dict[str, float]:
     """Wall seconds of each stage of one quick start with `checkout`'s metacal."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"),
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     seconds = {}
     with tempfile.TemporaryDirectory() as work:
@@ -96,6 +102,11 @@ def main() -> int:
             parser.error("a label must be a non-empty file-name part")
     if args.runs < 2:
         parser.error("--runs must be at least 2")
+    reasons = [reason for _, checkout in sides if (reason := pairs_bench.refusal(checkout))]
+    for reason in reasons:
+        print(f"refused: {reason}", file=sys.stderr)
+    if reasons:
+        return 2
 
     runs: dict[str, list[dict[str, float]]] = {label: [] for label, _ in sides}
     for i in range(args.runs):
