@@ -337,9 +337,15 @@ def _run(argv: list[str] | None) -> int:
     """Parse `argv` with the shared parser and run its command's handler,
     looked up by name at call time so that a patched `_cmd_*` is the one
     that runs.  Each parse returns a new namespace, so no flag of one call
-    carries over to the next."""
+    carries over to the next.  An output path that exists and is not a
+    regular file, after following links, is refused before the handler
+    runs."""
     args = _PARSER.parse_args(argv)
     try:
+        for flag in ("output", "train_output", "test_output"):
+            path = getattr(args, flag, None)
+            if path is not None and not os.path.isfile(path) and os.path.exists(path):
+                raise MetacalError(f"--{flag.replace('_', '-')} {path} exists and is not a regular file")
         return globals()[f"_cmd_{args.command}"](args)
     except (MetacalError, OSError, UnicodeDecodeError) as exc:
         # Unreadable or unwritable paths and undecodable files are bad

@@ -323,8 +323,9 @@ def _dense_ranks(x: np.ndarray) -> np.ndarray:
 # stable argsort of composite (node, rank) keys, which numpy sorts by radix
 # below _KEY_LIMIT, and one end-padded array per quantity.  Blocks take nodes
 # longest first and hold at most _BLOCK_CELLS cells (rows times features,
-# padding included), so a long node is searched alone.  `tools/grow_bench.py`
-# times the benchmark's builds at other limits (bench/GROW_*.json).
+# padding included), so a long node is searched alone.  The benchmark's
+# builds, timed at limits from 1 << 12 to 1 << 15, are recorded in
+# bench/GROW_3af596e.json.
 _KEY_LIMIT = 1 << 16
 _BLOCK_CELLS = 1 << 14
 

@@ -147,18 +147,24 @@ def dumps_canonical(obj: Any) -> str:
 
 @contextmanager
 def staged(paths: Sequence[str]) -> Iterator[list[str]]:
-    """A temp path in the directory of each of `paths`, each moved into
-    place only once the block succeeds; on any failure every temp file is
-    removed, so no command leaves a partial artifact behind, and one with
-    several outputs writes all of them or none."""
-    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    """A temp path beside each of `paths`, each moved into place only once
+    the block succeeds; on any failure every temp file is removed, so no
+    command leaves a partial artifact behind, and one with several outputs
+    writes all of them or none.  A symlink is resolved first, so it is
+    written through, and an `OSError` on a temp path names its given path."""
+    targets = [os.path.realpath(path) if os.path.islink(path) else path for path in paths]
+    tmps = [f"{target}.{os.getpid()}.tmp" for target in targets]
     try:
         yield tmps
-        for path in paths:  # a move onto a directory fails: fail before the first move
-            if os.path.isdir(path):
+        for path, target in zip(paths, targets):  # a move onto a directory fails: fail before the first move
+            if os.path.isdir(target):
                 raise IsADirectoryError(f"{path} is a directory")
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename not in tmps:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, paths[tmps.index(exc.filename)]) from None
     finally:
         for tmp in tmps:
             if os.path.exists(tmp):

@@ -562,6 +562,64 @@ class TestSplit:
         assert set(tmp_path.iterdir()) == before
 
 
+class TestOutputPaths:
+    """An output path that exists must be a regular file after following
+    links; a symlink is written through; a write error names the path as
+    given, never a temp file."""
+
+    @pytest.fixture(params=["--train-output", "--test-output", "--output"])
+    def flag(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def argv(self, tmp_path, flag):
+        """A command writing its output `flag` to `out`, given its inputs."""
+        if flag == "--output":
+            return lambda out, scores, specs: ["evaluate", "--scores", scores, "--metric", "bleu",
+                                               "--output", out]
+        other = "--test-output" if flag == "--train-output" else "--train-output"
+        return lambda out, scores, specs: ["split", "--scores", scores, "--specs", specs, "--seed", "1",
+                                           flag, out, other, str(tmp_path / "other.csv")]
+
+    def test_a_write_error_names_the_given_path(self, tmp_path, capsys, monkeypatch, argv,
+                                                specs_path, scores_path):
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        assert main(argv(os.path.join("nodir", "out"), scores_path, specs_path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{os.path.join('nodir', 'out')}'\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "symlink-to-directory"])
+    def test_an_output_that_is_not_a_regular_file_is_refused_first(self, tmp_path, capsys, flag, argv, kind):
+        out = tmp_path / "out"
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(out)
+        elif kind == "directory":
+            out.mkdir()
+        else:
+            (tmp_path / "dir").mkdir()
+            out.symlink_to(tmp_path / "dir")
+        before = set(tmp_path.iterdir())
+        # Absent inputs: had either been read first, its error would show.
+        rc = main(argv(str(out), str(tmp_path / "absent.csv"), str(tmp_path / "absent.json")))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} {out} exists and is not a regular file\n"
+        assert set(tmp_path.iterdir()) == before
+
+    def test_a_symlinked_output_is_written_through(self, tmp_path, argv, specs_path, scores_path):
+        target, link, direct = tmp_path / "target", tmp_path / "link", tmp_path / "direct"
+        target.write_text("previous\n")
+        link.symlink_to(target)
+        assert main(argv(str(link), scores_path, specs_path)) == 0
+        assert main(argv(str(direct), scores_path, specs_path)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == direct.read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_byte_identical_artifacts_across_runs(tmp_path, specs_path, scores_path):
     outputs = []
     for tag in ("one", "two"):

@@ -1,17 +1,16 @@
-"""The scripts under tools/ run: each answers --help, the private names of
-metacal that one binds still exist, the corpus generator reproduces the
-bundled desk corpus byte for byte, the pairs bench orders and summarizes
-its runs, and the pairs and quick-start benches refuse a compiled checkout."""
+"""The scripts under tools/ run: each answers --help, the corpus generator
+reproduces the bundled desk corpus byte for byte, the shared pairs driver
+orders, summarizes and records its runs, and the pairs and quick-start
+benches refuse a compiled checkout."""
 
+import argparse
 import importlib.util
-import re
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from metacal import gbt
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -22,13 +21,6 @@ def test_help_exits_0(script):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
-
-
-def test_names_grow_bench_binds_exist():
-    # grow_bench.py records and times the trainer through these names.
-    names = set(re.findall(r"\bgbt\.(_\w+)", (TOOLS / "grow_bench.py").read_text()))
-    assert names >= {"_grow", "_search", "_BLOCK_CELLS"}
-    assert sorted(name for name in names if not hasattr(gbt, name)) == []
 
 
 def _tool(name):
@@ -61,13 +53,12 @@ def test_quickstart_bench_refuses_a_checkout_holding_bytecode(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
     (tmp_path / "src" / "metacal" / "__pycache__").mkdir(parents=True)
-    done = subprocess.run([sys.executable, str(TOOLS / "quickstart_bench.py"), "--label", "t", "--runs", "2",
-                           "--alternate", "u", str(tmp_path)],
+    done = subprocess.run([sys.executable, str(TOOLS / "quickstart_bench.py"), "--parent", str(tmp_path),
+                           "--change", str(tmp_path), "--pairs", "1", "--label", "t"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert f"refused: {tmp_path / 'src' / 'metacal' / '__pycache__'} exists" in done.stderr
     assert not (TOOLS.parent / "bench" / "QUICKSTART_t.json").exists()
-    assert not (TOOLS.parent / "bench" / "QUICKSTART_u.json").exists()
 
 
 def test_pairs_bench_spreads_the_control_pairs():
@@ -92,3 +83,57 @@ def test_pairs_bench_summary():
         "aa_parent2_over_parent": [1.05, 0.9], "aa_range": [0.9, 1.05],
     }
     assert "aa_range" not in summarize(parent, change, [])["pipeline_s"]
+
+
+def test_run_pairs_alternates_the_sides_and_spreads_the_control_pairs(capsys):
+    pairs_bench = _tool("pairs_bench")
+    calls = []
+
+    def measure(checkout):  # each run reads its place in the session
+        calls.append(checkout)
+        return {"failed": 0, "call": len(calls)}
+
+    entry = pairs_bench.run_pairs(measure, "p", "c", "p2", 4, "t")
+    # Pairs in schedule order: change 0, change 1, control 0, change 2, change 3, control 1;
+    # the parent runs first in even pairs.
+    assert calls == ["p", "c", "c", "p", "p", "p2", "p", "c", "c", "p", "p2", "p"]
+    assert entry["parent"] == {"failed": [0] * 4, "call": [1, 4, 7, 10]}
+    assert entry["change"] == {"failed": [0] * 4, "call": [2, 3, 8, 9]}
+    assert entry["control"] == {"parent": {"failed": [0, 0], "call": [5, 12]},
+                                "parent2": {"failed": [0, 0], "call": [6, 11]}}
+    assert entry["summary"] == {"call": {
+        "parent_median": 5.5, "parent_iqr": 4.5, "change_median": 5.5, "change_iqr": 5.5,
+        "change_lower_in_pairs": 2, "change_over_parent": 1.0,
+        "aa_parent2_over_parent": [1.2, 0.9167], "aa_range": [0.9167, 1.2],
+    }}
+    assert len(capsys.readouterr().err.splitlines()) == 12
+
+    calls.clear()
+    entry = pairs_bench.run_pairs(measure, "p", "c", None, 2, "t")
+    assert calls == ["p", "c", "c", "p"]
+    assert sorted(entry) == ["change", "parent", "summary"]
+
+
+def test_record_pairs_keeps_the_shas_apart_from_the_columns(tmp_path, monkeypatch):
+    pairs_bench = _tool("pairs_bench")
+    monkeypatch.setattr(pairs_bench, "ROOT", str(tmp_path))
+    (tmp_path / "bench").mkdir()
+    args = argparse.Namespace(parent=str(tmp_path / "p"), change=str(tmp_path / "c"), control=None,
+                              pairs=1, label="t")
+
+    def failing(checkout):
+        raise pairs_bench.RunFailed("no run")
+
+    measures = {"first": lambda checkout: {"total_s": 1.0}, "second": failing}
+    assert pairs_bench.record_pairs("QUICKSTART", args, "runs", measures, seed=3) == 1
+    record = json.loads((tmp_path / "bench" / "QUICKSTART_t.json").read_text())
+    assert sorted(record) == ["change", "parent", "what", "workloads"]
+    assert record["parent"] == record["change"] == "unknown"  # absent checkouts have no sha
+    assert record["what"].startswith("runs in alternating pairs")
+    assert list(record["workloads"]) == ["first"]
+    assert record["workloads"]["first"]["parent"] == {"total_s": [1.0]}
+    assert record["workloads"]["first"]["change"] == {"total_s": [1.0]}
+    assert record["workloads"]["first"]["seed"] == 3
+
+    (tmp_path / "bench" / "QUICKSTART_t.json").write_text('{"parent": "abc1234", "change": "unknown"}')
+    assert pairs_bench.record_pairs("QUICKSTART", args, "runs", {"first": measures["first"]}) == 2

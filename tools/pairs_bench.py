@@ -30,6 +30,11 @@ run's details line plus its result.
 Every checkout must hold no ``__pycache__`` under ``src/``: a worker that
 imports compiled metacal skips the compile the others pay in ``setup_s``.
 The runs do not write bytecode.
+
+``run_pairs`` alternates any measurement, ``measure(checkout) -> {name:
+value}``, and ``record_pairs`` writes its entries in this layout;
+``tools/quickstart_bench.py`` passes its own measurement to them, with the
+checkout flags of ``checkout_parser`` checked by ``parse_checkouts``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import os
 import statistics
 import subprocess
 import sys
+import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -71,7 +78,7 @@ def short_sha(checkout: str) -> str:
 def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run of `checkout`: its details line plus
     ``result``, its result line."""
-    command = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+    command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, env=env)
@@ -138,29 +145,60 @@ def schedule(pairs: int, aa_pairs: int) -> list[tuple[str, int]]:
     return order
 
 
-def run_pairs(args: argparse.Namespace, workload: str) -> dict:
-    """One workload's alternating pairs, as a pairs-record entry."""
+def run_pairs(measure: Callable[[str], dict[str, float]], parent: str, change: str,
+              control: str | None, pairs: int, tag: str) -> dict:
+    """`measure` of `parent` and `change` in `pairs` alternating pairs, the
+    parent first in even pairs, with ``AA_PAIRS`` parent/`control` pairs
+    spread among them when `control` is given; as a pairs-record entry:
+    each side's columns, their summary and the control's columns."""
     sides: dict[str, list[dict]] = {"parent": [], "change": []}
-    control: list[tuple[dict, dict]] = []
-    for kind, i in schedule(args.pairs, AA_PAIRS if args.control else 0):
-        other = args.change if kind == "change" else args.control
-        order = [("parent", args.parent), (kind, other)]
+    aa: list[tuple[dict, dict]] = []
+    for kind, i in schedule(pairs, AA_PAIRS if control else 0):
+        order = [("parent", parent), (kind, change if kind == "change" else control)]
         results = {}
         for side, checkout in order if i % 2 == 0 else order[::-1]:
-            results[side] = sample(run_once(checkout, workload, args.seed, args.seconds, 0))
-            print(f"{workload} seed {args.seed} {kind} pair {i}: {side} "
-                  f"pipeline_s {results[side].get('pipeline_s')}", file=sys.stderr)
+            start = time.perf_counter()
+            results[side] = measure(checkout)
+            print(f"{tag} {kind} pair {i}: {side} {time.perf_counter() - start:.1f} s", file=sys.stderr)
         if kind == "change":
             sides["parent"].append(results["parent"])
             sides["change"].append(results["change"])
         else:
-            control.append((results["parent"], results["control"]))
-    entry = {"seed": args.seed, **{side: _column(s) for side, s in sides.items()},
-             "summary": summarize(sides["parent"], sides["change"], control)}
-    if control:
-        entry["control"] = {"parent": _column([a for a, _ in control]),
-                            "parent2": _column([b for _, b in control])}
+            aa.append((results["parent"], results["control"]))
+    entry = {**{side: _column(s) for side, s in sides.items()},
+             "summary": summarize(sides["parent"], sides["change"], aa)}
+    if aa:
+        entry["control"] = {"parent": _column([a for a, _ in aa]),
+                            "parent2": _column([b for _, b in aa])}
     return entry
+
+
+def checkout_parser(description: str) -> argparse.ArgumentParser:
+    """A parser holding the checkout flags; `parse_checkouts` checks them."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--change", required=True, help="checkout under test")
+    parser.add_argument("--parent", help="checkout to compare against")
+    parser.add_argument("--control", help="a second clone of the parent, for A/A pairs")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs")
+    parser.add_argument("--label", help="file-name part (default: the change's short sha)")
+    return parser
+
+
+def parse_checkouts(parser: argparse.ArgumentParser, parent_required: bool = True) -> argparse.Namespace:
+    """`parser`'s arguments with the checkout flags checked and ``label``
+    set; exits 2 on a bad flag or a refused checkout."""
+    args = parser.parse_args()
+    if args.label is not None and (not args.label or os.sep in args.label):
+        parser.error("--label must be a non-empty file-name part")
+    if args.parent is None and (parent_required or args.control is not None):
+        parser.error("--parent is required" if parent_required else "--control needs --parent")
+    if args.parent is not None and args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    for checkout in (args.parent, args.change, args.control):
+        if checkout is not None and (reason := refusal(checkout)):
+            parser.exit(2, f"refused: {reason}\n")
+    args.label = args.label or short_sha(args.change)
+    return args
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -176,66 +214,67 @@ def _print_summary(key: str, summary: dict) -> None:
               f"x{s['change_over_parent']}  lower {s['change_lower_in_pairs']}{aa}")
 
 
+def record_pairs(name: str, args: argparse.Namespace, measured: str,
+                 measures: dict[str, Callable[[str], dict[str, float]]], **fields) -> int:
+    """`run_pairs` of each measure in `measures`, merged with `fields` into
+    entry ``workloads[key]`` of ``bench/<name>_<label>.json`` and written as
+    each one finishes; `measured` says what a measure runs.  An existing
+    record of another parent/change is refused (exit 2); a failed run ends
+    the session (exit 1)."""
+    path = os.path.join(ROOT, "bench", f"{name}_{args.label}.json")
+    head = {"parent": short_sha(args.parent), "change": short_sha(args.change)}
+    record = {**head, "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        if {k: record.get(k) for k in head} != head:
+            print(f"refused: {path} records another parent/change", file=sys.stderr)
+            return 2
+    record["what"] = (
+        f"{measured} in alternating pairs, the parent first in even pairs and the change first in "
+        "odd ones; A/A pairs (the parent against a second clone of it, `control`) spread among them "
+        "where recorded. Clones side by side with no __pycache__, no bytecode written. Written by "
+        f"tools/{os.path.basename(sys.argv[0])}.")
+    try:
+        for key, measure in measures.items():
+            entry = run_pairs(measure, args.parent, args.change, args.control, args.pairs, key)
+            record["workloads"][key] = {**fields, **entry}
+            _write_json(path, record)
+            _print_summary(key, entry["summary"])
+    except RunFailed as exc:
+        print(f"{exc}; the record holds only the workloads finished before", file=sys.stderr)
+        return 1
+    print(path)
+    return 0
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--change", required=True, help="checkout under test")
-    parser.add_argument("--parent", help="checkout to compare against; without it, save one run per workload")
-    parser.add_argument("--control", help="a second clone of the parent, for A/A pairs")
-    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
+    parser = checkout_parser(__doc__.split("\n")[0])
     parser.add_argument("--workload", nargs="+", required=True, choices=("desk", "scale", "prefs"))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="single runs only")
-    parser.add_argument("--label", help="file-name part (default: the change's short sha)")
-    args = parser.parse_args()
-    if args.label is not None and (not args.label or os.sep in args.label):
-        parser.error("--label must be a non-empty file-name part")
-    if args.parent is None and args.control is not None:
-        parser.error("--control needs --parent")
-    if args.parent is not None and (args.trace or args.pairs < 1):
-        parser.error("pairs run at --trace 0, with --pairs >= 1")
-    checkouts = [c for c in (args.parent, args.change, args.control) if c is not None]
-    for checkout in checkouts:
-        reason = refusal(checkout)
-        if reason:
-            print(f"refused: {reason}", file=sys.stderr)
-            return 2
-    label = args.label or short_sha(args.change)
-    out_dir = os.path.join(ROOT, "bench")
-    os.makedirs(out_dir, exist_ok=True)
+    args = parse_checkouts(parser, parent_required=False)
+    if args.parent is not None and args.trace:
+        parser.error("pairs run at --trace 0")
 
-    try:
-        if args.parent is None:
+    if args.parent is None:
+        try:
             for workload in args.workload:
                 record = run_once(args.change, workload, args.seed, args.seconds, args.trace)
-                path = os.path.join(out_dir, f"BENCH_{label}-{workload}{'-trace' * args.trace}.json")
+                path = os.path.join(ROOT, "bench", f"BENCH_{args.label}-{workload}{'-trace' * args.trace}.json")
                 _write_json(path, record)
                 print(path)
-            return 0
-        path = os.path.join(out_dir, f"PAIRS_{label}.json")
-        head = {"parent": short_sha(args.parent), "change": short_sha(args.change)}
-        record = {**head, "workloads": {}}
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-            if {k: record.get(k) for k in head} != head:
-                print(f"refused: {path} records another parent/change", file=sys.stderr)
-                return 2
-        record["what"] = (
-            f"perfbench/run.py --seconds {args.seconds} --trace 0 in alternating pairs, the parent "
-            "first in even pairs and the change first in odd ones; A/A pairs (the parent against "
-            "a second clone of it, `control`) spread among them where recorded. Clones side by "
-            "side with no __pycache__, no bytecode written. Written by tools/pairs_bench.py.")
-        for workload in args.workload:
-            key = workload if args.seed == DEFAULT_SEED else f"{workload}-seed{args.seed}"
-            record["workloads"][key] = run_pairs(args, workload)
-            _write_json(path, record)
-            _print_summary(key, record["workloads"][key]["summary"])
-        print(path)
-    except RunFailed as exc:
-        print(f"{exc}; the record holds only the workloads finished before", file=sys.stderr)
-        return 1
-    return 0
+        except RunFailed as exc:
+            print(f"{exc}; the record holds only the workloads finished before", file=sys.stderr)
+            return 1
+        return 0
+    measures = {
+        workload if args.seed == DEFAULT_SEED else f"{workload}-seed{args.seed}":
+            lambda checkout, workload=workload: sample(run_once(checkout, workload, args.seed, args.seconds, 0))
+        for workload in args.workload}
+    return record_pairs("PAIRS", args, f"perfbench/run.py --seconds {args.seconds} --trace 0", measures,
+                        seed=args.seed)
 
 
 if __name__ == "__main__":
