@@ -149,6 +149,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     specs = io.load_specs(args.specs)
     if args.top_k is not None and args.top_k > len(specs):
         raise MetacalError(f"--top-k must be in [1, {len(specs)}], got {args.top_k}")
+    kept = args.top_k or len(specs)
+    if prune_iterations is not None and prune_iterations > kept:
+        raise MetacalError(f"--prune-iterations must be in [1, {kept}], got {prune_iterations}")
     matrix, target = io.load_scores(args.scores, args.format, specs)
     target = _require_target(target, args.scores)
     normalized = normalize_matrix(matrix, specs)

@@ -81,9 +81,7 @@ from .objectives import (
     EmptyInput,
     NonFiniteInput,
     ObjectiveKind,
-    pairwise_accuracy,
-    prepare,
-    score_or_worst,
+    alignment_scorer,
     scored_by,
 )
 
@@ -689,17 +687,6 @@ def _group_folds(
     return [np.flatnonzero(assignments == f) for f in range(folds)]
 
 
-def _held_out_scorer(
-    objective: ObjectiveKind, held: PreferenceTarget
-) -> Callable[[np.ndarray], float]:
-    """Pairwise accuracy on a pairwise target, else `objective` against z,
-    prepared once for every ensemble size (-1 when degenerate)."""
-    if held.kind is TargetKind.PAIRWISE:
-        return lambda preds: pairwise_accuracy(*unstack_pairs(preds))
-    z = prepare(objective, held.z)
-    return lambda preds: score_or_worst(objective, preds, z)
-
-
 def _cv_curve(
     x: np.ndarray, target: PreferenceTarget, objective: ObjectiveKind, config: GbtConfig
 ) -> list[float]:
@@ -729,7 +716,7 @@ def _cv_curve(
             raise TooFewExamples(f"{config.cv_folds} folds over {target.n_units} pointwise judgments "
                                  f"hold out only {hold.size} in a fold; a held-out correlation needs 2")
         held.append(unit_rows(target, hold))
-        scorers.append(_held_out_scorer(objective, target.take_units(hold)))
+        scorers.append(alignment_scorer(objective, target.take_units(hold)))
     rows = np.concatenate(train)
     z = None if target.z is None else target.z[rows]
     rounds = _rounds(x[rows], _dense_ranks(x)[:, rows], z, config, [r.size for r in train])
@@ -741,8 +728,8 @@ def _cv_curve(
     for n, levels in enumerate(itertools.islice(rounds, grid[-1]), start=1):
         preds += config.learning_rate * _route(levels, held_x, root)
         if n == grid[len(curve)]:
-            curve.append(float(np.mean(
-                [score(preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)])))
+            folds = [score(lambda p: p, preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)]
+            curve.append(float(np.mean(folds)))
     return curve
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,20 +27,15 @@ from .core import (
     ModelKind,
     PreferenceTarget,
     ScoreMatrix,
-    TargetKind,
     Weighting,
     expanded_feature_names,  # re-exported: the feature labels of `expand_matrix`
-    pointwise_z,
-    unstack_pairs,
     validate_alignment,
 )
 from .objectives import (
     EmptyInput,
     NonFiniteInput,
     ObjectiveKind,
-    pairwise_accuracy,
-    prepare,
-    score_or_worst,
+    alignment_scorer,
     scored_by,
 )
 from .preprocess import unit_specs
@@ -469,19 +464,6 @@ def _injected_starts(dim: int) -> list[np.ndarray]:
     return starts
 
 
-def _scorer(
-    features: np.ndarray, matrix: ScoreMatrix, target: PreferenceTarget, objective: ObjectiveKind
-) -> Callable[[Callable[[np.ndarray], np.ndarray]], float]:
-    """`score(meta)`: the alignment with the target of the meta-scores
-    `meta(x)` of feature rows x (-1 if degenerate).  Pairs are split before
-    `meta`: a stacked product's halves can differ in the last bit."""
-    if target.kind is TargetKind.POINTWISE:
-        z = prepare(objective, pointwise_z(matrix, target))
-        return lambda meta: score_or_worst(objective, meta(features), z)
-    chosen, rejected = unstack_pairs(features)
-    return lambda meta: pairwise_accuracy(meta(chosen), meta(rejected))
-
-
 def calibrate_gp(
     matrix: ScoreMatrix,
     target: PreferenceTarget,
@@ -507,10 +489,10 @@ def calibrate_gp(
         raise MetacalError("specs must match matrix columns by name and order")
 
     features = expand_matrix(matrix.values, config.weighting)
-    score = _scorer(features, matrix, target, objective)
+    score = alignment_scorer(objective, target)
 
     def evaluate(w: np.ndarray) -> float:
-        return score(lambda x: x @ w)
+        return score(lambda x: x @ w, features)
 
     dim = features.shape[1]
 
@@ -565,7 +547,7 @@ def select_top_k(
     n = matrix.n_metrics
     if not 1 <= k <= n:
         raise MetacalError(f"k must be in [1, {n}], got {k}")
-    score = _scorer(matrix.values, matrix, target, objective)
-    scores = np.array([score(lambda x: x[:, j]) for j in range(n)])
+    score = alignment_scorer(objective, target)
+    scores = np.array([score(lambda x: x[:, j], matrix.values) for j in range(n)])
     ranked = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in ranked[:k]))

@@ -368,6 +368,15 @@ def _raise_first_error(
     raise AssertionError("a block failed its check, but none of its rows did")
 
 
+def _refuse_reserved(metric_names: Sequence[str]) -> None:
+    """A CSV metric column may not take the name of an id column or of the
+    human column: its reader would read it as that column."""
+    reserved = [name for name in metric_names if name in (*ID_COLUMNS, HUMAN_COLUMN)]
+    if reserved:
+        raise HeaderMismatch(f"a metric may not be named {', '.join(ID_COLUMNS)} or {HUMAN_COLUMN}: "
+                             f"{', '.join(reserved)}")
+
+
 def _read_table(
     path: str, text_columns: Sequence[str], number_columns: Sequence[str]
 ) -> tuple[list[ExampleId], list[list[str]], np.ndarray, PreferenceTarget | None]:
@@ -385,8 +394,10 @@ def _read_table(
 
     Returns the example ids, one list of strings per text column, a float64
     array with one column per number column, and a pointwise target when
-    the human column is present.
+    the human column is present.  A number column named like an id or the
+    human column is refused before the file is opened.
     """
+    _refuse_reserved(number_columns)
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -486,6 +497,7 @@ def _write_rows(
 def save_scores_csv(
     matrix: ScoreMatrix, path: str, target: PreferenceTarget | None = None
 ) -> None:
+    _refuse_reserved(matrix.metric_names)
     header = [*ID_COLUMNS, *matrix.metric_names]
     values = matrix.values
     if target is not None:

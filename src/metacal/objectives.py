@@ -31,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import MetacalError, PreferenceTarget, TargetKind
+from .core import MetacalError, PreferenceTarget, TargetKind, unstack_pairs
 
 
 class LengthMismatch(MetacalError):
@@ -69,6 +69,21 @@ def scored_by(objective: ObjectiveKind, target: PreferenceTarget) -> ObjectiveKi
     """The objective a model fit to `target` is scored by: pairwise accuracy
     on a pairwise target, else `objective`."""
     return ObjectiveKind.PAIRWISE_ACCURACY if target.kind is TargetKind.PAIRWISE else objective
+
+
+def alignment_scorer(
+    objective: ObjectiveKind, target: PreferenceTarget
+) -> Callable[[Callable[[np.ndarray], np.ndarray], np.ndarray], float]:
+    """`score(meta, rows)`: the alignment with `target` of the meta-scores
+    `meta(x)` of `rows`, one row per target row in stacked order.  On a
+    pairwise target that is the pairwise accuracy of the chosen and the
+    rejected halves, each passed to `meta` on its own (a stacked product's
+    halves can differ in the last bit); otherwise `objective` against z,
+    prepared once for every call (-1 if degenerate)."""
+    if target.kind is TargetKind.PAIRWISE:
+        return lambda meta, rows: pairwise_accuracy(*map(meta, unstack_pairs(rows)))
+    z = prepare(objective, target.z)
+    return lambda meta, rows: score_or_worst(objective, meta(rows), z)
 
 
 def _runs(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

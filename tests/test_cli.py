@@ -203,7 +203,7 @@ class TestCalibrateAndScore:
             "--output", str(model_path),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == "error: prune_iterations must be in [1, 5], got 6\n"
+        assert capsys.readouterr().err == "error: --prune-iterations must be in [1, 5], got 6\n"
         assert not model_path.exists()
 
     def test_a_pointwise_fold_of_one_judgment_is_validation_error(
@@ -258,13 +258,19 @@ class TestCalibrateAndScore:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "m.json").exists()
 
-    def test_top_k_above_the_metric_count_is_refused_before_the_scores_are_read(
-        self, tmp_path, capsys, specs_path
+    @pytest.mark.parametrize("flags, message", [
+        (["--top-k", "99"], "--top-k must be in [1, 5], got 99"),
+        (["--method", "gbt", "--prune-iterations", "9"], "--prune-iterations must be in [1, 5], got 9"),
+        (["--method", "gbt", "--top-k", "2", "--prune-iterations", "3"],
+         "--prune-iterations must be in [1, 2], got 3"),
+    ], ids=["top_k", "prune_iterations", "prune_iterations_after_top_k"])
+    def test_a_count_above_the_metric_count_is_refused_before_the_scores_are_read(
+        self, tmp_path, capsys, specs_path, flags, message
     ):
         rc = main(["calibrate", "--scores", str(tmp_path / "absent.csv"), "--specs", specs_path,
-                   "--output", str(tmp_path / "m.json"), "--top-k", "99"])
+                   "--output", str(tmp_path / "m.json"), *flags])
         assert rc == 2
-        assert capsys.readouterr().err == "error: --top-k must be in [1, 5], got 99\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_missing_human_column_is_validation_error(self, tmp_path, specs_path, scores_path):
@@ -328,6 +334,14 @@ class TestEvaluate:
         assert rc == 2
         assert "missing columns: b" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
+    def test_a_metric_named_human_is_refused(self, tmp_path, capsys, scores_path):
+        rc = main(["evaluate", "--metric", "human", "--scores", scores_path,
+                   "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a metric may not be named dataset, system, segment or human: human\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_model_and_metric_together_rejected(self, tmp_path, scores_path):
         rc = main(["evaluate", "--model", "x.json", "--metric", "chrf",
@@ -549,6 +563,19 @@ class TestSplit:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: --train-output and --test-output must be different files\n")
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["split", "calibrate"])
+    def test_a_spec_named_human_is_refused(self, tmp_path, capsys, scores_path, command):
+        specs = str(tmp_path / "human_specs.json")
+        save_specs([*builtin_specs(("bleu",)), MetricSpec("human", 0.0, 1.0, True)], specs)
+        outputs = (["--train-output", str(tmp_path / "tr.csv"), "--test-output", str(tmp_path / "te.csv")]
+                   if command == "split" else ["--output", str(tmp_path / "m.json")])
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([command, "--scores", scores_path, "--specs", specs, *outputs]) == 2
+        assert capsys.readouterr().err == (
+            "error: a metric may not be named dataset, system, segment or human: human\n")
         assert set(tmp_path.iterdir()) == before
 
     def test_failed_test_write_keeps_previous_train_file(self, tmp_path, split_argv):

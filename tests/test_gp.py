@@ -6,6 +6,7 @@ import pytest
 
 import metacal.core as core
 import metacal.gp as gp_mod
+import metacal.objectives as objectives_mod
 from metacal.core import (
     ExampleId,
     MetacalError,
@@ -465,13 +466,13 @@ class TestCalibrateGp:
 
     def test_objective_evaluation_budget(self, monkeypatch):
         calls = {"n": 0}
-        original = gp_mod.score_or_worst
+        original = objectives_mod.score_or_worst
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gp_mod, "score_or_worst", counting)
+        monkeypatch.setattr(objectives_mod, "score_or_worst", counting)
         rng = np.random.default_rng(21)
         y = rng.uniform(0, 1, (40, 2))
         z = 0.6 * y[:, 0] + 0.4 * y[:, 1]

@@ -168,6 +168,28 @@ class TestScoresCsvRoundTrip:
         np.testing.assert_array_equal(matrix.values, [[0.5, 0.6, 0.7]])
         assert target is None
 
+    def test_a_metric_named_like_an_id_column_is_not_written(self, tmp_path):
+        matrix = _random_matrix(np.random.default_rng(2), metrics=("alpha", "segment"))
+        path = tmp_path / "scores.csv"
+        with pytest.raises(HeaderMismatch, match="^a metric may not be named dataset, system, "
+                                                 "segment or human: segment$"):
+            save_scores_csv(matrix, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_staged_refuses_a_directory_before_the_first_move(tmp_path):
+    existing, directory = tmp_path / "existing.txt", tmp_path / "a_directory"
+    existing.write_text("before\n")
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError, match=f"^{re.escape(str(directory))} is a directory$"):
+        with metacal_io.staged([str(existing), str(directory)]) as tmps:
+            for tmp in tmps:
+                with open(tmp, "w") as fh:
+                    fh.write("after\n")
+    assert existing.read_text() == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "existing.txt"]
+    assert list(directory.iterdir()) == []
+
 
 class TestTableReader:
     """Score CSV and corpus CSV share one reader; each test covers both."""

@@ -11,7 +11,12 @@ metacal of this checkout (`src/`):
   human scores differ (the higher one chosen), split by pair, then a GP
   model and a GBT model pruned over 2 rounds on a short size grid, trained
   on the train pairs, scored and evaluated on the test pairs;
-- basemetrics on the desk corpus with two metric subsets (`SUBSETS`).
+- basemetrics on the desk corpus with two metric subsets (`SUBSETS`);
+- four more calibrations, each followed by `report` (`PINNED_MODELS`): on
+  the CSV path, the GBT model pruned over 2 rounds on the short size grid
+  under its default loss, under `--loss absoluteerror` and under
+  `--loss squaredlogerror`; on the pairs, a GP model over the 3 metrics
+  that align best on their own (`--top-k 3`).
 
 Two checkouts that print the same lines produce the same artifacts.  The
 default-flags GBT calibration dominates the run time (several seconds).
@@ -42,6 +47,17 @@ CORPUS = os.path.join(ROOT, "src", "metacal", "data", "desk_corpus.csv")
 # basemetrics selections scored besides the quick start's: ROUGE-N columns
 # only, in reverse order, and BLEU with no ROUGE-N column.
 SUBSETS = ("rouge2,rouge1", "rougel,chrf,bleu")
+SHORT_PRUNED_GBT = ["--method", "gbt", "--n-estimators-low", "10", "--n-estimators-high", "30",
+                    "--n-estimators-step", "10", "--prune-iterations", "2"]
+# Calibrations pinned besides the quick start's, as (tag, train, format,
+# flags) like `commands`' models; each is reported, not scored.
+PINNED_MODELS = (
+    ("gbt_pruned", "train.csv", "csv", SHORT_PRUNED_GBT),
+    ("gbt_pruned_absoluteerror", "train.csv", "csv", [*SHORT_PRUNED_GBT, "--loss", "absoluteerror"]),
+    ("gbt_pruned_squaredlogerror", "train.csv", "csv",
+     [*SHORT_PRUNED_GBT, "--loss", "squaredlogerror"]),
+    ("gp_top3_pairs", "pairs_train.jsonl", "jsonl", ["--method", "gp", "--top-k", "3"]),
+)
 
 
 def run(*argv: str) -> None:
@@ -93,9 +109,7 @@ def commands(work: str, seed: str) -> list[tuple[str, list[str]]]:
                                           "--top-k", "3"]),
         ("gbt", "train.csv", "csv", ["--method", "gbt"]),
         ("gp_pairs", "pairs_train.jsonl", "jsonl", ["--method", "gp"]),
-        ("gbt_pairs", "pairs_train.jsonl", "jsonl", [
-            "--method", "gbt", "--n-estimators-low", "10", "--n-estimators-high", "30",
-            "--n-estimators-step", "10", "--prune-iterations", "2"]),
+        ("gbt_pairs", "pairs_train.jsonl", "jsonl", SHORT_PRUNED_GBT),
     )
     for tag, train, fmt, flags in models:
         model = p(f"{tag}.json")
@@ -124,6 +138,11 @@ def quick_start(work: str, seed: str) -> None:
     prepare(work)
     for _, argv in rest:
         run(*argv)
+    for tag, train, fmt, flags in PINNED_MODELS:
+        model = os.path.join(work, f"{tag}.json")
+        run("calibrate", "--scores", os.path.join(work, train), "--specs", os.path.join(work, "specs.json"),
+            "--format", fmt, "--seed", seed, "--output", model, *flags)
+        run("report", "--model", model, "--output", os.path.join(work, f"weights_{tag}.json"))
     for subset in SUBSETS:
         out = os.path.join(work, f"scores_{subset.replace(',', '_')}.csv")
         run("basemetrics", "--input", CORPUS, "--metrics", subset, "--output", out)
