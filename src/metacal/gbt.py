@@ -82,6 +82,7 @@ from .objectives import (
     NonFiniteInput,
     ObjectiveKind,
     alignment_scorer,
+    pairwise_accuracy,  # unused here: perfbench's tracer test checks that this copy is rebound
     scored_by,
 )
 
@@ -728,7 +729,8 @@ def _cv_curve(
     for n, levels in enumerate(itertools.islice(rounds, grid[-1]), start=1):
         preds += config.learning_rate * _route(levels, held_x, root)
         if n == grid[len(curve)]:
-            folds = [score(lambda p: p, preds[end - r.size:end]) for score, r, end in zip(scorers, held, ends)]
+            folds = [score(lambda p: p, preds[end - r.size:end])
+                     for score, r, end in zip(scorers, held, ends)]
             curve.append(float(np.mean(folds)))
     return curve
 

@@ -36,6 +36,7 @@ from .objectives import (
     NonFiniteInput,
     ObjectiveKind,
     alignment_scorer,
+    score_or_worst,  # unused here: perfbench's tracer test checks that this copy is rebound
     scored_by,
 )
 from .preprocess import unit_specs
