@@ -1,7 +1,8 @@
 """The scripts under tools/ run: each answers --help, the corpus generator
 reproduces the bundled desk corpus byte for byte, the shared pairs driver
-orders, summarizes and records its runs, and the pairs and quick-start
-benches refuse a compiled checkout."""
+orders, summarizes and records its runs, the quick-start bench times the
+quick start's commands plus one pruned GBT calibration, and the pairs and
+quick-start benches refuse a compiled checkout."""
 
 import argparse
 import importlib.util
@@ -59,6 +60,22 @@ def test_quickstart_bench_refuses_a_checkout_holding_bytecode(tmp_path):
     assert done.returncode == 2
     assert f"refused: {tmp_path / 'src' / 'metacal' / '__pycache__'} exists" in done.stderr
     assert not (TOOLS.parent / "bench" / "QUICKSTART_t.json").exists()
+
+
+def test_quickstart_bench_times_the_quick_start_commands_plus_one_pruned_gbt():
+    # In a child process: importing quickstart_bench turns off bytecode writing.
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import artifact_digests, quickstart_bench; "
+            "print(json.dumps([artifact_digests.commands('w', '0'), quickstart_bench.stages('w')]))")
+    done = subprocess.run([sys.executable, "-c", code, str(TOOLS)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    commands, stages = json.loads(done.stdout)
+    assert len(stages) == 24
+    assert stages[:-1] == commands
+    name, argv = stages[-1]
+    gbt = dict(commands)["calibrate_gbt"]
+    out = gbt.index("--output") + 1
+    assert name == "calibrate_gbt_prune3"
+    assert argv == [*gbt[:out], "w/gbt_prune3.json", *gbt[out + 1:], "--prune-iterations", "3"]
 
 
 def test_pairs_bench_spreads_the_control_pairs():
