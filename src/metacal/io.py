@@ -7,17 +7,22 @@ significant digits, which round-trips float64 exactly and makes repeated
 runs byte-identical.  Every output file is written whole or not at all,
 and `staged` moves several outputs into place together or not at all.
 
-Score files are read and written by columns.  The CSV readers take rows a
-block at a time (`_BLOCK_ROWS`): each number column of a block is parsed
-in one `float` pass and the block's values are checked finite at once.
-The JSONL reader checks each record's structure as it reads it, and the
-JSON types and finiteness of all its metric values once per file.  Only a
-block or file that fails its check is rescanned, value by value in
-reading order, and the rescan raises the first error met: the error, line
-and column that a row-by-row read names.  A CSV number is a text that
-`float` reads and that holds only ASCII and no "_" (`_plain`).  The
-writers check finiteness once and format each row from one template
-string.
+Score files are read and written by columns.  The CSV readers read the
+rows after the header with numpy's C reader, `np.loadtxt`, in one streamed
+pass: the number columns as float64, every other column as strings.  A
+file that pass does not take whole (a malformed row or value, an
+undecodable byte, a field over the csv module's size limit, or a
+character that numpy strips from a number and `float` does not) is read
+again by the block reader, which takes rows a block at a time
+(`_BLOCK_ROWS`), parses each number column of a block in one `float` pass
+and checks the block's values finite at once.  The JSONL reader checks
+each record's structure as it reads it, and the JSON types and finiteness
+of all its metric values once per file.  Only a block or file that fails
+its check is rescanned, value by value in reading order, and the rescan
+raises the first error met: the error, line and column that a row-by-row
+read names.  A CSV number is a text that `float` reads and that holds only
+ASCII and no "_" (`_plain`).  The writers check finiteness once and format
+each row from one template string.
 """
 
 from __future__ import annotations
@@ -385,12 +390,14 @@ def _read_table(
     repeat; a column read here may not.  Blank rows are skipped; a UTF-8
     byte-order mark is dropped.
 
-    Rows are read `_BLOCK_ROWS` at a time, and each block is checked as a
-    whole (`_parse_block`): every row has the header's field count, and
-    each number column, parsed with `float` in one pass, is finite by one
-    `np.isfinite` check.  A block that fails is rescanned row by row only
-    to raise its first error, naming the line and column that a row-by-row
-    read names (`_raise_first_error`).
+    The csv module reads and checks the header.  numpy's C reader then
+    reads the rest of the file in one streamed pass (`_loadtxt_rows`),
+    when a byte scan finds nothing it would read differently from the csv
+    module and `_parse_value` (`_loadtxt_safe`).  Any file it does not
+    take whole, for a bad row, an undecodable byte, a non-finite value or
+    a field over the csv module's size limit, is read again from the top
+    by the block reader (`_block_rows`), which returns the table or raises
+    the error, line and column that a row-by-row read names.
 
     Returns the example ids, one list of strings per text column, a float64
     array with one column per number column, and a pointwise target when
@@ -417,30 +424,127 @@ def _read_table(
         repeated = [c for c in used if header.count(c) > 1]
         if repeated:
             raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
-        pick = itemgetter(*(header.index(c) for c in used))  # >= 3 columns: a tuple
-        width, first_number = len(header), len(used) - len(numeric)
-
-        ids: list[ExampleId] = []
-        texts: list[list[str]] = [[] for _ in text_columns]
-        numbers: list[np.ndarray] = []
-        line = 2
-        for block in _record_blocks(reader):
-            records = [r for r in block if r]
-            if records:
-                parsed = _parse_block(records, width, pick, first_number)
-                if parsed is None:
-                    _raise_first_error(block, line, width, pick, first_number, numeric)
-                columns, values = parsed
-                ids.extend(map(_new_id, zip(columns[0], columns[1], columns[2])))
-                for text, column in zip(texts, columns[len(ID_COLUMNS):first_number]):
-                    text.extend(column)
-                numbers.append(values)
-            line += len(block)
-    table = np.concatenate(numbers, axis=1) if numbers else np.empty((len(numeric), 0))
+        positions = [header.index(c) for c in used]
+        first_number = len(used) - len(numeric)
+        rows = _loadtxt_rows(fh, len(header), positions, first_number) if _loadtxt_safe(path) else None
+        if rows is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            rows = _block_rows(reader, len(header), positions, first_number, numeric)
+    columns, table = rows
+    ids = list(map(_new_id, zip(columns[0], columns[1], columns[2])))
     target = None
     if len(numeric) > len(number_columns):
         target = PreferenceTarget.from_pointwise(table[-1])
-    return ids, texts, table[:len(number_columns)].T, target
+    return ids, columns[len(ID_COLUMNS):], table[:len(number_columns)].T, target
+
+
+def _block_rows(
+    reader: Iterator[list[str]], width: int, positions: Sequence[int], first_number: int,
+    numeric: Sequence[str],
+) -> tuple[list[list[str]], np.ndarray]:
+    """The rows after the header, read from `reader` `_BLOCK_ROWS` at a
+    time: the used columns before `first_number` (`positions` in the
+    header) as lists of strings, and the number columns, named
+    `numeric`, as one float64 array of shape (columns, rows).
+
+    Each block is checked as a whole (`_parse_block`): every row has the
+    header's `width` fields, and each number column, parsed with `float`
+    in one pass, is finite by one `np.isfinite` check.  A block that fails
+    is rescanned row by row only to raise its first error
+    (`_raise_first_error`)."""
+    pick = itemgetter(*positions)  # >= 3 columns: a tuple
+    columns: list[list[str]] = [[] for _ in range(first_number)]
+    numbers: list[np.ndarray] = []
+    line = 2
+    for block in _record_blocks(reader):
+        records = [r for r in block if r]
+        if records:
+            parsed = _parse_block(records, width, pick, first_number)
+            if parsed is None:
+                _raise_first_error(block, line, width, pick, first_number, numeric)
+            for column, values in zip(columns, parsed[0]):
+                column.extend(values)
+            numbers.append(parsed[1])
+        line += len(block)
+    table = np.concatenate(numbers, axis=1) if numbers else np.empty((len(numeric), 0))
+    return columns, table
+
+
+# The characters that numpy's number parser strips around a number and
+# `float` does not: ASCII 0x1c-0x1f and the non-ASCII whitespace, UTF-8
+# encoded.
+_STRIPPED_ASCII = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_STRIPPED_NON_ASCII = tuple(
+    chr(c).encode() for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+)
+# Bytes per chunk of `_loadtxt_safe`'s scan.
+_SCAN_BYTES = 1 << 20
+# Lines that numpy's reader and the csv module both skip.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _loadtxt_safe(path: str) -> bool:
+    """Whether `_loadtxt_rows` may read the file at `path`: no `_STRIPPED`
+    character, which `np.loadtxt` would strip from a number, and no run of
+    more than `csv.field_size_limit()` bytes without a comma, which a
+    number field longer than the limit needs and numpy would accept.  The
+    file is scanned in `_SCAN_BYTES` chunks, so only one chunk is held."""
+    limit = csv.field_size_limit()
+    # A comma-free run of 2 * step bytes or more holds a whole step-aligned
+    # block of the chunk it lies in, and 2 * step > limit.
+    step = limit // 2 + 1
+    run = 0  # bytes since the last comma
+    tail = b""  # the previous chunk's last bytes if not ASCII: a character may span chunks
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if any(c in chunk for c in _STRIPPED_ASCII):
+                return False
+            tail = b"" if chunk.isascii() else tail + chunk
+            if any(c in tail for c in _STRIPPED_NON_ASCII):
+                return False
+            tail = tail[-2:]
+            first = chunk.find(b",")
+            if first < 0:
+                run += len(chunk)
+                continue
+            if run + first > limit:
+                return False
+            if any(chunk.find(b",", start, start + step) < 0 for start in range(0, len(chunk) - step + 1, step)):
+                return False
+            run = len(chunk) - 1 - chunk.rfind(b",")
+    return run <= limit
+
+
+def _loadtxt_rows(
+    fh: TextIO, width: int, positions: Sequence[int], first_number: int
+) -> tuple[list[list[str]], np.ndarray] | None:
+    """`_block_rows`'s result, read from `fh` after the header by one
+    `np.loadtxt` call: a number column as float64, every other one of the
+    header's `width` columns as Python strings, so that a row with too few
+    or too many fields fails the read.  None where the read fails, a value
+    is not finite or a string field is longer than the csv module's size
+    limit (the block reader then reads the file), or where no row follows
+    the header."""
+    numbers = positions[first_number:]
+    dtype = np.dtype([(f"f{i}", np.float64 if i in numbers else object) for i in range(width)])
+    try:
+        first = next((line for line in fh if line not in _BLANK_LINES), None)
+        if first is None:  # numpy would warn of an empty read
+            return None
+        rows = np.loadtxt(itertools.chain((first,), fh), dtype=dtype, comments=None, delimiter=",",
+                          quotechar='"', ndmin=1)
+    except ValueError:  # a UnicodeDecodeError too
+        return None
+    table = np.array([rows[f"f{i}"] for i in numbers]).reshape(len(numbers), len(rows))
+    if not np.isfinite(table).all():
+        return None
+    texts = {i: rows[f"f{i}"].tolist() for i in range(width) if i not in numbers}
+    limit = csv.field_size_limit()
+    if any(max(map(len, column), default=0) > limit for column in texts.values()):
+        return None
+    return [texts[i] for i in positions[:first_number]], table
 
 
 def load_scores_csv(

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from metacal.core import (
 from metacal import io as metacal_io
 from metacal.gbt import GbtConfig, gbt_train
 from metacal.io import (
+    ID_COLUMNS,
     ColumnMismatch,
     HeaderMismatch,
     MalformedModel,
@@ -456,6 +458,237 @@ class TestColumnLoadersMatchRowLoaders:
         path.write_text("dataset,system,segment,alpha,beta,gamma\n" + rows + "d,s,x,0.5,nan,0.5\n" + rows)
         with pytest.raises(NonFiniteValue, match="line 5002: non-finite value in column 'beta'"):
             load_scores_csv(str(path), _specs())
+
+
+def _read_outcome(load, *args):
+    """`_outcome`, with a `UnicodeDecodeError` as its type and reason."""
+    try:
+        return _outcome(load, *args)
+    except UnicodeDecodeError as exc:
+        return type(exc), exc.reason, exc.start
+
+
+@contextmanager
+def _fast_reads():
+    """Record, per call of `_loadtxt_rows`, whether numpy's reader took the
+    file (True) or left it to the block reader (False)."""
+    taken, real = [], metacal_io._loadtxt_rows
+
+    def spy(*args):
+        rows = real(*args)
+        taken.append(rows is not None)
+        return rows
+
+    with mock.patch.object(metacal_io, "_loadtxt_rows", spy):
+        yield taken
+
+
+def _scanned():
+    return {c.decode() for c in metacal_io._STRIPPED_ASCII + metacal_io._STRIPPED_NON_ASCII}
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadtxtFallback:
+    """Each way numpy's reader can decline a file ends in the block reader,
+    which raises the error, line and column of the row-by-row loader, or
+    returns its result."""
+
+    NAMES = ("alpha", "beta", "gamma")
+    HEADER = b"dataset,system,segment,alpha,beta,gamma,human\n"
+    ROW = b"d,s,1,0.5,0.25,0.125,1.5\n"
+
+    def _same(self, tmp_path, body, expected=None):
+        """The column loader's outcome on a file of `body` after the header,
+        checked equal to the row loader's (and to `expected`)."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.HEADER + body)
+        column = _read_outcome(_column_csv, str(path), self.NAMES)
+        assert column == _read_outcome(row_load_scores_csv, str(path), self.NAMES)
+        if expected is not None:
+            assert column == expected
+        return column
+
+    def test_a_row_with_an_extra_field(self, tmp_path):
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + b"d,s,2,0.5,0.25,0.125,1.5,extra\n",
+                       (ParseError, "line 3: 8 fields, header has 7"))
+        assert taken == [False]
+
+    def test_an_undecodable_byte(self, tmp_path):
+        # Past the text layer's first read, which the header read decodes.
+        rows = "".join(f"d,s,{i},0.5,0.25,0.125,1.5\n" for i in range(2000)).encode()
+        with _fast_reads() as taken:
+            assert self._same(tmp_path, rows + b"d,s,\xff,0.5,0.25,0.125,1.5\n")[0] is UnicodeDecodeError
+        assert taken == [False]
+
+    @pytest.mark.parametrize("text", ["nan", "-inf", "1e999"])
+    def test_a_non_finite_value(self, tmp_path, text):
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + f"d,s,2,0.5,{text},0.125,1.5\n".encode(),
+                       (NonFiniteValue, "line 3: non-finite value in column 'beta'"))
+        assert taken == [False]
+
+    def test_a_text_field_over_the_csv_size_limit(self, tmp_path):
+        # Commas inside the quotes keep the scan from refusing the file, so
+        # numpy reads it and the length check declines it.
+        system = '"' + "x," * (csv.field_size_limit() // 2 + 1) + '"'
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + f"d,{system},2,0.5,0.25,0.125,1.5\n".encode(),
+                       (ParseError, f"line 3: field larger than field limit ({csv.field_size_limit()})"))
+        assert taken == [False]
+
+    def test_a_number_field_over_the_csv_size_limit(self, tmp_path):
+        # numpy reads this as 0.0; the csv module refuses it, so the scan
+        # refuses the file.
+        number = "0." + "0" * 200_000 + "1"
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + f"d,s,2,0.5,0.25,{number},1.5\n".encode(),
+                       (ParseError, f"line 3: field larger than field limit ({csv.field_size_limit()})"))
+        assert taken == []
+
+    @pytest.mark.parametrize("text", ["\xa00.5", "0.5\u2009", "\u30000.5", "0.5\x85", "\x1c0.5", "0.5\x1f"])
+    def test_a_character_numpy_strips_next_to_a_number(self, tmp_path, text):
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + f"d,s,2,0.5,0.25,{text},1.5\n".encode(),
+                       (ParseError, f"line 3: cannot parse {text!r} in column 'gamma'"))
+        assert taken == []
+
+    @pytest.mark.parametrize("text", ["١", "１", "1_0"])
+    def test_a_number_numpy_refuses_itself(self, tmp_path, text):
+        with _fast_reads() as taken:
+            self._same(tmp_path, self.ROW + f"d,s,2,0.5,0.25,{text},1.5\n".encode(),
+                       (ParseError, f"line 3: cannot parse {text!r} in column 'gamma'"))
+        assert taken == [False]
+
+    @pytest.mark.parametrize("body", [b"", b"\n", b"\r\n\n\r"])
+    def test_a_header_only_file(self, tmp_path, body):
+        assert self._same(tmp_path, body) == ([], [], [])
+
+    def test_non_ascii_ids_and_texts_keep_numpy_s_reader(self, tmp_path):
+        texts = ["é", "中文", "a—b", "’s", "\U0001f600", "\u200b"]  # none a space
+        body = "".join(f"{t},s,{i},0.5,0.25,0.125,1.5\n" for i, t in enumerate(texts))
+        with _fast_reads() as taken:
+            self._same(tmp_path, body.encode())
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("dataset,system,segment,hypothesis,reference\n"
+                          + "".join(f"d,s,{i},{t} cat,the {t}\n" for i, t in enumerate(texts)), encoding="utf-8")
+        with _fast_reads() as corpus_taken:
+            assert load_corpus_csv(str(corpus))[1][2] == SegmentPair("a—b cat", "the a—b")
+        assert taken == corpus_taken == [True]
+
+    def test_the_scan_looks_for_what_numpy_strips_and_the_rules_refuse(self):
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        dtype = np.dtype([("x", np.float64)])
+        for c in spaces:
+            assert np.loadtxt([f'"{c}1{c}"'], dtype=dtype, delimiter=",", quotechar='"', ndmin=1)["x"] == 1.0
+
+        def refused(text):
+            try:
+                metacal_io._parse_value(text, 1, "x")
+            except ParseError:
+                return True
+            return False
+
+        assert _scanned() == {c for c in spaces if refused(c + "1") and refused("1" + c)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.sampled_from([b"a", b",", "\u3001".encode()]), max_size=40).map(b"".join),
+           insert=st.sampled_from(["", "\u3000", "\xa0", "\x1d"]), at=st.integers(0, 60),
+           chunk=st.integers(1, 9), limit=st.integers(0, 20))
+    def test_the_scan_in_chunks(self, data, insert, at, chunk, limit):
+        """Whatever the chunk size, the scan refuses a file holding a
+        scanned character or a comma-free run longer than the field size
+        limit, and takes one whose runs are at most half the limit."""
+        data = data[:at] + insert.encode() + data[at:]
+        with tempfile.TemporaryDirectory() as work, mock.patch.object(metacal_io, "_SCAN_BYTES", chunk):
+            path = os.path.join(work, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            old = csv.field_size_limit(limit)
+            try:
+                safe = metacal_io._loadtxt_safe(path)
+            finally:
+                csv.field_size_limit(old)
+        longest = max(map(len, data.split(b",")))
+        if longest > limit or any(c.encode() in data for c in _scanned()):
+            assert not safe
+        elif longest <= limit // 2:
+            assert safe
+
+
+def _csv_field(text, quote):
+    """`text` as a CSV field, in quotes where it needs them or `quote`."""
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_FIELD_TEXT = st.text(alphabet=st.sampled_from(list(',"\r\n\x00# xé中')), max_size=5)
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from(["%.17g" % v, repr(v)])),
+    st.sampled_from(["+.5", " 1e3 ", "1.", "-0", "\t7\t", "1E-3"]))
+
+
+@st.composite
+def _valid_table(draw, text_columns):
+    """Bytes of a valid CSV table: unique ids, `text_columns`, the metrics
+    alpha and beta, maybe a human column and repeated ignored columns, in
+    a drawn column order; fields quoted at random, CRLF or LF line ends,
+    blank rows, maybe a byte-order mark."""
+    numbers = ["alpha", "beta"] if not text_columns else []
+    header = [*ID_COLUMNS, *text_columns, *numbers, *(["human"] if draw(st.booleans()) else []),
+              *["note"] * draw(st.integers(0, 2))]
+    header = draw(st.permutations(header))
+    ids = draw(st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT, _FIELD_TEXT), min_size=1, max_size=8, unique=True))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for row_id in ids:
+        values = dict(zip(ID_COLUMNS, row_id))
+        fields = [values[c] if c in values else draw(_NUMBER_TEXT if c in (*numbers, "human") else _FIELD_TEXT)
+                  for c in header]
+        lines.append(",".join(_csv_field(f, draw(st.booleans())) for f in fields))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + end.join(lines) + end).encode("utf-8")
+
+
+class TestLoadtxtMatchesRowLoaders:
+    """On valid tables numpy's reader takes the file, and the loaders return
+    what the row-by-row loaders of `tests/oracles.py` return: the same ids,
+    texts and bits of every value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_valid_table(()))
+    def test_score_table(self, data):
+        names = ("alpha", "beta")
+        with tempfile.TemporaryDirectory() as work, _fast_reads() as taken:
+            path = os.path.join(work, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            matrix, target = load_scores_csv(path, _specs(names))
+            ids, rows, z = row_load_scores_csv(path, names)
+        assert taken == [True]
+        assert list(matrix.example_ids) == ids
+        assert matrix.values.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert (None if target is None else target.z.tobytes()) == (
+            None if z is None else np.array(z, dtype=np.float64).tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_valid_table(("hypothesis", "reference")))
+    def test_corpus_table(self, data):
+        with tempfile.TemporaryDirectory() as work, _fast_reads() as taken:
+            path = os.path.join(work, "c.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            ids, pairs, target = load_corpus_csv(path)
+            row_ids, row_pairs, z = row_read_table(path, ("hypothesis", "reference"),
+                                                   lambda line, fields: SegmentPair(*fields))
+        assert taken == [True]
+        assert (ids, pairs) == (row_ids, row_pairs)
+        assert (None if target is None else target.z.tobytes()) == (
+            None if z is None else np.array(z, dtype=np.float64).tobytes())
 
 
 # Id texts the csv module must quote, and non-ASCII ones.  A bare carriage

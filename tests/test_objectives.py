@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metacal.core import MetacalError
+from metacal.core import MetacalError, PreferencePair, PreferenceTarget
 from metacal.objectives import (
     DegenerateInput,
     EmptyInput,
     LengthMismatch,
     NonFiniteInput,
     ObjectiveKind,
+    alignment_scorer,
     correlation,
     kendall_tau,
     pairwise_accuracy,
@@ -295,6 +296,35 @@ class TestPairwiseAccuracy:
         for _ in range(100):
             pairs = [tuple(p) for p in rng.integers(0, 4, size=(rng.integers(1, 40), 2)).astype(float)]
             assert pairwise_accuracy(*zip(*pairs)) == naive_pairwise_accuracy(pairs)
+
+
+
+class TestAlignmentScorer:
+    @staticmethod
+    def _spy(calls):
+        def meta(x):
+            calls.append(np.array(x))
+            return x @ np.array([0.5, -0.25])
+        return meta
+
+    def test_pairwise_halves_are_scored_by_separate_calls(self):
+        # A product over all stacked rows can differ in the last bit from
+        # the products over each half (seen with OpenBLAS for one pair: a
+        # 2 x 2 product against two 1 x 2 ones), so each half gets its own
+        # call.
+        rows = np.arange(12.0).reshape(6, 2)
+        target = PreferenceTarget.from_pairs(PreferencePair(f"g{i}") for i in range(3))
+        calls = []
+        score = alignment_scorer(ObjectiveKind.KENDALL, target)(self._spy(calls), rows)
+        assert [c.tolist() for c in calls] == [rows[0::2].tolist(), rows[1::2].tolist()]
+        assert score == pairwise_accuracy(rows[0::2] @ [0.5, -0.25], rows[1::2] @ [0.5, -0.25])
+
+    def test_pointwise_rows_are_scored_by_one_call(self):
+        rows = np.arange(12.0).reshape(6, 2)
+        calls = []
+        alignment_scorer(ObjectiveKind.SPEARMAN, PreferenceTarget.from_pointwise(np.arange(6.0)))(
+            self._spy(calls), rows)
+        assert [c.tolist() for c in calls] == [rows.tolist()]
 
 
 # Monotone-transform strategies keep values in ranges where exp stays finite.
