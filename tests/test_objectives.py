@@ -298,7 +298,6 @@ class TestPairwiseAccuracy:
             assert pairwise_accuracy(*zip(*pairs)) == naive_pairwise_accuracy(pairs)
 
 
-
 class TestAlignmentScorer:
     @staticmethod
     def _spy(calls):
