@@ -479,8 +479,8 @@ _STRIPPED_ASCII = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _STRIPPED_NON_ASCII = tuple(
     chr(c).encode() for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 )
-# Bytes per chunk of `_loadtxt_safe`'s scan.  Scanning the same file in
-# 1 MiB chunks read ~1.1 MB more scale peak RSS and was no faster.
+# Bytes per chunk of `_loadtxt_safe`'s scan.  1 MiB chunks raised scale
+# peak RSS by ~1 MB (bench/PAIRS_389caff.json) and scanned no faster.
 _SCAN_BYTES = 1 << 16
 # Lines that numpy's reader and the csv module both skip.
 _BLANK_LINES = ("\n", "\r\n", "\r")
