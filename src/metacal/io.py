@@ -8,14 +8,15 @@ runs byte-identical.  Every output file is written whole or not at all,
 and `staged` moves several outputs into place together or not at all.
 
 Score files are read and written by columns.  The CSV readers read the
-rows after the header with numpy's C reader, `np.loadtxt`, in one streamed
-pass: the number columns as float64, every other column as strings.  A
-file that pass does not take whole (a malformed row or value, an
-undecodable byte, a field over the csv module's size limit, or a
-character that numpy strips from a number and `float` does not) is read
-again by the block reader, which takes rows a block at a time
-(`_BLOCK_ROWS`), parses each number column of a block in one `float` pass
-and checks the block's values finite at once.  The JSONL reader checks
+rows after the header of a regular file with numpy's C reader,
+`np.loadtxt`, in one streamed pass: the number columns as float64, every
+other column as strings.  A file that pass does not take whole (a
+malformed row or value, an undecodable byte, a field over the csv
+module's size limit, or a character that numpy strips from a number and
+`float` does not) is read again by the block reader, and a pipe, which
+can be read only once, is read by it alone.  The block reader takes rows
+a block at a time (`_BLOCK_ROWS`), parses each number column of a block
+in one `float` pass and checks the block's values finite at once.  The JSONL reader checks
 each record's structure as it reads it, and the JSON types and finiteness
 of all its metric values once per file.  Only a block or file that fails
 its check is rescanned, value by value in reading order, and the rescan
@@ -32,6 +33,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
@@ -391,13 +393,15 @@ def _read_table(
     byte-order mark is dropped.
 
     The csv module reads and checks the header.  numpy's C reader then
-    reads the rest of the file in one streamed pass (`_loadtxt_rows`),
-    when a byte scan finds nothing it would read differently from the csv
-    module and `_parse_value` (`_loadtxt_safe`).  Any file it does not
-    take whole, for a bad row, an undecodable byte, a non-finite value or
-    a field over the csv module's size limit, is read again from the top
-    by the block reader (`_block_rows`), which returns the table or raises
-    the error, line and column that a row-by-row read names.
+    reads the rest of a regular file in one streamed pass
+    (`_loadtxt_rows`), when a byte scan finds nothing it would read
+    differently from the csv module and `_parse_value` (`_loadtxt_safe`).
+    Any file it does not take whole, for a bad row, an undecodable byte, a
+    non-finite value or a field over the csv module's size limit, is read
+    again from the top by the block reader (`_block_rows`), which returns
+    the table or raises the error, line and column that a row-by-row read
+    names.  A pipe or other stream, which can be read only once, goes to
+    the block reader straight after the header.
 
     Returns the example ids, one list of strings per text column, a float64
     array with one column per number column, and a pointwise target when
@@ -426,11 +430,14 @@ def _read_table(
             raise HeaderMismatch(f"repeated columns: {', '.join(repeated)}")
         positions = [header.index(c) for c in used]
         first_number = len(used) - len(numeric)
-        rows = _loadtxt_rows(fh, len(header), positions, first_number) if _loadtxt_safe(path) else None
+        rows = None
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and _loadtxt_safe(path):
+            rows = _loadtxt_rows(fh, len(header), positions, first_number)
+            if rows is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
         if rows is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
             rows = _block_rows(reader, len(header), positions, first_number, numeric)
     columns, table = rows
     ids = list(map(_new_id, zip(columns[0], columns[1], columns[2])))
@@ -491,15 +498,15 @@ def _loadtxt_safe(path: str) -> bool:
     character, which `np.loadtxt` would strip from a number, and no run of
     more than `csv.field_size_limit()` bytes without a comma, which a
     number field longer than the limit needs and numpy would accept.  The
-    file is scanned in `_SCAN_BYTES` chunks, so only one chunk is held."""
+    file is scanned in chunks of at most `_SCAN_BYTES` and at most the
+    limit, so only one chunk is held and a run within one chunk is never
+    too long."""
     limit = csv.field_size_limit()
-    # A comma-free run of 2 * step bytes or more holds a whole step-aligned
-    # block of the chunk it lies in, and 2 * step > limit.
-    step = limit // 2 + 1
+    size = max(1, min(_SCAN_BYTES, limit))
     run = 0  # bytes since the last comma
     tail = b""  # the previous chunk's last bytes if not ASCII: a character may span chunks
     with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
+        while chunk := fh.read(size):
             if any(c in chunk for c in _STRIPPED_ASCII):
                 return False
             tail = b"" if chunk.isascii() else tail + chunk
@@ -511,8 +518,6 @@ def _loadtxt_safe(path: str) -> bool:
                 run += len(chunk)
                 continue
             if run + first > limit:
-                return False
-            if any(chunk.find(b",", start, start + step) < 0 for start in range(0, len(chunk) - step + 1, step)):
                 return False
             run = len(chunk) - 1 - chunk.rfind(b",")
     return run <= limit
